@@ -206,51 +206,6 @@ class GroupWindow {
 
   size_t live_groups() const { return window_.size(); }
 
-  /// Checkpoint support: snapshots the pending groups oldest-first (member
-  /// order preserved — group emission must stay byte-identical on resume).
-  std::vector<checkpoint::WindowGroup> ExportState() const {
-    std::vector<checkpoint::WindowGroup> out;
-    out.reserve(window_.size());
-    for (const Group<D>& g : window_) {
-      checkpoint::WindowGroup wg;
-      wg.members = g.members();
-      wg.box_lo.assign(g.box().lo.begin(), g.box().lo.end());
-      wg.box_hi.assign(g.box().hi.begin(), g.box().hi.end());
-      out.push_back(std::move(wg));
-    }
-    return out;
-  }
-
-  /// Checkpoint support: refills a still-empty window from a manifest
-  /// snapshot, re-establishing the exact merge candidates the interrupted
-  /// run had pending.
-  void RestoreState(const std::vector<checkpoint::WindowGroup>& groups) {
-    CSJ_CHECK(window_.empty()) << "RestoreState on a non-empty window";
-    for (const checkpoint::WindowGroup& wg : groups) {
-      CSJ_CHECK(wg.box_lo.size() == D && wg.box_hi.size() == D)
-          << "checkpointed window group has wrong dimensionality";
-      Point<D> lo, hi;
-      for (int i = 0; i < D; ++i) {
-        lo[i] = wg.box_lo[static_cast<size_t>(i)];
-        hi[i] = wg.box_hi[static_cast<size_t>(i)];
-      }
-      // Straight push_back: the snapshot holds at most capacity_ groups and
-      // eviction here would double-emit. Reservations are best-effort on a
-      // resume: a denial here must not kill the run before its first task.
-      Group<D> group(wg.members, Box<D>(lo, hi));
-      uint64_t charged = 0;
-      MemoryBudget* budget = Budget();
-      if (budget != nullptr) {
-        const uint64_t bytes = GroupBytes(group);
-        if (budget->TryReserve(bytes)) charged = bytes;
-      }
-      window_.push_back(std::move(group));
-      charges_.push_back(charged);
-    }
-    CSJ_CHECK(window_.size() <= capacity_)
-        << "checkpointed window exceeds the configured g";
-  }
-
  private:
   MemoryBudget* Budget() const {
     return exec_ != nullptr ? exec_->memory_budget() : nullptr;
@@ -290,7 +245,6 @@ class GroupWindow {
     }
     window_.push_back(std::move(group));
     charges_.push_back(charged);
-    CSJ_METRIC_HIST("window.occupancy", window_.size());
     // Under budget pressure the window proactively halves its capacity —
     // fewer pending groups, more headroom for the rest of the run.
     size_t capacity = capacity_;
@@ -304,6 +258,7 @@ class GroupWindow {
       }
       EvictOldest();
     }
+    CSJ_METRIC_HIST("window.occupancy", window_.size());
   }
 
   void EvictOldest() {
@@ -317,9 +272,9 @@ class GroupWindow {
 
   void Emit(const Group<D>& group) {
     if (group.size() < 2) return;
-    stats_->AddImpliedGroup(group.size());
     ScopedStopwatch watch(write_timer_);
     sink_->Group(group.members());
+    if (sink_->error().ok()) stats_->AddImpliedGroup(group.size());
   }
 
   static constexpr uint64_t kGroupOverheadBytes = 96;

@@ -2,7 +2,6 @@
 #define CSJ_CORE_SIMILARITY_JOIN_H_
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -82,44 +81,13 @@ class JoinDriver {
         algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
   }
 
-  /// One unit of work for the parallel driver: a single-subtree self-join
-  /// (second == kInvalidNode) or a qualifying subtree pair.
+  /// One unit of work of the checkpointed runner (core/checkpoint_join.h): a
+  /// single-subtree self-join (second == kInvalidNode) or a qualifying
+  /// subtree pair.
   struct Task {
     NodeId first = kInvalidNode;
     NodeId second = kInvalidNode;
   };
-
-  /// Installs an external cancellation flag: when it becomes true the
-  /// traversal unwinds at the next node visit (used by the parallel join to
-  /// stop all workers once one of them fails).
-  void SetCancelFlag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-
-  /// Processes tasks pulled from a shared cursor (used by the parallel
-  /// join; each worker owns one driver + sink). Self-join trees only.
-  JoinStats RunTasks(const std::vector<Task>& tasks,
-                     std::atomic<size_t>* cursor) {
-    WallTimer timer;
-    CSJ_CHECK(self_join_);
-    uint64_t tasks_processed = 0;
-    while (!Aborted()) {
-      const size_t index = cursor->fetch_add(1, std::memory_order_relaxed);
-      if (index >= tasks.size()) break;
-      const Task& task = tasks[index];
-      ++tasks_processed;
-      if (task.second == kInvalidNode) {
-        SelfJoin(task.first);
-      } else {
-        SelfDualJoin(task.first, task.second);
-      }
-      // Tasks stay atomic units of progress: nothing deferred leaks across
-      // a task boundary.
-      DrainLeafBatch();
-    }
-    if (algorithm_ == JoinAlgorithm::kCSJ) window_.Flush();
-    CSJ_METRIC_HIST("parallel.tasks_per_worker", tasks_processed);
-    FinalizeStats(timer);
-    return stats_;
-  }
 
   JoinStats Run() {
     WallTimer timer;
@@ -135,71 +103,40 @@ class JoinDriver {
         DualJoin(tree_a_.Root(), tree_b_.Root());
       }
     }
-    DrainLeafBatch();
-    if (algorithm_ == JoinAlgorithm::kCSJ) window_.Flush();
-    FinalizeStats(timer);
-    return stats_;
+    return Complete(timer);
   }
 
-  // --- Checkpointed execution (core/checkpoint_join.h) ----------------------
-  //
-  // The checkpoint runner drives tasks one at a time so it can snapshot the
-  // frontier between them: tasks are *atomic* units of progress — a cancel
-  // (signal, deadline) takes effect at the next task boundary, never mid-
-  // task, so the sink always sits at a position the task list can describe.
-
-  /// Runs one task of the deterministic task list (parallel_join.h's
-  /// BuildTaskList). Self-join trees only.
-  void RunTask(const Task& task) {
+  /// Runs one task of the checkpointed runner's task list as a join of its
+  /// own: the CSJ(g) window starts empty and is flushed when the task ends,
+  /// so the task's output depends on nothing but the task. Call at most
+  /// once per driver. Self-join trees only.
+  JoinStats RunTask(const Task& task) {
     CSJ_CHECK(self_join_);
+    WallTimer timer;
     if (task.second == kInvalidNode) {
       SelfJoin(task.first);
     } else {
       SelfDualJoin(task.first, task.second);
     }
-    // Checkpoint atomicity: a task's deferred leaf work is part of the task
-    // — it must reach the sink/window before the runner snapshots.
+    return Complete(timer);
+  }
+
+ private:
+  /// Drains the deferred leaf work, flushes the CSJ(g) window and finalizes
+  /// the stats: the common tail of Run() and RunTask().
+  JoinStats Complete(const WallTimer& timer) {
     DrainLeafBatch();
-  }
-
-  /// Emits everything still pending in the CSJ(g) merge window (no-op for
-  /// the other algorithms). Call exactly once, after the last task.
-  void FlushWindow() {
     if (algorithm_ == JoinAlgorithm::kCSJ) window_.Flush();
-  }
-
-  /// The merge window, for checkpoint export/restore.
-  GroupWindow<D>& window() { return window_; }
-
-  /// Work counters accumulated by this driver so far (fresh counters only —
-  /// a resumed run's base is composed by the checkpoint runner).
-  JoinStats& mutable_stats() { return stats_; }
-
-  /// True once the sink errored or the cancel flag fired.
-  bool aborted() const { return Aborted(); }
-
-  /// Sink time accumulated so far (only meaningful with
-  /// options.measure_write_time; checkpoints persist it mid-run).
-  double write_seconds_so_far() const { return write_timer_.TotalSeconds(); }
-
-  /// Completes stats from the sink and mirrors work counters into the
-  /// process-wide metrics; for runners that drove tasks themselves.
-  JoinStats Finalize(const WallTimer& timer) {
     FinalizeStats(timer);
     return stats_;
   }
 
- private:
   /// True when the run should stop producing output: the sink hit a sticky
-  /// error (full disk, failed write), an external canceller fired, or the
-  /// governance context tripped (deadline, cancel, memory budget). Checked
-  /// at every node visit, so the traversal unwinds in O(depth) instead of
-  /// grinding through the remaining pair space.
-  bool Aborted() const {
-    return !sink_->error().ok() ||
-           (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) ||
-           run_ctx_.ShouldStop();
-  }
+  /// error (full disk, failed write) or the governance context tripped
+  /// (deadline, cancel, memory budget). Checked at every node visit, so the
+  /// traversal unwinds in O(depth) instead of grinding through the
+  /// remaining pair space.
+  bool Aborted() const { return !sink_->error().ok() || run_ctx_.ShouldStop(); }
 
   void FinalizeStats(const WallTimer& timer) {
     if (LeafKernelUsesBackend(options_.leaf_kernel)) {
@@ -222,8 +159,8 @@ class JoinDriver {
       stats_.page_disk_reads = access.pages.disk_reads;
     }
     // Mirror this run's work counters into the process-wide metrics (one
-    // bulk add per run, so the per-pair hot loops stay untouched). Each
-    // parallel worker finalizes its own driver and counts as one run.
+    // bulk add per run, so the per-pair hot loops stay untouched). The
+    // checkpointed runner finalizes one driver per task.
     CSJ_METRIC_COUNT("join.runs", 1);
     CSJ_METRIC_COUNT("join.distance_computations",
                      stats_.distance_computations);
@@ -601,10 +538,11 @@ class JoinDriver {
       }
       return;
     }
-    stats_.AddImpliedLink();
     ScopedStopwatch watch(options_.measure_write_time ? &write_timer_
                                                       : nullptr);
     sink_->Link(e1.id, e2.id);
+    // Implied links count only what the sink accepted.
+    if (sink_->error().ok()) stats_.AddImpliedLink();
   }
 
   /// Early-stopping rule on one subtree: all points below n become a group.
@@ -670,10 +608,10 @@ class JoinDriver {
       window_.AddSubtreeGroup(std::move(members), box);
       return;
     }
-    stats_.AddImpliedGroup(members.size());
     ScopedStopwatch watch(options_.measure_write_time ? &write_timer_
                                                       : nullptr);
     sink_->Group(members);
+    if (sink_->error().ok()) stats_.AddImpliedGroup(members.size());
   }
 
   const TreeA& tree_a_;
@@ -684,7 +622,6 @@ class JoinDriver {
   double eps_;
   double eps_squared_;
   JoinSink* sink_;
-  const std::atomic<bool>* cancel_ = nullptr;
   JoinStats stats_;
   StopwatchAccumulator write_timer_;
   /// Governance context: layers options.deadline_ms over options.exec.

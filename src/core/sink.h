@@ -93,8 +93,10 @@ class JoinSink {
             ? binary_model_.AddRecord(binfmt::EncodedLinkBytes(a, b))
             : 2 * static_cast<uint64_t>(id_width_ + 1);
     bytes_ += delta;
-    CSJ_METRIC_COUNT("sink.links", 1);
-    CSJ_METRIC_COUNT("sink.bytes", delta);
+    if (record_metrics_) {
+      CSJ_METRIC_COUNT("sink.links", 1);
+      CSJ_METRIC_COUNT("sink.bytes", delta);
+    }
     DoLink(a, b);
   }
 
@@ -110,8 +112,10 @@ class JoinSink {
             ? binary_model_.AddRecord(binfmt::EncodedGroupBytes(members))
             : members.size() * static_cast<uint64_t>(id_width_ + 1);
     bytes_ += delta;
-    CSJ_METRIC_COUNT("sink.groups", 1);
-    CSJ_METRIC_COUNT("sink.bytes", delta);
+    if (record_metrics_) {
+      CSJ_METRIC_COUNT("sink.groups", 1);
+      CSJ_METRIC_COUNT("sink.bytes", delta);
+    }
     DoGroup(members);
   }
 
@@ -176,6 +180,12 @@ class JoinSink {
   virtual void DoLink(PointId a, PointId b) = 0;
   virtual void DoGroup(std::span<const PointId> members) = 0;
 
+  /// For a sink whose records are re-emitted into another sink later (the
+  /// checkpointed runner's task buffers): its records stay out of the
+  /// process-wide sink.* counters, so each record is counted once, by the
+  /// sink that finally accepts it.
+  void DisableRecordMetrics() { record_metrics_ = false; }
+
   /// Records the sink's first error; later calls keep the original.
   void SetError(const Status& status) {
     if (error_.ok() && !status.ok()) error_ = status;
@@ -207,6 +217,7 @@ class JoinSink {
   uint64_t num_groups_ = 0;
   uint64_t group_member_total_ = 0;
   uint64_t bytes_ = 0;
+  bool record_metrics_ = true;
 };
 
 /// Convenience: zero-pad width for ids in [0, n).

@@ -24,7 +24,6 @@
 #include "core/expand.h"
 #include "core/group.h"
 #include "core/join_options.h"
-#include "core/parallel_join.h"
 #include "core/output_reader.h"
 #include "core/output_stats.h"
 #include "core/join_stats.h"

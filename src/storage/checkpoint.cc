@@ -156,7 +156,6 @@ std::string Serialize(const Manifest& m) {
   std::string payload;
   AppendFixed64(&payload, m.config_fingerprint);
   binfmt::AppendVarint(&payload, m.dims);
-  binfmt::AppendVarint(&payload, m.threads);
   binfmt::AppendVarint(&payload, m.total_tasks);
   AppendFixed64(&payload, m.task_list_hash);
   binfmt::AppendVarint(&payload, m.next_task);
@@ -174,16 +173,6 @@ std::string Serialize(const Manifest& m) {
   binfmt::AppendVarint(&payload, m.sink.partial_records);
   binfmt::AppendVarint(&payload, m.sink.partial_payload.size());
   payload += m.sink.partial_payload;
-
-  binfmt::AppendVarint(&payload, m.window.size());
-  for (const WindowGroup& g : m.window) {
-    binfmt::AppendVarint(&payload, g.members.size());
-    for (PointId id : g.members) binfmt::AppendVarint(&payload, id);
-    CSJ_CHECK(g.box_lo.size() == m.dims && g.box_hi.size() == m.dims)
-        << "window group box dimensionality mismatch";
-    for (double d : g.box_lo) AppendFixed64(&payload, DoubleBits(d));
-    for (double d : g.box_hi) AppendFixed64(&payload, DoubleBits(d));
-  }
 
   binfmt::AppendVarint(&payload, m.metric_counters.size());
   for (const auto& [name, value] : m.metric_counters) {
@@ -246,7 +235,6 @@ Status Parse(const std::string& bytes, Manifest* manifest) {
   Reader r(payload, payload_len);
   m.config_fingerprint = r.Fixed64("config_fingerprint");
   m.dims = static_cast<uint32_t>(r.Varint("dims"));
-  m.threads = static_cast<uint32_t>(r.Varint("threads"));
   m.total_tasks = r.Varint("total_tasks");
   m.task_list_hash = r.Fixed64("task_list_hash");
   m.next_task = r.Varint("next_task");
@@ -269,24 +257,6 @@ Status Parse(const std::string& bytes, Manifest* manifest) {
     if (r.status().ok()) {
       return Reader::Corrupt("dims", "implausible dimensionality");
     }
-  }
-  const uint64_t window_groups = r.Count("window.size");
-  m.window.reserve(r.status().ok() ? window_groups : 0);
-  for (uint64_t i = 0; r.status().ok() && i < window_groups; ++i) {
-    WindowGroup g;
-    const uint64_t members = r.Count("window.group.members");
-    g.members.reserve(r.status().ok() ? members : 0);
-    for (uint64_t j = 0; r.status().ok() && j < members; ++j) {
-      g.members.push_back(
-          static_cast<PointId>(r.Varint("window.group.member")));
-    }
-    for (uint32_t d = 0; d < m.dims; ++d) {
-      g.box_lo.push_back(BitsToDouble(r.Fixed64("window.group.box_lo")));
-    }
-    for (uint32_t d = 0; d < m.dims; ++d) {
-      g.box_hi.push_back(BitsToDouble(r.Fixed64("window.group.box_hi")));
-    }
-    m.window.push_back(std::move(g));
   }
 
   const uint64_t counters = r.Count("metric_counters.size");

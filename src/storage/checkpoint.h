@@ -6,19 +6,17 @@
 #include <utility>
 #include <vector>
 
-#include "geom/point.h"
 #include "util/status.h"
 
 /// \file
-/// Durable checkpoint manifests for long-running joins ("CSJK" format v1).
+/// Durable checkpoint manifests for long-running joins ("CSJK" format v2).
 ///
 /// A checkpointed join (core/checkpoint_join.h) periodically snapshots
 /// everything needed to continue after a crash, kill or deadline:
 ///
-///  * the traversal frontier — the index of the next unprocessed work item
-///    in the deterministic task list (serial) or task round (parallel);
-///  * the CSJ(g) merge window — the pending groups that have not been
-///    emitted yet (serial mode; parallel rounds flush their windows);
+///  * the committed task prefix — the index of the first task of the
+///    deterministic task list whose output is not yet in the sink (every
+///    task flushes its own CSJ(g) window, so no window state is pending);
 ///  * cumulative JoinStats work counters and curated metric counters, so a
 ///    resumed run reports exactly what an uninterrupted run would;
 ///  * the sink position — a durable byte offset at a committed CSJ2 block
@@ -41,12 +39,13 @@
 /// The payload is a fixed field sequence of varints (LEB128, shared with the
 /// CSJ2 format) and fixed64 bit patterns for doubles; see Serialize() for
 /// the order. docs/ROBUSTNESS.md ("Checkpoint & resume") is the normative
-/// description.
+/// description. Version 1 (which also carried a thread count and the
+/// pending window groups) is rejected by the version check.
 
 namespace csj::checkpoint {
 
 inline constexpr char kMagic[4] = {'C', 'S', 'J', 'K'};
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 /// magic + version + payload_len + payload crc.
 inline constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
 
@@ -97,25 +96,13 @@ struct SinkState {
   friend bool operator==(const SinkState&, const SinkState&) = default;
 };
 
-/// One pending CSJ(g) window group (serial checkpoints only).
-struct WindowGroup {
-  std::vector<PointId> members;
-  std::vector<double> box_lo;  ///< size = dims
-  std::vector<double> box_hi;  ///< size = dims
-
-  friend bool operator==(const WindowGroup&, const WindowGroup&) = default;
-};
-
 /// The full checkpoint.
 struct Manifest {
   /// Hash of every output-affecting configuration knob (algorithm, epsilon,
-  /// window, ablations, format, threads, granularity, tree shape). Resume
-  /// refuses to continue under a different configuration.
+  /// window, ablations, format, tree shape). Resume refuses to continue
+  /// under a different configuration.
   uint64_t config_fingerprint = 0;
   uint32_t dims = 0;
-  /// Worker threads of the original run (<= 1 = serial). Parallel resumes
-  /// must use the same count: the round replay order depends on it.
-  uint32_t threads = 0;
   uint64_t total_tasks = 0;
   /// Hash of the deterministic task list; a resume rebuilds the list and
   /// cross-checks before trusting next_task.
@@ -124,7 +111,6 @@ struct Manifest {
   uint64_t next_task = 0;
   StatsState stats;
   SinkState sink;
-  std::vector<WindowGroup> window;
   /// Curated cumulative metric counters (join.*, sink.*, ... — see
   /// core/checkpoint_join.h), merged into the registry on resume.
   std::vector<std::pair<std::string, uint64_t>> metric_counters;

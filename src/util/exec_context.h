@@ -189,7 +189,7 @@ class ExecContext {
 
   /// Like `ShouldStop()`, but always reads the clock when a deadline is
   /// armed. For *infrequent* pollers — a checkpoint runner checking once per
-  /// round — where the stride amortization could skip the deadline check for
+  /// task — where the stride amortization could skip the deadline check for
   /// the whole run. Hot loops should keep using `ShouldStop()`.
   bool ShouldStopNow() const {
     if (has_deadline_ && !stopped_.load(std::memory_order_relaxed) &&

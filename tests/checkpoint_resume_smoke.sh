@@ -5,7 +5,8 @@
 # cannot reach: a graceful SIGTERM (final checkpoint, exit 3) and a hard
 # SIGKILL (no chance to react; only the periodic checkpoints survive). After
 # each, `--resume 1` must finish the join and the output must be
-# byte-identical to an uninterrupted run. Usage:
+# byte-identical to an uninterrupted run — also when the resume uses another
+# thread count over the same task list (threads x tasks-per-thread). Usage:
 #
 #   checkpoint_resume_smoke.sh /path/to/csj_tool
 set -u
@@ -23,17 +24,21 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 "$TOOL" generate --kind clusters --n 40000 --out pts.txt --seed 11 \
   >/dev/null || fail "generate"
 
-"$TOOL" "${JOIN_ARGS[@]}" --out ref.bin >/dev/null || fail "reference run"
+# The defaults spelled out: one thread over a 16-task list.
+"$TOOL" "${JOIN_ARGS[@]}" --threads 1 --tasks-per-thread 16 --out ref.bin \
+  >/dev/null || fail "reference run"
 [ -e ref.bin.ckpt ] && fail "manifest survived a completed run"
 
 # Interrupts a backgrounded join with $1 (TERM|KILL) once the output file
-# shows progress, then asserts on the tool's exit code. Retries in case the
-# run finishes before the signal lands (slow machines, fast disks).
+# shows progress, then asserts on the tool's exit code. Arguments after the
+# third are extra join flags. Retries in case the run finishes before the
+# signal lands (slow machines, fast disks).
 interrupt_with() {
   local sig=$1 out=$2 want_code=$3 attempt
+  shift 3
   for attempt in 1 2 3 4 5; do
     rm -f "$out" "$out.ckpt"
-    "$TOOL" "${JOIN_ARGS[@]}" --out "$out" >/dev/null 2>&1 &
+    "$TOOL" "${JOIN_ARGS[@]}" "$@" --out "$out" >/dev/null 2>&1 &
     local pid=$!
     # Wait until the join has demonstrably started writing AND committed a
     # first checkpoint — a SIGKILL before any manifest exists has nothing to
@@ -85,4 +90,11 @@ elif [ "$code" -ne 0 ]; then
   fail "deadline run: unexpected exit $code"
 fi
 
-echo "OK: SIGTERM, SIGKILL and deadline interruptions all resumed byte-identically"
+# --- SIGKILL at 4 threads, resume at 2: the same 16-task list -----------------
+interrupt_with KILL rethread.bin 137 --threads 4 --tasks-per-thread 4
+"$TOOL" "${JOIN_ARGS[@]}" --out rethread.bin --threads 2 --tasks-per-thread 8 \
+  --resume 1 >/dev/null || fail "resume at another thread count"
+cmp -s ref.bin rethread.bin \
+  || fail "output resumed at 2 threads differs from the 1-thread reference"
+
+echo "OK: SIGTERM, SIGKILL, deadline and cross-thread-count interruptions all resumed byte-identically"

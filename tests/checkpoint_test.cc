@@ -19,13 +19,12 @@
 namespace csj::checkpoint {
 namespace {
 
-/// A manifest with every field exercised: partial binary payload, pending
-/// window groups, metric counters, non-trivial doubles.
+/// A manifest with every field exercised: partial binary payload, metric
+/// counters, non-trivial doubles.
 Manifest SampleManifest() {
   Manifest m;
   m.config_fingerprint = 0x1234'5678'9abc'def0ULL;
   m.dims = 2;
-  m.threads = 4;
   m.total_tasks = 553;
   m.task_list_hash = 0xfeed'face'cafe'beefULL;
   m.next_task = 42;
@@ -53,9 +52,6 @@ Manifest SampleManifest() {
   m.sink.id_total = 999'999;
   m.sink.partial_records = 7;
   m.sink.partial_payload = std::string("\x01\x02\x00\xff partial block", 19);
-  m.window.push_back(
-      {{1, 2, 3}, {0.25, -1.0}, {0.5, 2.0}});
-  m.window.push_back({{9}, {0.0, 0.0}, {1e-9, 1e9}});
   m.metric_counters.emplace_back("join.distance_computations", 2'878'927);
   m.metric_counters.emplace_back("sink.groups", 174'922);
   return m;
@@ -176,6 +172,15 @@ TEST(CheckpointCorruption, WrongMagicAndVersionAreRejected) {
   std::string wrong_version = Serialize(SampleManifest());
   wrong_version[4] = static_cast<char>(kVersion + 1);
   EXPECT_FALSE(Parse(wrong_version, &m).ok());
+
+  // Version 1 manifests (with a thread count and window groups) are refused
+  // by name, not misparsed.
+  std::string version_one = Serialize(SampleManifest());
+  version_one[4] = 1;
+  const Status status = Parse(version_one, &m);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("version 1 "), std::string::npos)
+      << status.ToString();
 }
 
 TEST(CheckpointCorruption, CorruptFileOnDiskLoadsAsCleanError) {

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_join.h"
+#include "core/checkpoint_join.h"
 #include "core/result_cursor.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
@@ -19,9 +19,10 @@
 
 /// \file
 /// End-to-end fault injection: drives failpoints through OutputFile,
-/// FileSink, LoadPoints, and the sequential + parallel joins, asserting that
-/// every injected fault is reported as a Status, that no partial output file
-/// survives, and that the process never crashes.
+/// FileSink, LoadPoints, the sequential joins and the multi-threaded task
+/// runner, asserting that every injected fault is reported as a Status, that
+/// no partial output file survives a plain run (a checkpointed run keeps its
+/// resume point instead), and that the process never crashes.
 
 namespace csj {
 namespace {
@@ -182,53 +183,76 @@ TEST_F(FaultInjectionTest, RenameFaultKeepsPreviousFileIntact) {
   std::remove(path.c_str());
 }
 
-// --- Parallel join -----------------------------------------------------------
+// --- Multi-threaded task runner ---------------------------------------------
 
-TEST_F(FaultInjectionTest, ParallelJoinReportsReplayWriteFaultAndLeavesNoFile) {
+/// A 4-thread CheckpointedSelfJoin of `tree` writing text to `path`, with
+/// its manifest at `path`.ckpt.
+JoinStats RunParallel(const RStarTree<2>& tree, const JoinOptions& options,
+                      const std::string& path, bool resume = false) {
+  CheckpointJoinOptions ckpt;
+  ckpt.manifest_path = path + ".ckpt";
+  ckpt.threads = 4;
+  ckpt.resume = resume;
+  return CheckpointedSelfJoin(tree, JoinAlgorithm::kCSJ, options,
+                              OutputSpec::File(path, tree.size()), ckpt);
+}
+
+/// A failed run keeps the manifest of its last checkpoint; resuming without
+/// the fault finishes the join with the bytes of a run that never failed.
+void ExpectResumeMatchesHealthyRun(const RStarTree<2>& tree,
+                                   const JoinOptions& options,
+                                   const std::string& path) {
+  ASSERT_TRUE(FileExists(path + ".ckpt")) << "no resume point survived";
+  const JoinStats resumed = RunParallel(tree, options, path, /*resume=*/true);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_FALSE(FileExists(path + ".ckpt"));
+  const std::string healthy = path + ".healthy";
+  ASSERT_TRUE(RunParallel(tree, options, healthy).status.ok());
+  EXPECT_EQ(ReadWholeFile(path), ReadWholeFile(healthy));
+  std::remove(path.c_str());
+  std::remove(healthy.c_str());
+}
+
+TEST_F(FaultInjectionTest, ParallelJoinReportsWriteFaultAndKeepsResumePoint) {
   const auto tree = BuildTree();
   const std::string path = testing::TempDir() + "/csj_fault_par.txt";
-  failpoint::ScopedFailpoint fp("output_file.append",
-                                failpoint::Spec::EveryNth(5));
-  FileSink sink(IdWidthFor(entries_.size()), path);
-  ParallelJoinOptions parallel;
-  parallel.threads = 4;
-  const JoinStats stats =
-      ParallelCompactSimilarityJoin(tree, DenseOptions(), &sink, parallel);
-  EXPECT_FALSE(stats.status.ok());
-  EXPECT_FALSE(sink.Finish().ok());
-  ExpectNoOutputArtifacts(path);
+  {
+    // The first append commits the initial manifest; the fifth is output.
+    failpoint::ScopedFailpoint fp("output_file.append",
+                                  failpoint::Spec::EveryNth(5));
+    const JoinStats stats = RunParallel(tree, DenseOptions(), path);
+    EXPECT_EQ(stats.status.code(), StatusCode::kIoError)
+        << stats.status.ToString();
+  }
+  ExpectResumeMatchesHealthyRun(tree, DenseOptions(), path);
 }
 
 TEST_F(FaultInjectionTest, ParallelWorkerExceptionIsCapturedNotFatal) {
   const auto tree = BuildTree();
-  failpoint::ScopedFailpoint fp("parallel_join.worker",
-                                failpoint::Spec::Once());
-  MemorySink sink(IdWidthFor(entries_.size()));
-  ParallelJoinOptions parallel;
-  parallel.threads = 4;
-  const JoinStats stats =
-      ParallelCompactSimilarityJoin(tree, DenseOptions(), &sink, parallel);
-  EXPECT_FALSE(stats.status.ok());
-  EXPECT_EQ(stats.status.code(), StatusCode::kInternal);
-  EXPECT_NE(stats.status.message().find("injected worker fault"),
-            std::string::npos);
-  // The incomplete result was discarded, not silently handed back.
-  EXPECT_EQ(sink.num_links(), 0u);
-  EXPECT_EQ(sink.num_groups(), 0u);
+  const std::string path = testing::TempDir() + "/csj_fault_worker.txt";
+  {
+    failpoint::ScopedFailpoint fp("checkpoint_join.worker",
+                                  failpoint::Spec::Once());
+    const JoinStats stats = RunParallel(tree, DenseOptions(), path);
+    EXPECT_FALSE(stats.status.ok());
+    EXPECT_EQ(stats.status.code(), StatusCode::kInternal);
+    EXPECT_NE(stats.status.message().find("injected worker fault"),
+              std::string::npos);
+  }
+  // The incomplete result is not handed back as complete: the run stays
+  // resumable from its last checkpoint.
+  ExpectResumeMatchesHealthyRun(tree, DenseOptions(), path);
 }
 
 TEST_F(FaultInjectionTest, ParallelJoinWithDeadSinkSkipsTheWork) {
   const auto tree = BuildTree(500);
   const std::string path = testing::TempDir() + "/csj_fault_par_dead.txt";
   failpoint::ScopedFailpoint fp("output_file.open", failpoint::Spec::Always());
-  FileSink sink(IdWidthFor(entries_.size()), path);
-  ASSERT_FALSE(sink.open_status().ok());
-  const JoinStats stats =
-      ParallelCompactSimilarityJoin(tree, DenseOptions(), &sink);
+  const JoinStats stats = RunParallel(tree, DenseOptions(), path);
   EXPECT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.distance_computations, 0u);
-  EXPECT_FALSE(sink.Finish().ok());
   ExpectNoOutputArtifacts(path);
+  EXPECT_FALSE(FileExists(path + ".ckpt"));
 }
 
 // --- Binary sink (asynchronous block writer) ---------------------------------

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint_join.h"
 #include "core/ego.h"
-#include "core/parallel_join.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "index/rstar_tree.h"
@@ -18,7 +18,8 @@
 
 /// \file
 /// The resource-governance acceptance matrix: every driver family (serial
-/// tree, parallel tree, EGO, metric) must terminate with the correct Status
+/// tree, the multi-threaded task runner, EGO, metric) must terminate with the
+/// correct Status
 /// under an injected deadline, cancel, or budget exhaustion — no crash, no
 /// runaway, no partial-output artifact.
 
@@ -130,25 +131,33 @@ TEST(GovernanceTest, SerialJoinDeadlineMsOptionAlone) {
 
 // ---------------------------------------------------------- parallel tree --
 
+/// A 4-thread CheckpointedSelfJoin under `exec`, counting its output.
+JoinStats RunParallel(const RStarTree<2>& tree, ExecContext* exec) {
+  JoinOptions options;
+  options.epsilon = 0.05;
+  options.window_size = 10;
+  options.exec = exec;
+  CheckpointJoinOptions ckpt;
+  ckpt.manifest_path = testing::TempDir() + "/governance_parallel.ckpt";
+  ckpt.threads = 4;
+  const JoinStats stats =
+      CheckpointedSelfJoin(tree, JoinAlgorithm::kCSJ, options,
+                           OutputSpec::Counting(tree.size()), ckpt);
+  std::remove(ckpt.manifest_path.c_str());
+  return stats;
+}
+
 TEST(GovernanceTest, ParallelJoinHonorsCancel) {
   const auto entries = UniformEntries(600);
   auto tree = BuildTree(entries);
   std::atomic<bool> cancel{true};
   ExecContext exec;
   exec.SetCancelFlag(&cancel);
-  JoinOptions options;
-  options.epsilon = 0.05;
-  options.window_size = 10;
-  options.exec = &exec;
-  MemorySink sink(3);
-  ParallelJoinOptions parallel;
-  parallel.threads = 4;
-  const JoinStats stats =
-      ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+  const JoinStats stats = RunParallel(tree, &exec);
   EXPECT_EQ(stats.status.code(), StatusCode::kCancelled);
-  // A failed parallel join must not leak partial worker output.
-  EXPECT_EQ(sink.num_links(), 0u);
-  EXPECT_EQ(sink.num_groups(), 0u);
+  // The cancel was raised before the first task: no work, no output.
+  EXPECT_EQ(stats.distance_computations, 0u);
+  EXPECT_EQ(stats.links + stats.groups, 0u);
 }
 
 TEST(GovernanceTest, ParallelJoinHonorsDeadline) {
@@ -156,15 +165,7 @@ TEST(GovernanceTest, ParallelJoinHonorsDeadline) {
   auto tree = BuildTree(entries);
   ExecContext exec;
   ArmExpiredDeadline(&exec);
-  JoinOptions options;
-  options.epsilon = 0.05;
-  options.window_size = 10;
-  options.exec = &exec;
-  MemorySink sink(3);
-  ParallelJoinOptions parallel;
-  parallel.threads = 4;
-  const JoinStats stats =
-      ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+  const JoinStats stats = RunParallel(tree, &exec);
   EXPECT_EQ(stats.status.code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -174,15 +175,7 @@ TEST(GovernanceTest, ParallelJoinHonorsBudget) {
   MemoryBudget budget(16);
   ExecContext exec;
   exec.SetMemoryBudget(&budget);
-  JoinOptions options;
-  options.epsilon = 0.05;
-  options.window_size = 10;
-  options.exec = &exec;
-  MemorySink sink(3);
-  ParallelJoinOptions parallel;
-  parallel.threads = 4;
-  const JoinStats stats =
-      ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+  const JoinStats stats = RunParallel(tree, &exec);
   EXPECT_EQ(stats.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(budget.used(), 0u);
 }

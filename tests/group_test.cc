@@ -4,7 +4,12 @@
 
 #include "core/group.h"
 #include "core/join_stats.h"
+#include "core/similarity_join.h"
 #include "core/sink.h"
+#include "data/dataset.h"
+#include "data/generators.h"
+#include "index/rstar_tree.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace csj {
@@ -80,6 +85,30 @@ TEST_F(GroupWindowTest, EvictsOldestBeyondCapacity) {
   EXPECT_EQ(sink_.groups().size(), 4u);
   EXPECT_EQ(window_.live_groups(), 0u);
 }
+
+#ifndef CSJ_NO_METRICS
+TEST(GroupWindowMetricsTest, OccupancyNeverExceedsCapacity) {
+  // window.occupancy samples the window after eviction: a CSJ(3) run never
+  // holds more than 3 groups.
+  RStarTree<2> tree;
+  for (const auto& e : ToEntries(GenerateGaussianClusters<2>(2000, 4, 0.02, 5))) {
+    tree.Insert(e.id, e.point);
+  }
+  JoinOptions options;
+  options.epsilon = 0.02;
+  options.window_size = 3;
+  metrics::ResetAll();
+  CountingSink sink(4);
+  ASSERT_TRUE(CompactSimilarityJoin(tree, options, &sink).status.ok());
+  bool sampled = false;
+  for (const auto& h : metrics::Snapshot().histograms) {
+    if (h.name != "window.occupancy") continue;
+    sampled = h.count > 0;
+    EXPECT_LE(h.max, 3u);
+  }
+  EXPECT_TRUE(sampled);
+}
+#endif  // CSJ_NO_METRICS
 
 TEST_F(GroupWindowTest, MergesIntoRecentGroup) {
   window_.MergeLink(0, Point2{{0.0, 0.0}}, 1, Point2{{0.01, 0.0}}, false);

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <functional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/brute.h"
+#include "core/checkpoint_join.h"
 #include "core/expand.h"
-#include "core/parallel_join.h"
+#include "core/result_cursor.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "data/generators.h"
@@ -33,6 +36,17 @@ std::vector<Entry<D>> RandomEntries(size_t n, uint64_t seed) {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::string content;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return content;
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, got);
+  std::fclose(f);
+  return content;
 }
 
 static_assert(SpatialIndex<PagedTree<2>>,
@@ -254,8 +268,9 @@ TEST(PagedTreeTest, ConcurrentReadersShareOneTree) {
 }
 
 TEST(PagedTreeTest, ParallelJoinOverPagedTreeIsLossless) {
-  // The static_assert gate on Tree::kThreadSafeReads now admits PagedTree;
-  // prove the parallel join over a disk tree matches brute force.
+  // PagedTree is safe for concurrent reads, so the task runner may use
+  // several threads over a disk tree; its output matches brute force and the
+  // serial run's bytes.
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(3000, 37);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
@@ -269,15 +284,30 @@ TEST(PagedTreeTest, ParallelJoinOverPagedTreeIsLossless) {
   JoinOptions options;
   options.epsilon = 0.04;
   options.window_size = 10;
-  MemorySink sink(IdWidthFor(entries.size()));
-  ParallelJoinOptions parallel;
-  parallel.threads = 4;
-  const JoinStats stats =
-      ParallelCompactSimilarityJoin(*paged, options, &sink, parallel);
-  ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
-  const auto report = CompareLinkSets(
-      ExpandSelfJoin(sink), BruteForceSelfJoin(entries, options.epsilon));
-  EXPECT_TRUE(report.lossless()) << report.ToString();
+  std::string serial_bytes;
+  for (const int threads : {1, 4}) {
+    const OutputSpec spec = OutputSpec::File(
+        TempPath("paged_parallel_join.txt"), entries.size());
+    CheckpointJoinOptions ckpt;
+    ckpt.manifest_path = spec.path + ".ckpt";
+    ckpt.threads = threads;
+    ckpt.tasks_per_thread = 16 / threads;
+    const JoinStats stats = CheckpointedSelfJoin(*paged, JoinAlgorithm::kCSJ,
+                                                 options, spec, ckpt);
+    ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+    auto cursor = OpenResultCursor(spec.path);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    auto expansion = ExpandSelfJoin(cursor->get());
+    ASSERT_TRUE(expansion.ok()) << expansion.status().ToString();
+    const auto report = CompareLinkSets(
+        *expansion, BruteForceSelfJoin(entries, options.epsilon));
+    EXPECT_TRUE(report.lossless()) << "threads=" << threads << ": "
+                                   << report.ToString();
+    const std::string bytes = ReadFile(spec.path);
+    if (threads == 1) serial_bytes = bytes;
+    EXPECT_EQ(bytes, serial_bytes) << "threads=" << threads;
+    std::remove(spec.path.c_str());
+  }
 }
 
 #ifndef CSJ_NO_FAILPOINTS

@@ -37,13 +37,16 @@
 ///                     exits 5, SIGINT/SIGTERM exits 3; no partial output
 ///                     file is left behind)
 ///   csj_tool join     ... --checkpoint-interval 32 [--checkpoint run.ckpt]
-///                     [--threads 4]   (crash-safe checkpointed execution,
-///                     docs/ROBUSTNESS.md; the manifest defaults to
-///                     <out>.ckpt; SIGINT/SIGTERM and deadlines additionally
-///                     save a final checkpoint for --resume)
+///                     [--threads 4] [--tasks-per-thread 16]   (crash-safe
+///                     checkpointed execution, docs/ROBUSTNESS.md; the
+///                     manifest defaults to <out>.ckpt; SIGINT/SIGTERM and
+///                     deadlines additionally save a final checkpoint for
+///                     --resume; the output depends on threads x
+///                     tasks-per-thread, not on the thread count)
 ///   csj_tool join     ... --resume 1   (continue an interrupted run from
-///                     its manifest; the finished output is byte-identical
-///                     to an uninterrupted run)
+///                     its manifest, at any thread count with the same
+///                     threads x tasks-per-thread; the finished output is
+///                     byte-identical to an uninterrupted run)
 ///   csj_tool cat      --result result.bin [--out result.txt] [--width N]
 ///                     (decode any result — text or binary — to canonical
 ///                     text; stdout when --out is omitted)
