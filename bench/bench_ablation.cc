@@ -14,7 +14,6 @@
 #include "data/roadnet.h"
 #include "index/bulk_load.h"
 #include "index/mtree.h"
-#include "metric/generic_mtree.h"
 #include "metric/metric_join.h"
 
 namespace csj::bench {
@@ -152,14 +151,10 @@ void RunFanoutSweep(const BenchArgs& args) {
 /// Section V-A ablation: the paper argues for MBR groups (diagonal <= eps)
 /// over bounding circles/balls because centering balls optimally is
 /// expensive. Our metric join implements the cheap ball alternative (fixed
-/// center, radius eps/2); running both on the *same* vector data and tree
-/// family quantifies how much output the conservative ball shape gives up.
+/// center, radius eps/2); running both on the *same* vector data and the
+/// same M-tree quantifies how much output the conservative ball shape gives
+/// up.
 void RunGroupShapeAblation(const BenchArgs& args) {
-  struct L2 {
-    double operator()(const Point2& a, const Point2& b) const {
-      return Distance(a, b);
-    }
-  };
   SoneiraPeeblesOptions galaxy;
   galaxy.levels = args.full ? 7 : 6;
   galaxy.eta = 5;
@@ -167,17 +162,13 @@ void RunGroupShapeAblation(const BenchArgs& args) {
   const auto points = GenerateSoneiraPeebles<2>(galaxy);
   const auto entries = ToEntries(points);
 
-  GenericMTreeOptions mtree_options;
-  mtree_options.max_fanout = 32;
-  GenericMTree<Point2, L2> ball_tree(L2(), mtree_options);
-  MTreeOptions coord_options;
-  coord_options.max_fanout = 32;
-  coord_options.promotion = MTreePromotion::kSampled;
-  MTree<2> mbr_tree(coord_options);
-  for (const auto& e : entries) {
-    ball_tree.Insert(e.id, e.point);
-    mbr_tree.Insert(e.id, e.point);
-  }
+  // One M-tree serves both group shapes: the MBR join reads it as a
+  // SpatialIndex, the ball join as a metric tree.
+  MTreeOptions tree_options;
+  tree_options.max_fanout = 32;
+  tree_options.promotion = MTreePromotion::kSampled;
+  MTree<2> tree(tree_options);
+  for (const auto& e : entries) tree.Insert(e.id, e.point);
 
   Table table("Section V-A — group shape: MBR(diag<=eps) vs ball(r=eps/2) "
               "on a Soneira-Peebles galaxy catalog",
@@ -188,11 +179,9 @@ void RunGroupShapeAblation(const BenchArgs& args) {
     options.epsilon = eps;
     options.window_size = 10;
     auto mbr_sink = MakeSinkOrDie(OutputSpec::Counting(entries.size()));
-    const JoinStats mbr =
-        CompactSimilarityJoin(mbr_tree, options, mbr_sink.get());
+    const JoinStats mbr = CompactSimilarityJoin(tree, options, mbr_sink.get());
     auto ball_sink = MakeSinkOrDie(OutputSpec::Counting(entries.size()));
-    const JoinStats ball =
-        MetricCompactJoin(ball_tree, options, ball_sink.get());
+    const JoinStats ball = MetricCompactJoin(tree, options, ball_sink.get());
     const double penalty =
         mbr_sink->bytes() == 0
             ? 0.0

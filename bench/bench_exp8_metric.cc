@@ -54,7 +54,13 @@ void Main(const BenchArgs& args) {
   const int bases = args.full ? 1200 : 500;
   for (int copies : {2, 6, 12}) {
     const auto corpus = MakeCorpus(bases, copies, 97);
-    GenericMTree<std::string, EditDistanceMetric> tree;
+    // Sampled promotion for insert-time speed (edit distances are costly).
+    MTreeOptions tree_options;
+    tree_options.max_fanout = 16;
+    tree_options.promotion = MTreePromotion::kSampled;
+    tree_options.sampled_pairs = 48;
+    GenericMTree<std::string, EditDistanceMetric> tree(EditDistanceMetric(),
+                                                       tree_options);
     for (size_t i = 0; i < corpus.size(); ++i) {
       tree.Insert(static_cast<PointId>(i), corpus[i]);
     }

@@ -1,645 +1,50 @@
 #ifndef CSJ_INDEX_MTREE_H_
 #define CSJ_INDEX_MTREE_H_
 
-#include <algorithm>
-#include <deque>
-#include <functional>
-#include <limits>
-#include <queue>
-#include <span>
-#include <utility>
-#include <vector>
-
 #include "geom/ball.h"
 #include "geom/point.h"
 #include "index/spatial_index.h"
-#include "util/check.h"
-#include "util/random.h"
+#include "metric/generic_mtree.h"
 
 /// \file
-/// M-tree (Ciaccia, Patella, Zezula, VLDB 1997): a metric access method
-/// whose nodes are bounding balls (routing object + covering radius).
+/// M-tree (Ciaccia, Patella, Zezula, VLDB 1997) over D-dimensional points
+/// under the Euclidean metric: the third index substrate of the paper's
+/// Experiment 4. Unlike the R-tree family it never looks at coordinates
+/// axis-wise — only at distances — so it stands in for the "general metric
+/// space" case the paper claims its algorithms extend to. Min/max node
+/// distances follow from the triangle inequality on the bounding balls.
 ///
-/// The third index substrate of the paper's Experiment 4. Unlike the R-tree
-/// family it never looks at coordinates axis-wise — only at distances — so
-/// it stands in for the "general metric space" case the paper claims its
-/// algorithms extend to. Min/max node distances follow from the triangle
-/// inequality on the bounding balls.
+/// Storage, splits, removal and search are metric/generic_mtree.h's; this
+/// header adds only what the SpatialIndex concept and the cross-tree joins
+/// need on top.
 
 namespace csj {
 
-/// How the two new routing objects are chosen when a node splits.
-enum class MTreePromotion {
-  kMinMaxRadius,  ///< exhaustive over pairs: minimize the larger radius
-  kSampled,       ///< evaluate a random sample of pairs (cheaper for big M)
-};
-
-/// Construction parameters.
-struct MTreeOptions {
-  size_t max_fanout = 32;
-  size_t min_fanout = 2;  ///< M-tree splits may be unbalanced; keep >= 2
-  MTreePromotion promotion = MTreePromotion::kMinMaxRadius;
-  int sampled_pairs = 64;     ///< pair candidates when promotion == kSampled
-  uint64_t seed = 0x5eedULL;  ///< for sampled promotion
+/// The Euclidean metric as an M-tree distance functor.
+template <int D>
+struct L2Metric {
+  double operator()(const Point<D>& a, const Point<D>& b) const {
+    return Distance(a, b);
+  }
 };
 
 /// M-tree over D-dimensional points under the Euclidean metric.
 template <int D>
-class MTree {
+class MTree : public GenericMTree<Point<D>, L2Metric<D>> {
  public:
   static constexpr int kDim = D;
   /// Concurrent const reads are safe (no mutable caches).
   static constexpr bool kThreadSafeReads = true;
   using PointT = Point<D>;
-  using EntryT = Entry<D>;
-  using BallT = Ball<D>;
-
-  struct Node {
-    /// Routing ball: center is this node's routing object; radius covers
-    /// every data point in the subtree.
-    PointT center{};
-    double radius = 0.0;
-    NodeId parent = kInvalidNode;
-    int level = 0;
-    bool is_leaf = true;
-    std::vector<NodeId> children;
-    std::vector<EntryT> entries;
-
-    size_t fanout() const { return is_leaf ? entries.size() : children.size(); }
-  };
+  /// The node's bounding shape, for cross-tree (spatial join) bounds.
+  using ShapeT = Ball<D>;
 
   explicit MTree(const MTreeOptions& options = MTreeOptions())
-      : options_(options), rng_(options.seed) {
-    CSJ_CHECK(options.max_fanout >= 4);
-    CSJ_CHECK(options.min_fanout >= 1 &&
-              options.min_fanout <= options.max_fanout / 2);
+      : GenericMTree<Point<D>, L2Metric<D>>(L2Metric<D>(), options) {}
+
+  ShapeT Shape(NodeId n) const {
+    return ShapeT(this->NodeCenter(n), this->NodeRadius(n));
   }
-
-  // --- SpatialIndex concept -------------------------------------------------
-
-  NodeId Root() const { return root_; }
-  bool IsLeaf(NodeId n) const { return node(n).is_leaf; }
-
-  std::span<const NodeId> Children(NodeId n) const {
-    const Node& nd = node(n);
-    CSJ_DCHECK(!nd.is_leaf);
-    return nd.children;
-  }
-
-  std::span<const EntryT> Entries(NodeId n) const {
-    const Node& nd = node(n);
-    CSJ_DCHECK(nd.is_leaf);
-    return nd.entries;
-  }
-
-  /// Ball bound: any two points in the subtree are within 2r.
-  double MaxDiameter(NodeId n) const { return 2.0 * node(n).radius; }
-
-  /// Bound on pairwise distances over the union of two subtrees:
-  /// max(2ra, 2rb, d(ca,cb)+ra+rb).
-  double MaxDiameter(NodeId a, NodeId b) const {
-    const Node& na = node(a);
-    const Node& nb = node(b);
-    const double across =
-        Distance(na.center, nb.center) + na.radius + nb.radius;
-    return std::max({2.0 * na.radius, 2.0 * nb.radius, across});
-  }
-
-  double MinDistance(NodeId a, NodeId b) const {
-    const Node& na = node(a);
-    const Node& nb = node(b);
-    return std::max(
-        0.0, Distance(na.center, nb.center) - na.radius - nb.radius);
-  }
-
-  uint64_t size() const { return size_; }
-  uint64_t NodeCount() const { return live_nodes_; }
-
-  /// The node's bounding shape, for cross-tree (spatial join) bounds.
-  using ShapeT = BallT;
-  ShapeT Shape(NodeId n) const { return BallT(node(n).center, node(n).radius); }
-
-  // --- Inspection -----------------------------------------------------------
-
-  bool empty() const { return root_ == kInvalidNode; }
-  BallT NodeBall(NodeId n) const { return BallT(node(n).center, node(n).radius); }
-  int Height() const { return empty() ? 0 : node(root_).level + 1; }
-
-  // --- Mutation ---------------------------------------------------------------
-
-  /// Inserts one point (multiset semantics).
-  void Insert(PointId id, const PointT& point) {
-    if (root_ == kInvalidNode) {
-      root_ = AllocNode(/*is_leaf=*/true, /*level=*/0);
-      Node& r = node(root_);
-      r.center = point;
-      r.radius = 0.0;
-      r.entries.push_back(EntryT{id, point});
-      ++size_;
-      return;
-    }
-    NodeId leaf = ChooseLeaf(point);
-    node(leaf).entries.push_back(EntryT{id, point});
-    ++size_;
-    if (node(leaf).entries.size() > options_.max_fanout) Split(leaf);
-  }
-
-  /// Removes the entry (id, point); returns false if absent. Underfull
-  /// nodes are dissolved and their content re-inserted (the Guttman
-  /// CondenseTree strategy adapted to balls; covering radii are upper
-  /// bounds, so removal never invalidates them).
-  bool Remove(PointId id, const PointT& point) {
-    const NodeId leaf = FindLeaf(root_ == kInvalidNode ? kInvalidNode : root_,
-                                 id, point);
-    if (leaf == kInvalidNode) return false;
-    Node& nd = node(leaf);
-    for (size_t i = 0; i < nd.entries.size(); ++i) {
-      if (nd.entries[i].id == id && nd.entries[i].point == point) {
-        nd.entries[i] = nd.entries.back();
-        nd.entries.pop_back();
-        break;
-      }
-    }
-    --size_;
-
-    // Condense: dissolve underfull non-root nodes upward, salvaging points.
-    std::vector<EntryT> orphans;
-    NodeId n = leaf;
-    while (n != kInvalidNode) {
-      Node& current = node(n);
-      const NodeId parent = current.parent;
-      if (parent != kInvalidNode && current.fanout() < options_.min_fanout) {
-        Node& p = node(parent);
-        for (size_t i = 0; i < p.children.size(); ++i) {
-          if (p.children[i] == n) {
-            p.children[i] = p.children.back();
-            p.children.pop_back();
-            break;
-          }
-        }
-        CollectEntries(n, &orphans);
-      }
-      n = parent;
-    }
-    size_ -= orphans.size();
-    for (const EntryT& e : orphans) Insert(e.id, e.point);
-
-    // Shrink a single-child internal root; drop an empty root leaf.
-    while (root_ != kInvalidNode && !node(root_).is_leaf &&
-           node(root_).children.size() == 1) {
-      const NodeId old_root = root_;
-      root_ = node(old_root).children[0];
-      node(root_).parent = kInvalidNode;
-      --live_nodes_;
-    }
-    if (root_ != kInvalidNode && node(root_).is_leaf &&
-        node(root_).entries.empty()) {
-      root_ = kInvalidNode;
-      --live_nodes_;
-    }
-    return true;
-  }
-
-  // --- Queries ---------------------------------------------------------------
-
-  /// All entries within `radius` (closed) of `center`.
-  std::vector<EntryT> RangeQuery(const PointT& center, double radius) const {
-    std::vector<EntryT> out;
-    if (empty()) return out;
-    std::vector<NodeId> stack = {root_};
-    while (!stack.empty()) {
-      const Node& nd = node(stack.back());
-      stack.pop_back();
-      if (Distance(center, nd.center) > radius + nd.radius) continue;
-      if (nd.is_leaf) {
-        for (const EntryT& e : nd.entries) {
-          if (Distance(center, e.point) <= radius) out.push_back(e);
-        }
-      } else {
-        for (NodeId child : nd.children) stack.push_back(child);
-      }
-    }
-    return out;
-  }
-
-  /// The k entries nearest to `center`, closest first. Best-first search on
-  /// ball min-distances: max(0, d(center, ball.center) - ball.radius).
-  std::vector<EntryT> NearestNeighbors(const PointT& center, size_t k) const {
-    std::vector<EntryT> out;
-    if (empty() || k == 0) return out;
-    struct Candidate {
-      double dist;
-      bool is_entry;
-      NodeId node;
-      EntryT entry;
-      bool operator>(const Candidate& other) const {
-        return dist > other.dist;
-      }
-    };
-    std::priority_queue<Candidate, std::vector<Candidate>,
-                        std::greater<Candidate>>
-        frontier;
-    const Node& root = node(root_);
-    frontier.push(
-        {std::max(0.0, Distance(center, root.center) - root.radius), false,
-         root_, EntryT{}});
-    while (!frontier.empty() && out.size() < k) {
-      const Candidate top = frontier.top();
-      frontier.pop();
-      if (top.is_entry) {
-        out.push_back(top.entry);
-        continue;
-      }
-      const Node& nd = node(top.node);
-      if (nd.is_leaf) {
-        for (const EntryT& e : nd.entries) {
-          frontier.push({Distance(center, e.point), true, kInvalidNode, e});
-        }
-      } else {
-        for (NodeId child : nd.children) {
-          const Node& c = node(child);
-          frontier.push(
-              {std::max(0.0, Distance(center, c.center) - c.radius), false,
-               child, EntryT{}});
-        }
-      }
-    }
-    return out;
-  }
-
-  /// Number of entries within `radius` (closed) of `center`.
-  uint64_t RangeCount(const PointT& center, double radius) const {
-    if (empty()) return 0;
-    uint64_t count = 0;
-    std::vector<NodeId> stack = {root_};
-    while (!stack.empty()) {
-      const Node& nd = node(stack.back());
-      stack.pop_back();
-      if (Distance(center, nd.center) > radius + nd.radius) continue;
-      if (nd.is_leaf) {
-        for (const EntryT& e : nd.entries) {
-          count += Distance(center, e.point) <= radius;
-        }
-      } else {
-        for (NodeId child : nd.children) stack.push_back(child);
-      }
-    }
-    return count;
-  }
-
-  // --- Validation -------------------------------------------------------------
-
-  /// Checks covering-radius and structural invariants; aborts on violation.
-  void CheckInvariants() const {
-    if (empty()) {
-      CSJ_CHECK_EQ(size_, 0u);
-      return;
-    }
-    uint64_t counted = 0;
-    CheckSubtree(root_, kInvalidNode, &counted);
-    CSJ_CHECK_EQ(counted, size_);
-  }
-
- private:
-  Node& node(NodeId id) {
-    CSJ_DCHECK(id < arena_.size());
-    return arena_[id];
-  }
-  const Node& node(NodeId id) const {
-    CSJ_DCHECK(id < arena_.size());
-    return arena_[id];
-  }
-
-  NodeId AllocNode(bool is_leaf, int level) {
-    const NodeId id = static_cast<NodeId>(arena_.size());
-    arena_.emplace_back();
-    arena_.back().is_leaf = is_leaf;
-    arena_.back().level = level;
-    ++live_nodes_;
-    return id;
-  }
-
-  /// Exact search for the leaf holding (id, point), pruning by the covering
-  /// balls.
-  NodeId FindLeaf(NodeId start, PointId id, const PointT& point) const {
-    if (start == kInvalidNode) return kInvalidNode;
-    std::vector<NodeId> stack = {start};
-    while (!stack.empty()) {
-      const NodeId nid = stack.back();
-      stack.pop_back();
-      const Node& nd = node(nid);
-      if (Distance(nd.center, point) > nd.radius + 1e-12) continue;
-      if (nd.is_leaf) {
-        for (const EntryT& e : nd.entries) {
-          if (e.id == id && e.point == point) return nid;
-        }
-      } else {
-        for (NodeId child : nd.children) stack.push_back(child);
-      }
-    }
-    return kInvalidNode;
-  }
-
-  /// Collects all entries below n (used when dissolving underfull nodes);
-  /// nodes of the dissolved subtree are uncounted from live_nodes_.
-  void CollectEntries(NodeId n, std::vector<EntryT>* out) {
-    const Node& nd = node(n);
-    --live_nodes_;
-    if (nd.is_leaf) {
-      out->insert(out->end(), nd.entries.begin(), nd.entries.end());
-      return;
-    }
-    for (NodeId child : nd.children) CollectEntries(child, out);
-  }
-
-  /// Descends to a leaf: prefer children already covering the point (closest
-  /// center); otherwise the child needing least radius enlargement. Radii on
-  /// the path are stretched to keep the covering invariant.
-  NodeId ChooseLeaf(const PointT& point) {
-    NodeId n = root_;
-    while (true) {
-      Node& nd = node(n);
-      nd.radius = std::max(nd.radius, Distance(nd.center, point));
-      if (nd.is_leaf) return n;
-      NodeId best = kInvalidNode;
-      double best_cost = std::numeric_limits<double>::infinity();
-      bool best_covers = false;
-      for (NodeId child : nd.children) {
-        const Node& c = node(child);
-        const double dist = Distance(c.center, point);
-        const bool covers = dist <= c.radius;
-        const double cost = covers ? dist : dist - c.radius;
-        if ((covers && !best_covers) ||
-            (covers == best_covers && cost < best_cost)) {
-          best = child;
-          best_cost = cost;
-          best_covers = covers;
-        }
-      }
-      n = best;
-    }
-  }
-
-  /// Splits an overflowing node; may cascade to the root.
-  void Split(NodeId n) {
-    while (true) {
-      Node& nd = node(n);
-      const NodeId sibling = AllocNode(nd.is_leaf, nd.level);
-      Node& left = node(n);  // re-fetch (deque: stable, but stay uniform)
-      Node& right = node(sibling);
-
-      if (left.is_leaf) {
-        std::vector<EntryT> items = std::move(left.entries);
-        left.entries.clear();
-        PartitionLeaf(items, &left, &right);
-      } else {
-        std::vector<NodeId> items = std::move(left.children);
-        left.children.clear();
-        PartitionInternal(items, n, sibling);
-      }
-
-      const NodeId parent = left.parent;
-      if (parent == kInvalidNode) {
-        const NodeId new_root = AllocNode(/*is_leaf=*/false, left.level + 1);
-        Node& r = node(new_root);
-        r.children = {n, sibling};
-        node(n).parent = new_root;
-        node(sibling).parent = new_root;
-        r.center = node(n).center;
-        r.radius = CoveringRadius(r);
-        root_ = new_root;
-        return;
-      }
-      Node& p = node(parent);
-      p.children.push_back(sibling);
-      node(sibling).parent = parent;
-      // The parent's ball still covers every data point below it (the points
-      // did not move), so its radius needs no update.
-      if (p.children.size() <= options_.max_fanout) return;
-      n = parent;
-    }
-  }
-
-  /// Radius needed for `nd.center` to cover all of nd's children balls.
-  double CoveringRadius(const Node& nd) const {
-    double r = 0.0;
-    for (NodeId child : nd.children) {
-      const Node& c = node(child);
-      r = std::max(r, Distance(nd.center, c.center) + c.radius);
-    }
-    return r;
-  }
-
-  /// Chooses two promotion centers among `points` per the configured policy:
-  /// the pair minimizing the larger generalized-hyperplane covering radius.
-  std::pair<size_t, size_t> Promote(const std::vector<PointT>& points) {
-    const size_t n = points.size();
-    CSJ_DCHECK(n >= 2);
-    auto evaluate = [&](size_t a, size_t b) {
-      double ra = 0.0, rb = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        const double da = Distance(points[i], points[a]);
-        const double db = Distance(points[i], points[b]);
-        if (da <= db) {
-          ra = std::max(ra, da);
-        } else {
-          rb = std::max(rb, db);
-        }
-      }
-      return std::max(ra, rb);
-    };
-
-    size_t best_a = 0, best_b = 1;
-    double best = std::numeric_limits<double>::infinity();
-    if (options_.promotion == MTreePromotion::kMinMaxRadius) {
-      for (size_t a = 0; a + 1 < n; ++a) {
-        for (size_t b = a + 1; b < n; ++b) {
-          const double score = evaluate(a, b);
-          if (score < best) {
-            best = score;
-            best_a = a;
-            best_b = b;
-          }
-        }
-      }
-    } else {
-      for (int trial = 0; trial < options_.sampled_pairs; ++trial) {
-        const size_t a = rng_.UniformInt(static_cast<uint64_t>(n));
-        size_t b = rng_.UniformInt(static_cast<uint64_t>(n));
-        while (b == a) b = rng_.UniformInt(static_cast<uint64_t>(n));
-        const double score = evaluate(a, b);
-        if (score < best) {
-          best = score;
-          best_a = a;
-          best_b = b;
-        }
-      }
-    }
-    return {best_a, best_b};
-  }
-
-  /// Generalized-hyperplane partition of leaf entries, with min-fill repair.
-  void PartitionLeaf(std::vector<EntryT>& items, Node* left, Node* right) {
-    std::vector<PointT> points;
-    points.reserve(items.size());
-    for (const EntryT& e : items) points.push_back(e.point);
-    auto [a, b] = Promote(points);
-
-    left->center = points[a];
-    right->center = points[b];
-    left->entries.clear();
-    right->entries.clear();
-
-    struct Tagged {
-      double da, db;
-      size_t idx;
-    };
-    std::vector<Tagged> tags(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      tags[i] = {Distance(points[i], points[a]), Distance(points[i], points[b]),
-                 i};
-    }
-    for (const Tagged& t : tags) {
-      if (t.da <= t.db) {
-        left->entries.push_back(items[t.idx]);
-      } else {
-        right->entries.push_back(items[t.idx]);
-      }
-    }
-    RebalanceMinFill(&left->entries, &right->entries, left->center,
-                     right->center);
-
-    left->radius = 0.0;
-    for (const EntryT& e : left->entries) {
-      left->radius = std::max(left->radius, Distance(left->center, e.point));
-    }
-    right->radius = 0.0;
-    for (const EntryT& e : right->entries) {
-      right->radius = std::max(right->radius, Distance(right->center, e.point));
-    }
-  }
-
-  /// Moves items from the fuller to the emptier side until min fill holds,
-  /// choosing the members closest to the other center.
-  void RebalanceMinFill(std::vector<EntryT>* a, std::vector<EntryT>* b,
-                        const PointT& center_a, const PointT& center_b) {
-    auto donate = [&](std::vector<EntryT>* from, std::vector<EntryT>* to,
-                      const PointT& to_center) {
-      while (to->size() < options_.min_fanout) {
-        size_t pick = 0;
-        double best = std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < from->size(); ++i) {
-          const double d = Distance((*from)[i].point, to_center);
-          if (d < best) {
-            best = d;
-            pick = i;
-          }
-        }
-        to->push_back((*from)[pick]);
-        (*from)[pick] = from->back();
-        from->pop_back();
-      }
-    };
-    if (a->size() < options_.min_fanout) donate(b, a, center_a);
-    if (b->size() < options_.min_fanout) donate(a, b, center_b);
-  }
-
-  /// Partition of an internal node's children between `left_id` and a fresh
-  /// sibling, assigning each child ball to the closer promoted center.
-  void PartitionInternal(std::vector<NodeId>& items, NodeId left_id,
-                         NodeId right_id) {
-    std::vector<PointT> centers;
-    centers.reserve(items.size());
-    for (NodeId c : items) centers.push_back(node(c).center);
-    auto [a, b] = Promote(centers);
-
-    Node& left = node(left_id);
-    Node& right = node(right_id);
-    left.center = centers[a];
-    right.center = centers[b];
-    left.children.clear();
-    right.children.clear();
-
-    for (size_t i = 0; i < items.size(); ++i) {
-      const double da = Distance(centers[i], centers[a]);
-      const double db = Distance(centers[i], centers[b]);
-      if (da <= db) {
-        left.children.push_back(items[i]);
-      } else {
-        right.children.push_back(items[i]);
-      }
-    }
-    // Min-fill repair on children: move the child closest to the other side.
-    auto donate = [&](std::vector<NodeId>* from, std::vector<NodeId>* to,
-                      const PointT& to_center) {
-      while (to->size() < options_.min_fanout) {
-        size_t pick = 0;
-        double best = std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < from->size(); ++i) {
-          const double d = Distance(node((*from)[i]).center, to_center);
-          if (d < best) {
-            best = d;
-            pick = i;
-          }
-        }
-        to->push_back((*from)[pick]);
-        (*from)[pick] = from->back();
-        from->pop_back();
-      }
-    };
-    if (left.children.size() < options_.min_fanout) {
-      donate(&right.children, &left.children, left.center);
-    }
-    if (right.children.size() < options_.min_fanout) {
-      donate(&left.children, &right.children, right.center);
-    }
-
-    for (NodeId c : left.children) node(c).parent = left_id;
-    for (NodeId c : right.children) node(c).parent = right_id;
-    left.radius = CoveringRadius(left);
-    right.radius = CoveringRadius(right);
-  }
-
-  void CheckSubtree(NodeId n, NodeId expected_parent, uint64_t* counted) const {
-    const Node& nd = node(n);
-    CSJ_CHECK_EQ(nd.parent, expected_parent);
-    CSJ_CHECK_LE(nd.fanout(), options_.max_fanout);
-    if (n != root_) {
-      CSJ_CHECK_GE(nd.fanout(), options_.min_fanout);
-    }
-    // The invariant all query/join bounds rely on: every data point in the
-    // subtree lies within `radius` of `center` (point covering).
-    CheckPointCovering(n, nd.center, nd.radius);
-    if (nd.is_leaf) {
-      CSJ_CHECK_EQ(nd.level, 0);
-      *counted += nd.entries.size();
-      return;
-    }
-    for (NodeId child : nd.children) {
-      const Node& c = node(child);
-      CSJ_CHECK_EQ(c.level, nd.level - 1);
-      CheckSubtree(child, n, counted);
-    }
-  }
-
-  void CheckPointCovering(NodeId n, const PointT& center, double radius) const {
-    const Node& nd = node(n);
-    if (nd.is_leaf) {
-      for (const EntryT& e : nd.entries) {
-        CSJ_CHECK_LE(Distance(center, e.point), radius + 1e-9)
-            << "data point escapes covering radius";
-      }
-      return;
-    }
-    for (NodeId child : nd.children) CheckPointCovering(child, center, radius);
-  }
-
-  MTreeOptions options_;
-  Rng rng_;
-  NodeId root_ = kInvalidNode;
-  uint64_t size_ = 0;
-  uint64_t live_nodes_ = 0;
-  std::deque<Node> arena_;
 };
 
 using MTree2 = MTree<2>;

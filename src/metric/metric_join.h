@@ -11,6 +11,7 @@
 #include "core/sink.h"
 #include "metric/generic_mtree.h"
 #include "util/exec_context.h"
+#include "util/format.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 
@@ -48,7 +49,8 @@ struct MetricGroup {
 
 }  // namespace metric_internal
 
-/// Drives SSJ / N-CSJ / CSJ(g) over a GenericMTree.
+/// Drives SSJ / N-CSJ / CSJ(g) over a GenericMTree of any item type
+/// (MTree<D> included).
 template <typename Item, typename Metric>
 class MetricJoinDriver {
  public:
@@ -109,7 +111,7 @@ class MetricJoinDriver {
       for (size_t i = 0; i < entries.size(); ++i) {
         for (size_t j = i + 1; j < entries.size(); ++j) {
           ++stats_.distance_computations;
-          if (metric()(entries[i].item, entries[j].item) <= eps_) {
+          if (metric()(EntryItem(entries[i]), EntryItem(entries[j])) <= eps_) {
             EmitLink(entries[i], entries[j]);
           }
         }
@@ -140,7 +142,7 @@ class MetricJoinDriver {
       for (const auto& e1 : tree_.Entries(n1)) {
         for (const auto& e2 : tree_.Entries(n2)) {
           ++stats_.distance_computations;
-          if (metric()(e1.item, e2.item) <= eps_) EmitLink(e1, e2);
+          if (metric()(EntryItem(e1), EntryItem(e2)) <= eps_) EmitLink(e1, e2);
         }
       }
       return;
@@ -166,18 +168,19 @@ class MetricJoinDriver {
 
   void EmitLink(const EntryT& a, const EntryT& b) {
     if (algorithm_ != JoinAlgorithm::kCSJ) {
-      stats_.AddImpliedLink();
-      sink_->Link(a.id, b.id);
+      WriteLink(a.id, b.id);
       return;
     }
+    const Item& item_a = EntryItem(a);
+    const Item& item_b = EntryItem(b);
     // mergeIntoPrevGroup, metric version: a link joins a mergeable group if
     // BOTH endpoints are within eps/2 of the group's center.
     for (size_t i = window_.size(); i-- > 0;) {
       Group& group = window_[i];
       if (!group.mergeable) continue;
       ++stats_.merge_attempts;
-      if (metric()(group.center, a.item) <= half_eps_ &&
-          metric()(group.center, b.item) <= half_eps_) {
+      if (metric()(group.center, item_a) <= half_eps_ &&
+          metric()(group.center, item_b) <= half_eps_) {
         group.AddMember(a.id);
         group.AddMember(b.id);
         ++stats_.merges;
@@ -186,26 +189,42 @@ class MetricJoinDriver {
     }
     // New group centered on one endpoint — mergeable only if it can actually
     // host both members under the ball invariant.
-    Group group;
-    group.center = a.item;
-    group.AddMember(a.id);
-    group.AddMember(b.id);
     ++stats_.distance_computations;
-    group.mergeable = metric()(a.item, b.item) <= half_eps_;
-    if (!group.mergeable) {
+    if (metric()(item_a, item_b) > half_eps_) {
       // The ball invariant cannot hold (b is in (eps/2, eps] of a); emit the
       // pair as a plain link instead of a dead group.
-      stats_.AddImpliedLink();
-      sink_->Link(a.id, b.id);
+      WriteLink(a.id, b.id);
       return;
     }
+    Group group;
+    group.center = item_a;
+    group.mergeable = true;
+    group.AddMember(a.id);
+    group.AddMember(b.id);
     Push(std::move(group));
   }
 
+  void WriteLink(PointId a, PointId b) {
+    sink_->Link(a, b);
+    // Implied links count only what the sink accepted.
+    if (sink_->error().ok()) stats_.AddImpliedLink();
+  }
+
   /// Early stop: all items under n1 (and n2, if given) form one group,
-  /// proven by the ball bound at creation; frozen thereafter.
+  /// proven by the ball bound at creation; frozen thereafter. The member
+  /// collection is charged to the budget before it is built, as in the
+  /// vector-space driver.
   void EmitSubtree(NodeId n1, NodeId n2) {
     ++stats_.early_stops;
+    size_t count = CountEntriesInSubtree(tree_, n1);
+    if (n2 != kInvalidNode) count += CountEntriesInSubtree(tree_, n2);
+    ScopedCharge charge;
+    if (!charge.Acquire(run_ctx_.memory_budget(), count * sizeof(PointId))) {
+      run_ctx_.Trip(Status::ResourceExhausted(StrFormat(
+          "memory budget exhausted collecting a %zu-member subtree group",
+          count)));
+      return;
+    }
     Group group;
     group.center = tree_.NodeCenter(n1);
     CollectMembers(n1, &group);
@@ -272,8 +291,8 @@ class MetricJoinDriver {
 
   void Emit(const Group& group) {
     if (group.members.size() < 2) return;
-    stats_.AddImpliedGroup(group.members.size());
     sink_->Group(group.members);
+    if (sink_->error().ok()) stats_.AddImpliedGroup(group.members.size());
   }
 
   void Flush() {

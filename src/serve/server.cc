@@ -490,7 +490,9 @@ bool Server::HandleRequest(int fd, const Request& req) {
 
   // The process-wide registry smears concurrent queries together; the
   // begin/end delta is this query's attributable window (see
-  // metrics::DiffSnapshots — approximate under concurrency, exact alone).
+  // metrics::DiffSnapshots — approximate under concurrency; alone, counts
+  // and sums are exact and a histogram's min/max are exact for one sample
+  // and bucket bounds otherwise).
   metrics::MetricsSnapshot begin;
   if (req.want_metrics) begin = metrics::Snapshot();
 

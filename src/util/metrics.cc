@@ -197,16 +197,35 @@ MetricsSnapshot DiffSnapshots(const MetricsSnapshot& begin,
     d.count = h.count >= count_before ? h.count - count_before : 0;
     d.sum = h.sum >= sum_before ? h.sum - sum_before : 0;
     if (d.count == 0) continue;
-    // Min/max are process-lifetime extremes; a window cannot recover its
-    // own. Report the end extremes as documented.
-    d.min = h.min;
-    d.max = h.max;
+    int lowest = -1;
+    int highest = -1;
     for (int b = 0; b < Histogram::kBuckets; ++b) {
       const uint64_t bucket_before =
           before != nullptr ? before->buckets[static_cast<size_t>(b)] : 0;
       const uint64_t bucket_end = h.buckets[static_cast<size_t>(b)];
       d.buckets[static_cast<size_t>(b)] =
           bucket_end >= bucket_before ? bucket_end - bucket_before : 0;
+      if (d.buckets[static_cast<size_t>(b)] == 0) continue;
+      if (lowest < 0) lowest = b;
+      highest = b;
+    }
+    // Min/max are the window's own. A one-sample window's sum is that
+    // sample. Otherwise the window's lowest and highest non-empty buckets
+    // (bucket b holds [2^(b-1), 2^b - 1]) bound them, inside the
+    // process-lifetime extremes; with no bucket delta (a Record raced the
+    // snapshots) only the lifetime extremes are known.
+    d.min = h.min;
+    d.max = h.max;
+    if (d.count == 1) {
+      d.min = d.sum;
+      d.max = d.sum;
+    } else if (lowest >= 0) {
+      const uint64_t bucket_min =
+          lowest == 0 ? 0 : uint64_t{1} << (lowest - 1);
+      const uint64_t bucket_max =
+          highest == 64 ? UINT64_MAX : (uint64_t{1} << highest) - 1;
+      d.min = std::max(d.min, bucket_min);
+      d.max = std::min(d.max, bucket_max);
     }
     diff.histograms.push_back(std::move(d));
   }

@@ -180,8 +180,10 @@ MetricsSnapshot Snapshot();
 ///  * gauges — last-value semantics, a delta is meaningless: the end value
 ///    is reported as-is (dropped when also absent from `begin` and zero).
 ///  * histograms — count/sum/bucket deltas (negatives clamped like
-///    counters); min/max cannot be diffed and report the end snapshot's
-///    process-lifetime extremes. Empty-window histograms are dropped.
+///    counters). Min/max are the window's own: exact for a one-sample
+///    window (both equal its sum); otherwise the bounds of its lowest and
+///    highest non-empty delta buckets, clamped to the process-lifetime
+///    extremes. Empty-window histograms are dropped.
 MetricsSnapshot DiffSnapshots(const MetricsSnapshot& begin,
                               const MetricsSnapshot& end);
 

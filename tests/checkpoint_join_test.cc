@@ -17,6 +17,7 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "index/bulk_load.h"
+#include "index/mtree.h"
 #include "index/node_access.h"
 #include "index/rstar_tree.h"
 #include "storage/checkpoint.h"
@@ -646,12 +647,13 @@ struct TextRun {
 TextRun RunText(const SpatialIndex auto& tree, const JoinOptions& options,
                 int threads, const std::string& name,
                 JoinAlgorithm algorithm = JoinAlgorithm::kCSJ,
-                uint64_t checkpoint_interval = 32) {
+                uint64_t checkpoint_interval = 32, int tasks_per_thread = 16) {
   const OutputSpec spec =
       OutputSpec::File(testing::TempDir() + "/" + name, tree.size());
   CheckpointJoinOptions ckpt;
   ckpt.manifest_path = spec.path + ".ckpt";
   ckpt.threads = threads;
+  ckpt.tasks_per_thread = tasks_per_thread;
   ckpt.checkpoint_interval = checkpoint_interval;
   TextRun run;
   run.stats = CheckpointedSelfJoin(tree, algorithm, options, spec, ckpt);
@@ -692,6 +694,30 @@ TEST(ParallelJoinTest, LosslessAcrossThreadCounts) {
       EXPECT_EQ(run.stats.ImpliedLinkUpperBound(), ImpliedFromText(run.bytes));
     }
   }
+}
+
+TEST(ParallelJoinTest, MTreeOutputIsIdenticalAcrossThreadCounts) {
+  // MTree<D> declares kThreadSafeReads, so the runner reads one M-tree from
+  // several threads; one 16-task list gives the same bytes at any count.
+  const auto entries = Workload(3000, 37);
+  MTree<2> tree;
+  for (const auto& e : entries) tree.Insert(e.id, e.point);
+  JoinOptions options;
+  options.epsilon = 0.03;
+  const auto reference = BruteForceSelfJoin(entries, options.epsilon);
+  const TextRun serial =
+      RunText(tree, options, 1, "pj_mtree_1.txt", JoinAlgorithm::kCSJ, 32,
+              /*tasks_per_thread=*/16);
+  const TextRun parallel =
+      RunText(tree, options, 4, "pj_mtree_4.txt", JoinAlgorithm::kCSJ, 32,
+              /*tasks_per_thread=*/4);
+  ASSERT_TRUE(serial.stats.status.ok()) << serial.stats.status.ToString();
+  ASSERT_TRUE(parallel.stats.status.ok()) << parallel.stats.status.ToString();
+  ASSERT_GT(serial.stats.groups, 0u);
+  EXPECT_EQ(parallel.bytes, serial.bytes);
+  ExpectSameCounters(parallel.stats, serial.stats);
+  const auto report = CompareLinkSets(serial.links, reference);
+  EXPECT_TRUE(report.lossless()) << report.ToString();
 }
 
 TEST(ParallelJoinTest, OutputAsCompactAsSequentialWithinSlack) {

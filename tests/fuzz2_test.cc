@@ -43,9 +43,11 @@ TEST_P(MetricFuzzTest, RandomStringCorporaAreLossless) {
       }
     }
 
-    GenericMTreeOptions tree_options;
+    MTreeOptions tree_options;
     tree_options.max_fanout = 4 + rng.UniformInt(uint64_t{20});
     tree_options.min_fanout = 2;
+    tree_options.promotion = MTreePromotion::kSampled;
+    tree_options.sampled_pairs = 48;
     GenericMTree<std::string, EditDistanceMetric> tree(EditDistanceMetric(),
                                                        tree_options);
     for (size_t i = 0; i < words.size(); ++i) {

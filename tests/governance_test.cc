@@ -10,9 +10,9 @@
 #include "core/ego.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
+#include "index/mtree.h"
 #include "index/rstar_tree.h"
 #include "metric/metric_join.h"
-#include "metric/generic_mtree.h"
 #include "util/exec_context.h"
 #include "util/random.h"
 
@@ -45,14 +45,8 @@ RStarTree<2> BuildTree(const std::vector<Entry<2>>& entries) {
   return tree;
 }
 
-struct L2 {
-  double operator()(const Point<2>& a, const Point<2>& b) const {
-    return Distance(a, b);
-  }
-};
-
-GenericMTree<Point<2>, L2> BuildMTree(const std::vector<Entry<2>>& entries) {
-  GenericMTree<Point<2>, L2> tree;
+MTree<2> BuildMTree(const std::vector<Entry<2>>& entries) {
+  MTree<2> tree;
   for (const auto& e : entries) tree.Insert(e.id, e.point);
   return tree;
 }
@@ -266,6 +260,30 @@ TEST(GovernanceTest, MetricJoinHonorsBudget) {
   MemorySink sink(3);
   const JoinStats stats = MetricCompactJoin(tree, options, &sink);
   EXPECT_EQ(stats.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(budget.used(), 0u);
+}
+
+TEST(GovernanceTest, MetricNaiveCompactJoinChargesSubtreeGroups) {
+  // Every point lies in a 0.01 x 0.01 square, so at eps = 0.05 the root's
+  // ball stops early and N-CSJ collects all 3,000 ids into one group. That
+  // collection must answer to the budget, as in the vector-space driver.
+  Rng rng(41);
+  MTree<2> tree;
+  for (PointId i = 0; i < 3000; ++i) {
+    tree.Insert(i, Point<2>{{0.01 * rng.UniformDouble(),
+                             0.01 * rng.UniformDouble()}});
+  }
+  MemoryBudget budget(64);
+  ExecContext exec;
+  exec.SetMemoryBudget(&budget);
+  JoinOptions options;
+  options.epsilon = 0.05;
+  options.exec = &exec;
+  MemorySink sink(4);
+  const JoinStats stats = MetricNaiveCompactJoin(tree, options, &sink);
+  EXPECT_EQ(stats.status.code(), StatusCode::kResourceExhausted)
+      << stats.status.ToString();
+  EXPECT_EQ(sink.num_groups(), 0u);
   EXPECT_EQ(budget.used(), 0u);
 }
 

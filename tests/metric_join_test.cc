@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -7,9 +10,11 @@
 #include "core/brute.h"
 #include "core/expand.h"
 #include "core/sink.h"
+#include "index/mtree.h"
 #include "metric/edit_distance.h"
 #include "metric/generic_mtree.h"
 #include "metric/metric_join.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace csj {
@@ -231,14 +236,9 @@ TEST(MetricJoinTest, CompactNeverLargerThanStandard) {
 TEST(MetricJoinTest, EuclideanItemsWorkToo) {
   // The metric layer is item-agnostic: plain 2-D points under L2 behave
   // like the vector-space joins.
-  struct L2 {
-    double operator()(const Point2& a, const Point2& b) const {
-      return Distance(a, b);
-    }
-  };
   Rng rng(37);
   std::vector<Entry<2>> entries;
-  GenericMTree<Point2, L2> tree;
+  MTree<2> tree;
   for (PointId i = 0; i < 300; ++i) {
     const Point2 p{{rng.UniformDouble(), rng.UniformDouble()}};
     entries.push_back({i, p});
@@ -252,6 +252,74 @@ TEST(MetricJoinTest, EuclideanItemsWorkToo) {
                               BruteForceSelfJoin(entries, options.epsilon))
                   .lossless());
 }
+
+#ifndef CSJ_NO_FAILPOINTS
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Links implied by the complete records of a text result; a record cut
+/// short by a failed write (no trailing newline) implies nothing.
+uint64_t ImpliedFromText(const std::string& text) {
+  uint64_t implied = 0;
+  uint64_t ids = 0;
+  bool in_id = false;
+  for (const char c : text) {
+    if (c != ' ' && c != '\n') {
+      in_id = true;
+      continue;
+    }
+    if (in_id) ++ids;
+    in_id = false;
+    if (c == '\n') {
+      implied += ids * (ids - 1) / 2;
+      ids = 0;
+    }
+  }
+  return implied;
+}
+
+TEST(MetricJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
+  // A sink that dies mid-join drops every later record; the implied-link
+  // count must describe only the complete records the file holds.
+  Rng rng(43);
+  MTree<2> tree;
+  for (PointId i = 0; i < 2000; ++i) {
+    tree.Insert(i, Point2{{rng.UniformDouble(), rng.UniformDouble()}});
+  }
+  JoinOptions options;
+  options.epsilon = 0.05;
+  const std::string path = testing::TempDir() + "/metric_dying.txt";
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
+    for (const uint64_t nth : {1ull, 2ull, 100ull, 1000ull}) {
+      SCOPED_TRACE(testing::Message() << JoinAlgorithmName(algorithm)
+                                      << " nth=" << nth);
+      JoinStats stats;
+      {
+        failpoint::ScopedFailpoint fp("output_file.append",
+                                      failpoint::Spec::EveryNth(nth));
+        // Checkpointable: the partial file survives the failure.
+        OutputSpec spec = OutputSpec::File(path, tree.size());
+        spec.checkpointable = true;
+        auto sink = MakeSink(spec);
+        ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+        MetricJoinDriver<Point2, L2Metric<2>> driver(tree, algorithm, options,
+                                                     sink->get());
+        stats = driver.Run();
+      }
+      EXPECT_EQ(stats.status.code(), StatusCode::kIoError)
+          << stats.status.ToString();
+      EXPECT_EQ(stats.ImpliedLinkUpperBound(),
+                ImpliedFromText(ReadWholeFile(path)));
+      std::remove(path.c_str());
+    }
+  }
+}
+
+#endif  // CSJ_NO_FAILPOINTS
 
 }  // namespace
 }  // namespace csj

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -91,7 +92,8 @@ TEST_F(MetricsTest, QuantilesStayWithinObservedRange) {
 
 TEST_F(MetricsTest, QuantileOfSingleValueIsThatValue) {
   GetHistogram("test.single")->Record(777);
-  const HistogramSnapshot* hs = FindHist(Snapshot(), "test.single");
+  const MetricsSnapshot snapshot = Snapshot();
+  const HistogramSnapshot* hs = FindHist(snapshot, "test.single");
   ASSERT_NE(hs, nullptr);
   EXPECT_DOUBLE_EQ(hs->P50(), 777.0);
   EXPECT_DOUBLE_EQ(hs->P99(), 777.0);
@@ -199,6 +201,37 @@ TEST_F(MetricsTest, ResetAllZeroesButKeepsRegistration) {
   h->Record(3);
   EXPECT_EQ(h->min(), 3u);
   EXPECT_EQ(h->max(), 3u);
+}
+
+TEST_F(MetricsTest, DiffReportsTheWindowsOwnMinAndMax) {
+  // A histogram that already holds 257 ms and 1.06 s; one 340 ms sample
+  // then lands in the window.
+  Histogram* h = GetHistogram("test.diff.window_ns");
+  h->Record(257'000'000);
+  h->Record(1'060'000'000);
+  const MetricsSnapshot begin = Snapshot();
+  h->Record(340'000'000);
+  const MetricsSnapshot one = DiffSnapshots(begin, Snapshot());
+  const HistogramSnapshot* d = FindHist(one, "test.diff.window_ns");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->count, 1u);
+  EXPECT_EQ(d->min, 340'000'000u);
+  EXPECT_EQ(d->max, 340'000'000u);
+  EXPECT_DOUBLE_EQ(d->P50(), 340'000'000.0);
+
+  // A second sample, in another bucket: the window's extremes are bounded
+  // by its own lowest and highest buckets, not the lifetime extremes.
+  h->Record(600'000'000);
+  const MetricsSnapshot two = DiffSnapshots(begin, Snapshot());
+  d = FindHist(two, "test.diff.window_ns");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->count, 2u);
+  EXPECT_EQ(std::bit_width(d->min), std::bit_width(uint64_t{340'000'000}));
+  EXPECT_EQ(std::bit_width(d->max), std::bit_width(uint64_t{600'000'000}));
+  EXPECT_LE(d->min, 340'000'000u);
+  EXPECT_GE(d->max, 600'000'000u);
+  EXPECT_GE(d->P50(), static_cast<double>(d->min));
+  EXPECT_LE(d->P99(), static_cast<double>(d->max));
 }
 
 }  // namespace

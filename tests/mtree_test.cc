@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
+#include "core/similarity_join.h"
+#include "core/sink.h"
 #include "data/generators.h"
-#include "index/node_access.h"
 #include "index/mtree.h"
+#include "index/node_access.h"
+#include "metric/edit_distance.h"
+#include "metric/generic_mtree.h"
+#include "metric/metric_join.h"
 #include "util/random.h"
 
 namespace csj {
@@ -241,6 +247,70 @@ TEST(MTreeTest, ShapeExposesBall) {
   const Ball<2> ball = tree.Shape(tree.Root());
   EXPECT_TRUE(ball.Contains(Point2{{0.0, 0.0}}));
   EXPECT_TRUE(ball.Contains(Point2{{1.0, 0.0}}));
+}
+
+/// Links, groups and bytes one join wrote.
+struct JoinOutput {
+  uint64_t links, groups, bytes;
+  friend bool operator==(const JoinOutput&, const JoinOutput&) = default;
+};
+
+JoinOutput OutputOf(const CountingSink& sink) {
+  return {sink.num_links(), sink.num_groups(), sink.bytes()};
+}
+
+TEST(MTreeTest, TreeShapesAndJoinOutputArePinned) {
+  // Pinned shapes and join output of a default MTree<2> (mM_RAD, fanout
+  // 32) and a sampled string tree (fanout 16, 48 pairs): any change to how
+  // an M-tree is stored, split or searched moves them.
+  const auto points = GenerateGaussianClusters<2>(4000, 8, 0.03, 17);
+  MTree<2> tree;
+  for (size_t i = 0; i < points.size(); ++i) {
+    tree.Insert(static_cast<PointId>(i), points[i]);
+  }
+  EXPECT_EQ(tree.Height(), 3);
+  EXPECT_EQ(tree.NodeCount(), 207u);
+  JoinOptions options;
+  options.epsilon = 0.02;
+  options.window_size = 10;
+  const JoinOutput point_expected[] = {
+      {113518, 0, 1135180}, {112764, 6, 1128125}, {0, 23488, 594210}};
+  int i = 0;
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
+    CountingSink sink(IdWidthFor(tree.size()));
+    RunSelfJoin(algorithm, tree, options, &sink);
+    EXPECT_EQ(OutputOf(sink), point_expected[i++])
+        << JoinAlgorithmName(algorithm);
+  }
+
+  Rng rng(11);
+  std::vector<std::string> words(800);
+  for (auto& w : words) {
+    const size_t len = 3 + rng.UniformInt(uint64_t{8});
+    for (size_t k = 0; k < len; ++k) {
+      w.push_back(static_cast<char>('a' + rng.UniformInt(uint64_t{6})));
+    }
+  }
+  MTreeOptions string_options;
+  string_options.max_fanout = 16;
+  string_options.promotion = MTreePromotion::kSampled;
+  string_options.sampled_pairs = 48;
+  GenericMTree<std::string, EditDistanceMetric> strings(EditDistanceMetric(),
+                                                        string_options);
+  for (size_t k = 0; k < words.size(); ++k) {
+    strings.Insert(static_cast<PointId>(k), words[k]);
+  }
+  EXPECT_EQ(strings.Height(), 3);
+  EXPECT_EQ(strings.NodeCount(), 115u);
+  options.epsilon = 2.0;
+  CountingSink ssj(3), ncsj(3), csj(3);
+  MetricStandardJoin(strings, options, &ssj);
+  MetricNaiveCompactJoin(strings, options, &ncsj);
+  MetricCompactJoin(strings, options, &csj);
+  EXPECT_EQ(OutputOf(ssj), (JoinOutput{5143, 0, 41144}));
+  EXPECT_EQ(OutputOf(ncsj), (JoinOutput{5141, 2, 41144}));
+  EXPECT_EQ(OutputOf(csj), (JoinOutput{4185, 233, 37188}));
 }
 
 }  // namespace
