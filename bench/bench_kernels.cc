@@ -2,7 +2,7 @@
 /// Leaf-kernel microbenchmark: naive vs sweep vs simd (geom/kernels.h) over
 /// varying leaf sizes, densities and dimensions, for both the self-join and
 /// the block (leaf-pair) kernel. This is the ablation harness for the
-/// JoinOptions::leaf_kernel knob: it isolates the leaf–leaf inner loop from
+/// JoinOptions::leaf_kernel modes: it isolates the leaf–leaf inner loop from
 /// tree traversal so kernel changes show up undiluted.
 ///
 /// A scenario is a leaf of `k` points uniform in the unit cube joined at an
@@ -12,15 +12,17 @@
 /// the naive loop on the same scenario; each cell also lands in
 /// BENCH_bench_kernels.json (context "self|block dim=D k=K eps=E
 /// kernel=MODE") so the bench trajectory tracks kernel performance over
-/// time. In addition to the portable modes, one row per *available* explicit
-/// ISA backend (avx2, avx512) isolates the per-ISA cost, and the config
-/// block records which ISA the `simd` rows dispatched to on this host.
+/// time. In addition to the three modes, one `simd` row per *available*
+/// explicit ISA backend (avx2, avx512), forced through CSJ_KERNEL_ISA,
+/// isolates the per-ISA cost, and the config block records which ISA the
+/// `simd` rows dispatched to on this host.
 /// `--smoke` shrinks sizes and repetitions to CI scale and additionally
 /// asserts the dispatched SIMD backend is no slower than `sweep` on the
 /// dense-leaf cells (exit 1 on regression; skipped when dispatch resolves
 /// to scalar, e.g. under -DCSJ_SIMD=OFF).
 
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,15 +36,25 @@
 namespace csj::bench {
 namespace {
 
-/// The portable modes plus every explicit ISA backend this host can run.
-/// (Unavailable ISA modes would silently degrade to scalar — a row labeled
-/// "avx512" timing the scalar loop is worse than no row.)
-std::vector<LeafKernel> BenchModes() {
-  std::vector<LeafKernel> modes = {LeafKernel::kNaive, LeafKernel::kSweep,
-                                   LeafKernel::kSimd};
-  if (KernelIsaAvailable(KernelIsa::kAvx2)) modes.push_back(LeafKernel::kAvx2);
-  if (KernelIsaAvailable(KernelIsa::kAvx512)) {
-    modes.push_back(LeafKernel::kAvx512);
+/// One benchmark row: a kernel mode and its label. The per-ISA rows run
+/// kSimd with CSJ_KERNEL_ISA forced to the label.
+struct BenchMode {
+  LeafKernel kernel;
+  const char* label;
+  bool forced_isa = false;
+};
+
+/// The three modes plus every explicit ISA backend this host can run. (An
+/// unavailable ISA would fall back to best-available — a row labeled
+/// "avx2" timing another backend is worse than no row.)
+std::vector<BenchMode> BenchModes() {
+  std::vector<BenchMode> modes = {{LeafKernel::kNaive, "naive"},
+                                  {LeafKernel::kSweep, "sweep"},
+                                  {LeafKernel::kSimd, "simd"}};
+  for (KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (KernelIsaAvailable(isa)) {
+      modes.push_back({LeafKernel::kSimd, KernelIsaName(isa), true});
+    }
   }
   return modes;
 }
@@ -133,7 +145,10 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
       LeafJoinScratch<D> scratch;
       double naive_self = 0.0;
       double naive_block = 0.0;
-      for (LeafKernel mode : BenchModes()) {
+      for (const BenchMode& bench_mode : BenchModes()) {
+        std::optional<dispatch_internal::ScopedKernelIsaOverride> forced;
+        if (bench_mode.forced_isa) forced.emplace(bench_mode.label);
+        const LeafKernel mode = bench_mode.kernel;
         const Cell self = TimeKernel(
             [&](uint64_t* hits) {
               return SelfJoinKernel(
@@ -159,7 +174,7 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
           if (mode == LeafKernel::kSweep) {
             smoke->sweep_seconds += self.seconds_per_call +
                                     block.seconds_per_call;
-          } else if (mode == LeafKernel::kSimd) {
+          } else if (mode == LeafKernel::kSimd && !bench_mode.forced_isa) {
             smoke->simd_seconds += self.seconds_per_call +
                                    block.seconds_per_call;
           }
@@ -171,7 +186,7 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
               std::max(cell.seconds_per_call, 1e-12) / 1e6;
           table->AddRow(
               {StrFormat("%d", D), shape, WithThousands(k),
-               StrFormat("%.3f", eps), LeafKernelName(mode),
+               StrFormat("%.3f", eps), bench_mode.label,
                HumanDuration(cell.seconds_per_call),
                StrFormat("%.0f", mpairs),
                StrFormat("%.0f%%", 100.0 * static_cast<double>(cell.computed) /
@@ -181,7 +196,7 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
                StrFormat("%.2fx", naive_seconds /
                                       std::max(cell.seconds_per_call, 1e-12))});
           Record(StrFormat("%s dim=%d k=%zu eps=%.3f kernel=%s", shape, D, k,
-                           eps, LeafKernelName(mode)),
+                           eps, bench_mode.label),
                  eps, cell);
         };
         row("self", self, naive_self);

@@ -170,8 +170,6 @@ void Main(const BenchArgs& args) {
       entry["epsilon"] = eps;
       entry["planned_algo"] = QueryAlgoName(qplan.resolved.algo);
       entry["planned_g"] = static_cast<int64_t>(qplan.resolved.window);
-      entry["planned_leaf_kernel"] =
-          LeafKernelName(qplan.resolved.leaf_kernel);
       entry["planned_seconds"] = planned_time;
       entry["best_config"] = best_name;
       entry["best_seconds"] = best_time;

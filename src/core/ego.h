@@ -50,14 +50,10 @@ struct EgoOptions {
   /// Enable the early termination-as-a-group case (compact variant only).
   bool early_stop = true;
   /// Leaf-range pair enumeration strategy (geom/kernels.h), same knob as
-  /// JoinOptions::leaf_kernel. All modes produce identical output.
+  /// JoinOptions::leaf_kernel. All modes produce identical output; every
+  /// mode but kNaive defers leaf-range and group events through the batched
+  /// tile pipeline (core/leaf_batch.h).
   LeafKernel leaf_kernel = LeafKernel::kSweep;
-
-  /// Batched leaf-tile pipeline, same knob as JoinOptions::leaf_batch: the
-  /// recursion defers up to this many leaf-range and group events, caching
-  /// each distinct range's SoA tile once per batch. <= 1 disables batching;
-  /// kNaive never batches.
-  size_t leaf_batch = 64;
 
   /// Wall-clock budget in milliseconds; 0 = unlimited. The recursion stops
   /// at the next range visit and JoinStats::status reports DeadlineExceeded.
@@ -372,8 +368,14 @@ void EgoJoinRanges(EgoJoinState<D>& state, size_t lo1, size_t hi1, size_t lo2,
   }
 }
 
+/// The EGO self join over `set_a` (`set_b == nullptr`) or the EGO spatial
+/// join of `set_a` with `*set_b`. The spatial join concatenates the
+/// EGO-ordered sets into one backing array — A occupies [0, |A|), B the
+/// rest — and the recursion joins the two ranges (cross pairs only, per the
+/// spatial-join semantics).
 template <int D>
-JoinStats RunEgoJoin(const std::vector<Entry<D>>& entries,
+JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
+                     const std::vector<Entry<D>>* set_b,
                      const EgoOptions& options, bool compact, JoinSink* sink) {
   CSJ_CHECK(options.epsilon > 0.0);
   CSJ_CHECK(sink != nullptr);
@@ -391,15 +393,20 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& entries,
   // building it, and fail cleanly instead of OOM-killing the process.
   ScopedCharge order_charge;
   if (MemoryBudget* budget = run_ctx.memory_budget()) {
-    if (!order_charge.Acquire(budget,
-                              entries.size() * sizeof(EgoEntry<D>))) {
+    const size_t total = set_a.size() + (set_b ? set_b->size() : 0);
+    if (!order_charge.Acquire(budget, total * sizeof(EgoEntry<D>))) {
       run_ctx.Trip(Status::ResourceExhausted(
           "memory budget exhausted building the EGO order array"));
       stats.status = run_ctx.status();
       return stats;
     }
   }
-  const auto ordered = BuildEgoOrder(entries, options.epsilon);
+  auto ordered = BuildEgoOrder(set_a, options.epsilon);
+  const size_t split = ordered.size();
+  if (set_b != nullptr) {
+    const auto ordered_b = BuildEgoOrder(*set_b, options.epsilon);
+    ordered.insert(ordered.end(), ordered_b.begin(), ordered_b.end());
+  }
 
   GroupWindow<D> window(std::max(options.window_size, 1), options.epsilon,
                         sink, &stats, /*write_timer=*/nullptr, &run_ctx);
@@ -416,19 +423,21 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& entries,
   state.sink = sink;
   state.stats = &stats;
   state.window = &window;
-  state.batch_enabled = options.leaf_batch > 1 &&
-                        options.leaf_kernel != LeafKernel::kNaive;
-  state.batch.SetCapacity(options.leaf_batch);
+  state.batch_enabled = options.leaf_kernel != LeafKernel::kNaive;
   if (MemoryBudget* budget = run_ctx.memory_budget()) {
     state.batch_charge.Acquire(budget, 0);
   }
 
-  EgoJoinRanges(state, 0, ordered.size(), 0, ordered.size());
+  if (set_b == nullptr) {
+    EgoJoinRanges(state, 0, split, 0, split);
+  } else {
+    EgoJoinRanges(state, 0, split, split, ordered.size());
+  }
   DrainEgoBatch(state);
   if (compact) window.Flush();
 
-  if (LeafKernelUsesBackend(options.leaf_kernel)) {
-    const KernelIsa isa = EffectiveKernelIsa(options.leaf_kernel);
+  if (options.leaf_kernel == LeafKernel::kSimd) {
+    const KernelIsa isa = DispatchedKernelIsa();
     stats.kernel_isa = KernelIsaName(isa);
     RecordKernelBackendMetric(isa);
   }
@@ -448,7 +457,8 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& entries,
 template <int D>
 JoinStats EgoSimilarityJoin(const std::vector<Entry<D>>& entries,
                             const EgoOptions& options, JoinSink* sink) {
-  return ego_internal::RunEgoJoin(entries, options, /*compact=*/false, sink);
+  return ego_internal::RunEgoJoin<D>(entries, nullptr, options,
+                                     /*compact=*/false, sink);
 }
 
 /// Compact EGO join: the Section-VII extension (termination-as-a-group plus
@@ -456,88 +466,9 @@ JoinStats EgoSimilarityJoin(const std::vector<Entry<D>>& entries,
 template <int D>
 JoinStats CompactEgoJoin(const std::vector<Entry<D>>& entries,
                          const EgoOptions& options, JoinSink* sink) {
-  return ego_internal::RunEgoJoin(entries, options, /*compact=*/true, sink);
+  return ego_internal::RunEgoJoin<D>(entries, nullptr, options,
+                                     /*compact=*/true, sink);
 }
-
-namespace ego_internal {
-
-template <int D>
-JoinStats RunEgoSpatialJoin(const std::vector<Entry<D>>& set_a,
-                            const std::vector<Entry<D>>& set_b,
-                            const EgoOptions& options, bool compact,
-                            JoinSink* sink) {
-  CSJ_CHECK(options.epsilon > 0.0);
-  CSJ_CHECK(sink != nullptr);
-  JoinStats stats;
-  stats.algorithm = compact ? JoinAlgorithm::kCSJ : JoinAlgorithm::kSSJ;
-  stats.epsilon = options.epsilon;
-  stats.window_size = compact ? options.window_size : 0;
-
-  WallTimer timer;
-  ExecContext run_ctx;
-  run_ctx.SetParent(options.exec);
-  run_ctx.SetDeadlineAfterMs(options.deadline_ms);
-
-  ScopedCharge order_charge;
-  if (MemoryBudget* budget = run_ctx.memory_budget()) {
-    if (!order_charge.Acquire(
-            budget, (set_a.size() + set_b.size()) * sizeof(EgoEntry<D>))) {
-      run_ctx.Trip(Status::ResourceExhausted(
-          "memory budget exhausted building the EGO order array"));
-      stats.status = run_ctx.status();
-      return stats;
-    }
-  }
-  // Concatenate the EGO-ordered sets: A occupies [0, |A|), B occupies
-  // [|A|, |A|+|B|) of one backing array, and the recursion joins the two
-  // ranges (cross pairs only, per the spatial-join semantics).
-  auto ordered_a = BuildEgoOrder(set_a, options.epsilon);
-  const auto ordered_b = BuildEgoOrder(set_b, options.epsilon);
-  const size_t split = ordered_a.size();
-  ordered_a.insert(ordered_a.end(), ordered_b.begin(), ordered_b.end());
-
-  GroupWindow<D> window(std::max(options.window_size, 1), options.epsilon,
-                        sink, &stats, /*write_timer=*/nullptr, &run_ctx);
-  EgoJoinState<D> state;
-  state.exec = &run_ctx;
-  state.trip_ctx = &run_ctx;
-  state.data = &ordered_a;
-  state.eps = options.epsilon;
-  state.eps2 = options.epsilon * options.epsilon;
-  state.leaf_size = std::max<size_t>(options.leaf_size, 2);
-  state.compact = compact;
-  state.early_stop = options.early_stop;
-  state.leaf_kernel = options.leaf_kernel;
-  state.sink = sink;
-  state.stats = &stats;
-  state.window = &window;
-  state.batch_enabled = options.leaf_batch > 1 &&
-                        options.leaf_kernel != LeafKernel::kNaive;
-  state.batch.SetCapacity(options.leaf_batch);
-  if (MemoryBudget* budget = run_ctx.memory_budget()) {
-    state.batch_charge.Acquire(budget, 0);
-  }
-
-  EgoJoinRanges(state, 0, split, split, ordered_a.size());
-  DrainEgoBatch(state);
-  if (compact) window.Flush();
-
-  if (LeafKernelUsesBackend(options.leaf_kernel)) {
-    const KernelIsa isa = EffectiveKernelIsa(options.leaf_kernel);
-    stats.kernel_isa = KernelIsaName(isa);
-    RecordKernelBackendMetric(isa);
-  }
-  stats.status = sink->error();
-  if (stats.status.ok()) stats.status = run_ctx.status();
-  stats.elapsed_seconds = timer.ElapsedSeconds();
-  stats.links = sink->num_links();
-  stats.groups = sink->num_groups();
-  stats.group_member_total = sink->group_member_total();
-  stats.output_bytes = sink->bytes();
-  return stats;
-}
-
-}  // namespace ego_internal
 
 /// Index-free spatial join (cross pairs of two sets) via the epsilon grid
 /// order. Id spaces must be disjoint, as with the tree spatial joins.
@@ -545,8 +476,8 @@ template <int D>
 JoinStats EgoSpatialJoin(const std::vector<Entry<D>>& set_a,
                          const std::vector<Entry<D>>& set_b,
                          const EgoOptions& options, JoinSink* sink) {
-  return ego_internal::RunEgoSpatialJoin(set_a, set_b, options,
-                                         /*compact=*/false, sink);
+  return ego_internal::RunEgoJoin(set_a, &set_b, options, /*compact=*/false,
+                                  sink);
 }
 
 /// Compact index-free spatial join. Groups mix A- and B-side ids; expand
@@ -555,8 +486,8 @@ template <int D>
 JoinStats CompactEgoSpatialJoin(const std::vector<Entry<D>>& set_a,
                                 const std::vector<Entry<D>>& set_b,
                                 const EgoOptions& options, JoinSink* sink) {
-  return ego_internal::RunEgoSpatialJoin(set_a, set_b, options,
-                                         /*compact=*/true, sink);
+  return ego_internal::RunEgoJoin(set_a, &set_b, options, /*compact=*/true,
+                                  sink);
 }
 
 }  // namespace csj

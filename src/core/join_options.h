@@ -70,22 +70,15 @@ struct JoinOptions {
   WindowPolicy window_policy = WindowPolicy::kFirstFit;
 
   /// Leaf-level pair enumeration strategy (geom/kernels.h): the scalar
-  /// baseline double loop, the plane-sweep pruned loop, or plane-sweep plus
-  /// an explicit-SIMD distance backend ("simd" = best ISA the host offers,
-  /// picked at startup by CPUID; "avx2" / "avx512" pin one backend for
-  /// A/B runs). All modes produce byte-identical output (the kernels replay
-  /// hits in the naive loop's order and the SIMD backends are
-  /// decision-identical by the geom/dispatch.h contract); they differ only
-  /// in speed and in how many distances they actually compute.
+  /// baseline double loop (the reference the kernel tests compare against),
+  /// the plane-sweep pruned loop, or plane-sweep plus the dispatched
+  /// explicit-SIMD distance backend (geom/dispatch.h). All three produce
+  /// byte-identical output (the kernels replay hits in the naive loop's
+  /// order and the SIMD backends are decision-identical by the dispatch
+  /// contract); they differ only in speed and in how many distances they
+  /// actually compute. Every mode but kNaive also defers leaf work through
+  /// the batched tile pipeline (core/leaf_batch.h).
   LeafKernel leaf_kernel = LeafKernel::kSweep;
-
-  /// Batched leaf-tile pipeline (core/leaf_batch.h): tree descent defers up
-  /// to this many leaf-join and early-stop group events, transposing each
-  /// distinct leaf into a cached SoA tile once per batch, then drains them
-  /// in traversal order. Byte-identical output at any setting. Values <= 1
-  /// disable batching; kNaive never batches (it is the honest undeferred
-  /// baseline).
-  size_t leaf_batch = 64;
 
   /// When true, time spent inside the sink is accumulated separately
   /// (Experiment 3's computation-vs-write split). Adds two clock reads per

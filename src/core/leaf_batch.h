@@ -29,9 +29,11 @@
 /// emissions that interleave with them — into a bounded batch. Each distinct
 /// leaf, identified by a driver-chosen 64-bit key, is transposed into a
 /// cached LeafTile once per batch no matter how many pair events reference
-/// it. When the batch fills (or the driver reaches a barrier: end of run,
-/// end of checkpoint task), the executor drains: all kernel work runs back
-/// to back over the resident tiles.
+/// it. When the batch fills (LeafBatch::kCapacity events) or the driver
+/// reaches a barrier (end of run, end of checkpoint task), the executor
+/// drains: all kernel work runs back to back over the resident tiles. The
+/// tree and EGO drivers batch under every kernel but kNaive, which stays
+/// the undeferred baseline.
 ///
 /// **Output equivalence.** Events drain in enqueue order, which is exactly
 /// traversal order; group events ride the same queue, so sinks and the
@@ -46,8 +48,7 @@
 /// **Memory.** Resident tiles and the event queue answer to the driver's
 /// MemoryBudget through the usual high-water ScopedCharge pattern: the
 /// driver charges BytesResident() growth on every enqueue, and the bounded
-/// event capacity (JoinOptions::leaf_batch) caps how much can accumulate
-/// between drains.
+/// event capacity caps how much can accumulate between drains.
 
 namespace csj {
 
@@ -81,9 +82,9 @@ class LeafBatch {
       2 * (D * sizeof(double) + sizeof(PointId) + sizeof(uint32_t)) +
       sizeof(uint32_t);
 
-  /// Events buffered before the driver must drain. Values <= 1 make Full()
-  /// true after every push; drivers treat that as "batching off".
-  void SetCapacity(size_t events) { capacity_ = events; }
+  /// Events buffered before the driver must drain. Output does not depend
+  /// on it; 64 amortizes the transposes without holding many tiles.
+  static constexpr size_t kCapacity = 64;
 
   /// Slot of the tile caching leaf `key`, invoking `load(tile)` only on the
   /// first reference this batch.
@@ -117,7 +118,7 @@ class LeafBatch {
     events_.push_back({LeafEvent::Kind::kGroupPair, 0, 0, id_a, id_b});
   }
 
-  bool Full() const { return events_.size() >= capacity_; }
+  bool Full() const { return events_.size() >= kCapacity; }
   bool empty() const { return events_.empty(); }
   const std::vector<LeafEvent>& events() const { return events_; }
 
@@ -136,7 +137,6 @@ class LeafBatch {
   }
 
  private:
-  size_t capacity_ = 64;
   std::vector<LeafEvent> events_;
   /// unique_ptr slab: tiles keep stable addresses and their internal
   /// capacity as the vector grows.

@@ -1,5 +1,7 @@
 #include "core/query_spec.h"
 
+#include <utility>
+
 namespace csj {
 
 const char* QueryAlgoName(QueryAlgo algo) {
@@ -64,9 +66,6 @@ json::Value QuerySpec::ToJsonValue() const {
   v["algo"] = QueryAlgoName(algo);
   v["eps"] = eps;
   v["g"] = static_cast<int64_t>(window);
-  v["leaf_kernel"] = LeafKernelName(leaf_kernel);
-  v["leaf_batch"] = static_cast<uint64_t>(leaf_batch);
-  v["sort_child_pairs"] = sort_child_pairs;
   v["threads"] = static_cast<int64_t>(threads);
   v["deadline_ms"] = deadline_ms;
   v["mem_budget"] = mem_budget;
@@ -77,6 +76,24 @@ json::Value QuerySpec::ToJsonValue() const {
 namespace {
 Status FieldError(const std::string& field, const std::string& why) {
   return Status::InvalidArgument("request field '" + field + "': " + why);
+}
+
+/// Reads an integer field into `*out`. Fractions, and integers outside T's
+/// range (negatives for the unsigned fields), are field errors: the request
+/// line came from a client, so a bad value must never reach a CHECK.
+template <typename T>
+Status ReadInteger(const std::string& field, const json::Value& value,
+                   T* out) {
+  if (value.is_uint() && std::in_range<T>(value.AsUint())) {
+    *out = static_cast<T>(value.AsUint());
+  } else if (value.is_int() && std::in_range<T>(value.AsInt())) {
+    *out = static_cast<T>(value.AsInt());
+  } else {
+    return FieldError(field, value.is_uint() || value.is_int()
+                                 ? "integer out of range"
+                                 : "expected an integer");
+  }
+  return Status::OK();
 }
 }  // namespace
 
@@ -101,28 +118,13 @@ Result<QuerySpec> QuerySpec::FromJson(const json::Value& doc) {
       if (!value.is_number()) return FieldError(key, "expected a number");
       spec.eps = value.AsDouble();
     } else if (key == "g") {
-      if (!value.is_number()) return FieldError(key, "expected a number");
-      spec.window = static_cast<int>(value.AsInt());
-    } else if (key == "leaf_kernel") {
-      if (!value.is_string()) return FieldError(key, "expected a string");
-      if (!ParseLeafKernel(value.AsString(), &spec.leaf_kernel)) {
-        return FieldError(key, "must be naive, sweep, simd, avx2 or avx512");
-      }
-    } else if (key == "leaf_batch") {
-      if (!value.is_number()) return FieldError(key, "expected a number");
-      spec.leaf_batch = static_cast<size_t>(value.AsUint());
-    } else if (key == "sort_child_pairs") {
-      if (!value.is_bool()) return FieldError(key, "expected a bool");
-      spec.sort_child_pairs = value.AsBool();
+      CSJ_RETURN_IF_ERROR(ReadInteger(key, value, &spec.window));
     } else if (key == "threads") {
-      if (!value.is_number()) return FieldError(key, "expected a number");
-      spec.threads = static_cast<int>(value.AsInt());
+      CSJ_RETURN_IF_ERROR(ReadInteger(key, value, &spec.threads));
     } else if (key == "deadline_ms") {
-      if (!value.is_number()) return FieldError(key, "expected a number");
-      spec.deadline_ms = value.AsUint();
+      CSJ_RETURN_IF_ERROR(ReadInteger(key, value, &spec.deadline_ms));
     } else if (key == "mem_budget") {
-      if (!value.is_number()) return FieldError(key, "expected a number");
-      spec.mem_budget = value.AsUint();
+      CSJ_RETURN_IF_ERROR(ReadInteger(key, value, &spec.mem_budget));
     } else if (key == "output") {
       if (!value.is_string()) return FieldError(key, "expected a string");
       if (!ParseOutputFormat(value.AsString(), &spec.output)) {

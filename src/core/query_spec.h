@@ -6,7 +6,6 @@
 
 #include "core/join_options.h"
 #include "core/sink.h"
-#include "geom/kernels.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -15,7 +14,9 @@
 /// query, shared by csj_tool, csj_serve and the bench harness.
 ///
 /// A QuerySpec says *what* the caller wants (dataset, eps, algorithm —
-/// possibly "auto" — output shape, resource limits); the planner
+/// possibly "auto" — output shape, resource limits), and nothing else:
+/// every query runs the default leaf kernel and batch pipeline, whose
+/// output is the same under any setting. The planner
 /// (plan/planner.h) turns it into the *how*: a resolved spec plus derived
 /// execution structs (`JoinOptions` / `EgoOptions`). Entry points no longer
 /// hand-assemble option structs — they build a QuerySpec, validate it, and
@@ -89,15 +90,6 @@ struct QuerySpec {
   /// CSJ(g) merge-window size (the paper's g). JSON field "g".
   int window = 10;
 
-  /// Leaf-level pair enumeration strategy. Output-invariant.
-  LeafKernel leaf_kernel = LeafKernel::kSweep;
-
-  /// Batched leaf-tile pipeline depth. Output-invariant; <= 1 disables.
-  size_t leaf_batch = 64;
-
-  /// Ablation: Brinkhoff-style child-pair ordering.
-  bool sort_child_pairs = false;
-
   /// Worker threads. 0 = unspecified: the planner decides for `algo=auto`,
   /// explicit runs treat it as 1 (serial). Values > 1 select the
   /// checkpointed parallel runner in csj_tool; csj_serve ignores the field
@@ -125,7 +117,8 @@ struct QuerySpec {
   json::Value ToJsonValue() const;
 
   /// Strict parse: unknown fields and wrong types are errors, absent fields
-  /// keep their defaults. Does not call Validate() — parse-then-validate,
+  /// keep their defaults. Integer fields take only integer JSON values in
+  /// their C++ type's range. Does not call Validate() — parse-then-validate,
   /// so callers can distinguish malformed requests from invalid ones.
   static Result<QuerySpec> FromJson(const json::Value& doc);
 };

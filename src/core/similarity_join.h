@@ -72,9 +72,7 @@ class JoinDriver {
     }
     // kNaive stays undeferred so it remains the honest pre-batching
     // baseline; every other mode defers leaf work through the batch.
-    batch_enabled_ = options.leaf_batch > 1 &&
-                     options.leaf_kernel != LeafKernel::kNaive;
-    leaf_batch_.SetCapacity(options.leaf_batch);
+    batch_enabled_ = options.leaf_kernel != LeafKernel::kNaive;
     stats_.algorithm = algorithm;
     stats_.epsilon = options.epsilon;
     stats_.window_size =
@@ -139,8 +137,8 @@ class JoinDriver {
   bool Aborted() const { return !sink_->error().ok() || run_ctx_.ShouldStop(); }
 
   void FinalizeStats(const WallTimer& timer) {
-    if (LeafKernelUsesBackend(options_.leaf_kernel)) {
-      const KernelIsa isa = EffectiveKernelIsa(options_.leaf_kernel);
+    if (options_.leaf_kernel == LeafKernel::kSimd) {
+      const KernelIsa isa = DispatchedKernelIsa();
       stats_.kernel_isa = KernelIsaName(isa);
       RecordKernelBackendMetric(isa);
     }

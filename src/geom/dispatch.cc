@@ -201,6 +201,24 @@ namespace dispatch_internal {
 void ResetDispatchForTesting() {
   g_dispatched.store(-1, std::memory_order_relaxed);
 }
+
+ScopedKernelIsaOverride::ScopedKernelIsaOverride(const char* value) {
+  if (const char* previous = std::getenv("CSJ_KERNEL_ISA")) {
+    had_previous_ = true;
+    previous_ = previous;
+  }
+  setenv("CSJ_KERNEL_ISA", value, /*overwrite=*/1);
+  ResetDispatchForTesting();
+}
+
+ScopedKernelIsaOverride::~ScopedKernelIsaOverride() {
+  if (had_previous_) {
+    setenv("CSJ_KERNEL_ISA", previous_.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("CSJ_KERNEL_ISA");
+  }
+  ResetDispatchForTesting();
+}
 }  // namespace dispatch_internal
 
 }  // namespace csj

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 /// \file
@@ -39,10 +40,8 @@
 /// in (CMake drops TUs the toolchain cannot build, and -DCSJ_SIMD=OFF drops
 /// all of them) *and* the host CPU advertises the feature. The environment
 /// variable CSJ_KERNEL_ISA=scalar|avx2|avx512 overrides the choice (for
-/// tests and A/B runs); naming an unavailable or unknown ISA falls back to
-/// the normal best-available rule. The explicit LeafKernel::kAvx2/kAvx512
-/// values bypass the env var and run exactly that backend, degrading to
-/// scalar when it is unavailable (benchmarks check availability first).
+/// tests and A/B runs, and the only way to force one backend); naming an
+/// unavailable or unknown ISA falls back to the normal best-available rule.
 
 namespace csj {
 
@@ -107,6 +106,22 @@ namespace dispatch_internal {
 /// re-reads CSJ_KERNEL_ISA. Test-only: the hot path assumes the cache is
 /// written once.
 void ResetDispatchForTesting();
+
+/// Sets CSJ_KERNEL_ISA to `value` for the guard's lifetime, then restores
+/// the previous setting; the cached dispatch decision is dropped on both
+/// edges. How tests and benchmarks run `kSimd` on one chosen backend. Not
+/// thread-safe: no join may run concurrently with either edge.
+class ScopedKernelIsaOverride {
+ public:
+  explicit ScopedKernelIsaOverride(const char* value);
+  ~ScopedKernelIsaOverride();
+  ScopedKernelIsaOverride(const ScopedKernelIsaOverride&) = delete;
+  ScopedKernelIsaOverride& operator=(const ScopedKernelIsaOverride&) = delete;
+
+ private:
+  bool had_previous_ = false;
+  std::string previous_;
+};
 }  // namespace dispatch_internal
 
 }  // namespace csj

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <string_view>
 #include <vector>
 
 #include "geom/dispatch.h"
@@ -43,9 +42,8 @@
 ///  3. **Explicit-SIMD backends** (LeafKernel::kSimd): within the sweep
 ///     window, squared distances are evaluated by an ISA-specific backend
 ///     (geom/dispatch.h) — hand-written AVX2 / AVX-512 intrinsic loops or a
-///     blocked scalar fallback — selected once at startup by CPUID (with the
-///     CSJ_KERNEL_ISA env override). kSimd runs the best ISA the host
-///     offers; kAvx2 / kAvx512 pin one backend for A/B benchmarking. Every
+///     blocked scalar fallback — selected once at startup by CPUID. The
+///     CSJ_KERNEL_ISA env var is the one way to force a backend. Every
 ///     backend follows the determinism contract in geom/dispatch.h, so
 ///     accept/reject decisions are bit-identical across ISAs.
 ///
@@ -79,46 +77,10 @@ namespace csj {
 
 /// Leaf-level pair-enumeration strategy.
 enum class LeafKernel {
-  kNaive,   ///< scalar double loop in entry order (the pre-kernel baseline)
-  kSweep,   ///< sort by widest dimension + 1-D gap break
-  kSimd,    ///< sweep window + best available explicit-SIMD backend
-  kAvx2,    ///< like kSimd, pinned to the AVX2 backend (benchmarking)
-  kAvx512,  ///< like kSimd, pinned to the AVX-512 backend (benchmarking)
+  kNaive,  ///< scalar double loop in entry order (the pre-kernel baseline)
+  kSweep,  ///< sort by widest dimension + 1-D gap break
+  kSimd,   ///< sweep window + the dispatched explicit-SIMD backend
 };
-
-/// Display name: "naive", "sweep", "simd", "avx2", "avx512".
-const char* LeafKernelName(LeafKernel kernel);
-
-/// Parses a LeafKernelName string (case-sensitive). Returns false on unknown
-/// names and leaves *out untouched.
-bool ParseLeafKernel(std::string_view name, LeafKernel* out);
-
-/// The ISA a sweep-window mode executes with: kSimd follows the runtime
-/// dispatch decision (CSJ_KERNEL_ISA override included); kAvx2 / kAvx512 pin
-/// their backend, degrading to scalar via GetKernelBackend when the host (or
-/// build) lacks it. kNaive and kSweep never consult a backend.
-inline KernelIsa ResolveKernelIsa(LeafKernel mode) {
-  switch (mode) {
-    case LeafKernel::kAvx2:
-      return KernelIsa::kAvx2;
-    case LeafKernel::kAvx512:
-      return KernelIsa::kAvx512;
-    default:
-      return DispatchedKernelIsa();
-  }
-}
-
-/// True for modes whose distance evaluation runs through a KernelBackend
-/// (and should therefore report JoinStats::kernel_isa).
-inline bool LeafKernelUsesBackend(LeafKernel mode) {
-  return mode != LeafKernel::kNaive && mode != LeafKernel::kSweep;
-}
-
-/// The ISA `mode` would actually execute with right now — degradation to
-/// scalar included, so this is the truthful stats/metrics label.
-inline KernelIsa EffectiveKernelIsa(LeafKernel mode) {
-  return GetKernelBackend(ResolveKernelIsa(mode)).isa;
-}
 
 /// Bulk work accounting for one kernel invocation (or a running total).
 struct KernelCounters {
@@ -415,7 +377,7 @@ KernelCounters SelfJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& tile,
     // vector storage after every hit push.
     std::array<const double*, D> dims;
     for (int d = 0; d < D; ++d) dims[d] = tile.Dim(d);
-    if (mode == LeafKernel::kSweep || mode == LeafKernel::kNaive) {
+    if (mode != LeafKernel::kSimd) {
       for (size_t i = 0; i < n; ++i) {
         const double xi = x[i];
         std::array<double, D> center;
@@ -433,7 +395,7 @@ KernelCounters SelfJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& tile,
         }
       }
     } else {
-      const KernelBackend& be = GetKernelBackend(ResolveKernelIsa(mode));
+      const KernelBackend& be = GetKernelBackend(DispatchedKernelIsa());
       s.isa_hits.resize(n);
       std::array<double, D> center;
       for (size_t i = 0; i < n; ++i) {
@@ -543,7 +505,7 @@ KernelCounters BlockJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& ta,
       }
       // Classic merge sweep: for ascending a-slots, the window of b-slots
       // within the 1-D bound only moves right.
-      if (mode == LeafKernel::kSweep || mode == LeafKernel::kNaive) {
+      if (mode != LeafKernel::kSimd) {
         size_t start = 0;
         for (size_t i = 0; i < na; ++i) {
           const double xi = xa[i];
@@ -572,7 +534,7 @@ KernelCounters BlockJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& ta,
         // within the 1-D bound (the start advance established that), so
         // fl((xb[j]-xi)^2) > eps2 flips false -> true exactly once going
         // right.
-        const KernelBackend& be = GetKernelBackend(ResolveKernelIsa(mode));
+        const KernelBackend& be = GetKernelBackend(DispatchedKernelIsa());
         s.isa_hits.resize(nb);
         std::array<double, D> center;
         size_t start = 0;

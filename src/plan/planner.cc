@@ -14,14 +14,6 @@ namespace {
 /// upkeep outweighs the output it saves and the planner picks SSJ.
 constexpr double kMinCompression = 1.2;
 
-/// Predicted average within-eps neighbors per point at which leaves are
-/// dense enough for the SIMD backends to beat plane sweep alone. Sweep's
-/// sort-based pruning discards most candidates before any distance math,
-/// so the batched SIMD lanes only break even once neighborhoods are far
-/// wider than the lane width (bench_planner: parity near ~300 average
-/// neighbors, a clear sweep win at ~25).
-constexpr double kSimdDensity = 100.0;
-
 /// Predicted leaf-work (candidate pairs) above which parallel checkpointed
 /// execution amortizes its task-decomposition and replay overhead.
 constexpr double kParallelWork = 2.0e8;
@@ -47,8 +39,6 @@ json::Value QueryPlan::ToJsonValue() const {
   json::Value knobs = json::Object{};
   knobs["algo"] = QueryAlgoName(resolved.algo);
   knobs["g"] = static_cast<int64_t>(resolved.window);
-  knobs["leaf_kernel"] = LeafKernelName(resolved.leaf_kernel);
-  knobs["leaf_batch"] = static_cast<uint64_t>(resolved.leaf_batch);
   knobs["threads"] = static_cast<int64_t>(resolved.threads);
   v["knobs"] = std::move(knobs);
   v["predicted"] = estimate.ToJsonValue();
@@ -165,27 +155,6 @@ QueryPlan PlanQuery(const QuerySpec& spec, const DatasetSketch& sketch,
                : "unused: ssj emits every link individually");
   }
 
-  // Leaf kernel: SIMD once leaves are dense enough to fill vector lanes.
-  // Either choice is output-identical, so this knob is pure speed.
-  if (est.avg_neighbors >= kSimdDensity) {
-    plan.resolved.leaf_kernel = LeafKernel::kSimd;
-    decide("leaf_kernel", "simd",
-           StrFormat("dense leaves (avg ~%.1f neighbors) fill the SIMD "
-                     "distance lanes; output-identical to sweep",
-                     est.avg_neighbors));
-  } else {
-    plan.resolved.leaf_kernel = LeafKernel::kSweep;
-    decide("leaf_kernel", "sweep",
-           StrFormat("sparse leaves (avg ~%.1f neighbors) — plane-sweep "
-                     "pruning alone wins, SIMD lanes would run empty",
-                     est.avg_neighbors));
-  }
-
-  plan.resolved.leaf_batch = 64;
-  decide("leaf_batch", "64",
-         "batched tile pipeline amortizes SoA transposes; "
-         "output-invariant at any depth");
-
   // Serial vs parallel.
   if (spec.threads > 0) {
     decide("threads", StrFormat("%d", spec.threads),
@@ -210,9 +179,6 @@ JoinOptions DeriveJoinOptions(const QuerySpec& spec) {
   JoinOptions options;
   options.epsilon = spec.eps;
   options.window_size = spec.window;
-  options.leaf_kernel = spec.leaf_kernel;
-  options.leaf_batch = spec.leaf_batch;
-  options.sort_child_pairs = spec.sort_child_pairs;
   options.deadline_ms = spec.deadline_ms;
   return options;
 }
@@ -221,8 +187,6 @@ EgoOptions DeriveEgoOptions(const QuerySpec& spec) {
   EgoOptions options;
   options.epsilon = spec.eps;
   options.window_size = spec.window;
-  options.leaf_kernel = spec.leaf_kernel;
-  options.leaf_batch = spec.leaf_batch;
   options.deadline_ms = spec.deadline_ms;
   return options;
 }

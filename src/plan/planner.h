@@ -17,29 +17,28 @@
 ///
 /// `PlanQuery` resolves a spec against a dataset sketch. An explicit spec
 /// passes through untouched (the planner only prices it); `algo=auto` makes
-/// the planner choose the algorithm, merge window, leaf kernel, batch depth
-/// and serial-vs-parallel execution, recording a rationale per decision so
-/// `csj_tool plan` / the serve trailer can explain themselves.
+/// the planner choose the algorithm, merge window and serial-vs-parallel
+/// execution — the decisions that change cost — recording a rationale per
+/// decision so `csj_tool plan` / the serve trailer can explain themselves.
 ///
 /// Policy (docs/PLANNING.md has the full derivation):
 ///  * SSJ when the predicted compression ratio is below 1.2x — groups that
 ///    do not pay for their window upkeep are pure overhead;
 ///  * otherwise CSJ(g), with g picked by predicted neighborhood density
 ///    (the paper's sweet spot g=10 in the middle band);
-///  * SIMD leaf kernels once leaves are dense enough to fill vector lanes,
-///    plane-sweep otherwise — output-identical either way;
 ///  * parallel (checkpointed) execution only when the predicted leaf work
 ///    dwarfs the per-run setup cost; serving always runs queries serial.
 ///
 /// `DeriveJoinOptions` / `DeriveEgoOptions` are the *only* spec-to-options
-/// mapping in the system: a 1:1 field copy, so explicitly specified
+/// mapping in the system: a 1:1 field copy onto the option defaults (sweep
+/// leaf kernel, batched, index-order child pairs), so explicitly specified
 /// configurations execute byte-identically to the historical flag plumbing.
 
 namespace csj::plan {
 
 /// One explained planner decision.
 struct PlanDecision {
-  std::string knob;       ///< e.g. "algo", "g", "leaf_kernel"
+  std::string knob;       ///< "algo", "g" or "threads"
   std::string choice;     ///< rendered chosen value
   std::string rationale;  ///< one sentence of why
 };
@@ -59,7 +58,7 @@ struct QueryPlan {
 
   std::vector<PlanDecision> decisions;
 
-  /// {"knobs": {algo,g,leaf_kernel,leaf_batch,threads},
+  /// {"knobs": {algo,g,threads},
   ///  "predicted": OutputEstimate, "decisions": [...], ...}. Deterministic
   /// (sorted keys), used verbatim as JoinStats::plan_json.
   json::Value ToJsonValue() const;

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "geom/kernels.h"
 #include "storage/binary_format.h"
 #include "util/failpoint.h"
 #include "util/format.h"

@@ -43,17 +43,11 @@
 ///   dataset     (join/range) registered dataset name
 ///   dataset_b   second dataset: selects a dual (spatial) join
 ///   algo        "auto" | "ssj" | "ncsj" | "csj"    (default "csj"; "auto"
-///               lets the cost-based planner pick the algorithm and knobs
+///               lets the cost-based planner pick the algorithm and g
 ///               against the dataset's load-time sketch, and the trailer's
 ///               stats.plan echoes the resolved, explained plan)
 ///   eps         epsilon > 0 (required for join/range)
 ///   g           CSJ(g) window size                 (default 10)
-///   leaf_kernel "naive" | "sweep" | "simd" | "avx2" | "avx512"
-///               (default "sweep"; simd dispatches to the best host ISA and
-///               the trailer's stats.kernel_isa records which one ran)
-///   leaf_batch  leaf-tile pairs buffered per batched kernel pass
-///               (default 64; 0/1 disables batching; output-invariant)
-///   sort_child_pairs  bool                         (default false)
 ///   threads     accepted and ignored: every served query runs serial on a
 ///               server worker
 ///   output      "text" | "binary" | "none"         (default "text";
@@ -63,6 +57,9 @@
 ///   metrics     bool: include a per-query metrics delta in the trailer
 ///   center      (range, required) point coordinates, e.g. [0.5, 0.5]
 ///   path        (load/reload, required) dataset source file on the server
+///
+/// g, threads, deadline_ms and mem_budget take integers in their type's
+/// range (the last two are unsigned); anything else is InvalidArgument.
 ///
 /// Admin ops drive the registry's epoch lifecycle (serve/registry.h):
 /// "load" registers `dataset` from `path`, "reload" replaces it with a

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/ego.h"
@@ -25,8 +26,9 @@
 ///    tie-heavy randomized data yields byte-identical CSJ(g) output —
 ///    links and groups, in order — including distances exactly at epsilon
 ///    and exact-duplicate points;
-///  * the explicit kAvx2/kAvx512 modes degrade to scalar when the backend
-///    is unavailable instead of crashing.
+///  * an unforced kSimd join reports the ISA it dispatched to (scalar when
+///    no vector backend is compiled in), and asking GetKernelBackend for an
+///    unavailable backend degrades to scalar instead of crashing.
 ///
 /// Tests for ISAs the host cannot run skip cleanly (GTEST_SKIP), so the
 /// suite passes on any machine and under -DCSJ_SIMD=OFF.
@@ -34,22 +36,7 @@
 namespace csj {
 namespace {
 
-/// Sets CSJ_KERNEL_ISA and drops the cached dispatch decision for the
-/// scope; restores "no override" state on exit. The dispatch cache is
-/// normally write-once, so every mutation must go through this guard.
-class ScopedKernelIsaEnv {
- public:
-  explicit ScopedKernelIsaEnv(const char* value) {
-    setenv("CSJ_KERNEL_ISA", value, /*overwrite=*/1);
-    dispatch_internal::ResetDispatchForTesting();
-  }
-  ~ScopedKernelIsaEnv() {
-    unsetenv("CSJ_KERNEL_ISA");
-    dispatch_internal::ResetDispatchForTesting();
-  }
-  ScopedKernelIsaEnv(const ScopedKernelIsaEnv&) = delete;
-  ScopedKernelIsaEnv& operator=(const ScopedKernelIsaEnv&) = delete;
-};
+using dispatch_internal::ScopedKernelIsaOverride;
 
 KernelIsa BestAvailableIsa() {
   if (KernelIsaAvailable(KernelIsa::kAvx512)) return KernelIsa::kAvx512;
@@ -107,14 +94,14 @@ TEST(KernelsDispatchTest, EnvOverrideForcesEachAvailableIsa) {
   for (KernelIsa isa :
        {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
     if (!KernelIsaAvailable(isa)) continue;
-    ScopedKernelIsaEnv env(KernelIsaName(isa));
+    ScopedKernelIsaOverride env(KernelIsaName(isa));
     EXPECT_EQ(DispatchedKernelIsa(), isa) << KernelIsaName(isa);
     EXPECT_EQ(GetKernelBackend(DispatchedKernelIsa()).isa, isa);
   }
 }
 
 TEST(KernelsDispatchTest, BogusEnvOverrideFallsBackToBestAvailable) {
-  ScopedKernelIsaEnv env("sse42-typo");
+  ScopedKernelIsaOverride env("sse42-typo");
   EXPECT_EQ(DispatchedKernelIsa(), BestAvailableIsa());
 }
 
@@ -125,7 +112,7 @@ TEST(KernelsDispatchTest, UnavailableEnvOverrideFallsBackToBestAvailable) {
   for (KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
     if (KernelIsaAvailable(isa)) continue;
     any_unavailable = true;
-    ScopedKernelIsaEnv env(KernelIsaName(isa));
+    ScopedKernelIsaOverride env(KernelIsaName(isa));
     EXPECT_EQ(DispatchedKernelIsa(), BestAvailableIsa());
   }
   if (!any_unavailable) {
@@ -133,6 +120,8 @@ TEST(KernelsDispatchTest, UnavailableEnvOverrideFallsBackToBestAvailable) {
   }
 }
 
+/// Asking for a named backend the host (or build) lacks yields the scalar
+/// table, never null function pointers.
 TEST(KernelsDispatchTest, ExplicitModesDegradeToScalarWhenUnavailable) {
   for (KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
     const KernelBackend& be = GetKernelBackend(isa);
@@ -141,6 +130,38 @@ TEST(KernelsDispatchTest, ExplicitModesDegradeToScalarWhenUnavailable) {
     ASSERT_NE(be.window_hits, nullptr);
     ASSERT_NE(be.sweep_bound, nullptr);
   }
+}
+
+/// An unforced kSimd run — the tree driver and the EGO driver — records
+/// the dispatch decision in JoinStats::kernel_isa. With no vector backend
+/// compiled in (-DCSJ_SIMD=OFF) or supported, that is "scalar".
+TEST(KernelsDispatchTest, UnforcedSimdJoinReportsDispatchedIsa) {
+  unsetenv("CSJ_KERNEL_ISA");
+  dispatch_internal::ResetDispatchForTesting();
+  const double eps = 0.25;
+  const auto entries = TieHeavyEntries(200, 5, eps);
+  const auto tree = SmallFanoutTree(entries);
+  const std::string dispatched = KernelIsaName(DispatchedKernelIsa());
+
+  JoinOptions options;
+  options.epsilon = eps;
+  options.leaf_kernel = LeafKernel::kSimd;
+  CountingSink sink(IdWidthFor(entries.size()));
+  const JoinStats stats =
+      RunSelfJoin(JoinAlgorithm::kCSJ, tree, options, &sink);
+  EXPECT_EQ(stats.kernel_isa, dispatched);
+
+  EgoOptions ego;
+  ego.epsilon = eps;
+  ego.leaf_kernel = LeafKernel::kSimd;
+  CountingSink ego_sink(IdWidthFor(entries.size()));
+  EXPECT_EQ(CompactEgoJoin(entries, ego, &ego_sink).kernel_isa, dispatched);
+
+  if (!KernelIsaAvailable(KernelIsa::kAvx2) &&
+      !KernelIsaAvailable(KernelIsa::kAvx512)) {
+    EXPECT_EQ(stats.kernel_isa, "scalar");
+  }
+  dispatch_internal::ResetDispatchForTesting();
 }
 
 /// Forces `isa` through the env override and checks the full CSJ(g)
@@ -169,7 +190,7 @@ void ExpectForcedIsaMatchesBaseline(KernelIsa isa) {
   MemorySink ego_baseline(IdWidthFor(entries.size()));
   CompactEgoJoin(entries, ego, &ego_baseline);
 
-  ScopedKernelIsaEnv env(KernelIsaName(isa));
+  ScopedKernelIsaOverride env(KernelIsaName(isa));
   ASSERT_EQ(DispatchedKernelIsa(), isa);
 
   options.leaf_kernel = LeafKernel::kSimd;

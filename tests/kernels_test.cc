@@ -8,18 +8,21 @@
 #include <vector>
 
 #include "core/ego.h"
+#include "core/leaf_batch.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "data/generators.h"
+#include "geom/dispatch.h"
 #include "index/bulk_load.h"
 #include "index/rstar_tree.h"
 #include "util/random.h"
 
 /// Tests of the vectorized leaf-join kernel layer. The load-bearing claims:
 ///
-///  * every LeafKernel mode emits the exact pairs of the scalar baseline
-///    loop, in the exact same order (CSJ's group window is order-sensitive,
-///    so multiset equality is not enough);
+///  * every LeafKernel mode — kSimd under every ISA this host can run —
+///    emits the exact pairs of the scalar baseline loop, in the exact same
+///    order (CSJ's group window is order-sensitive, so multiset equality is
+///    not enough);
 ///  * epsilon-boundary ties and duplicate coordinates survive the
 ///    plane-sweep pruning bit-for-bit;
 ///  * the bulk counters reproduce the old per-pair distance accounting under
@@ -77,42 +80,36 @@ LinkVec BruteBlockPairs(const std::vector<Entry<2>>& a,
   return out;
 }
 
-/// Every kernel mode this host can execute meaningfully. The explicit ISA
-/// modes degrade to scalar when unavailable (still correct, but then they
-/// duplicate kSweep-level coverage), so they join the list only when the
-/// backend really runs.
-std::vector<LeafKernel> AllKernelModes() {
-  std::vector<LeafKernel> modes = {LeafKernel::kNaive, LeafKernel::kSweep,
-                                   LeafKernel::kSimd};
-  if (KernelIsaAvailable(KernelIsa::kAvx2)) modes.push_back(LeafKernel::kAvx2);
-  if (KernelIsaAvailable(KernelIsa::kAvx512)) {
-    modes.push_back(LeafKernel::kAvx512);
+/// Runs `body(mode, label)` for kNaive, kSweep and kSimd, and once more for
+/// kSimd under each ISA backend this host can run, forced through
+/// CSJ_KERNEL_ISA. With `include_naive` false the baseline is skipped, for
+/// the driver-level tests that compare against it.
+template <typename Body>
+void ForEachKernelMode(bool include_naive, Body&& body) {
+  if (include_naive) body(LeafKernel::kNaive, "naive");
+  body(LeafKernel::kSweep, "sweep");
+  body(LeafKernel::kSimd, "simd");
+  for (KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (!KernelIsaAvailable(isa)) continue;
+    dispatch_internal::ScopedKernelIsaOverride forced(KernelIsaName(isa));
+    body(LeafKernel::kSimd, KernelIsaName(isa));
   }
-  return modes;
-}
-
-/// The non-naive modes compared against the kNaive baseline in the
-/// driver-level tests.
-std::vector<LeafKernel> PrunedKernelModes() {
-  auto modes = AllKernelModes();
-  modes.erase(modes.begin());  // kNaive is the baseline.
-  return modes;
 }
 
 TEST(KernelsTest, ParseAndNameRoundTrip) {
-  // All five names parse whether or not the backend is available — the
-  // explicit ISA modes are valid requests that degrade to scalar.
-  for (LeafKernel mode :
-       {LeafKernel::kNaive, LeafKernel::kSweep, LeafKernel::kSimd,
-        LeafKernel::kAvx2, LeafKernel::kAvx512}) {
-    LeafKernel parsed;
-    ASSERT_TRUE(ParseLeafKernel(LeafKernelName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
+  // The backend a `simd` run uses is named, and forced, through
+  // CSJ_KERNEL_ISA: every ISA name parses back to its ISA.
+  for (KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    KernelIsa parsed;
+    ASSERT_TRUE(ParseKernelIsa(KernelIsaName(isa), &parsed));
+    EXPECT_EQ(parsed, isa);
   }
-  LeafKernel unused = LeafKernel::kNaive;
-  EXPECT_FALSE(ParseLeafKernel("sse2", &unused));
-  EXPECT_FALSE(ParseLeafKernel("", &unused));
-  EXPECT_EQ(unused, LeafKernel::kNaive);
+  KernelIsa unused = KernelIsa::kScalar;
+  EXPECT_FALSE(ParseKernelIsa("sse2", &unused));
+  EXPECT_FALSE(ParseKernelIsa("", &unused));
+  EXPECT_EQ(unused, KernelIsa::kScalar);
 }
 
 TEST(KernelsTest, TileLoadSortAndReconstruct) {
@@ -145,22 +142,22 @@ TEST(KernelsTest, SelfKernelMatchesScalarLoopExactly) {
       for (double eps : {0.01, 0.08, 0.3, 2.0}) {
         const double eps2 = eps * eps;
         const LinkVec expected = BruteSelfPairs(entries, eps2);
-        for (LeafKernel mode : AllKernelModes()) {
+        ForEachKernelMode(true, [&](LeafKernel mode, const char* label) {
           LinkVec got;
           const KernelCounters kc = SelfJoinKernel(
               scratch, std::span<const Entry<2>>(entries), eps2, mode,
               [&](const Entry<2>& a, const Entry<2>& b) {
                 got.emplace_back(a.id, b.id);
               });
-          EXPECT_EQ(got, expected) << "mode=" << LeafKernelName(mode)
-                                   << " n=" << n << " eps=" << eps;
+          EXPECT_EQ(got, expected)
+              << "mode=" << label << " n=" << n << " eps=" << eps;
           EXPECT_EQ(kc.hits, expected.size());
           EXPECT_EQ(kc.candidates, n < 2 ? 0 : n * (n - 1) / 2);
           EXPECT_EQ(kc.candidates, kc.computed + kc.pruned);
           if (mode == LeafKernel::kNaive) {
             EXPECT_EQ(kc.pruned, 0u);
           }
-        }
+        });
       }
     }
   }
@@ -180,7 +177,7 @@ TEST(KernelsTest, BlockKernelMatchesScalarLoopExactly) {
       for (double eps : {0.02, 0.15, 1.5}) {
         const double eps2 = eps * eps;
         const LinkVec expected = BruteBlockPairs(a, b, eps2);
-        for (LeafKernel mode : AllKernelModes()) {
+        ForEachKernelMode(true, [&](LeafKernel mode, const char* label) {
           LinkVec got;
           const KernelCounters kc = BlockJoinKernel(
               scratch, std::span<const Entry<2>>(a),
@@ -188,13 +185,13 @@ TEST(KernelsTest, BlockKernelMatchesScalarLoopExactly) {
               [&](const Entry<2>& ea, const Entry<2>& eb) {
                 got.emplace_back(ea.id, eb.id);
               });
-          EXPECT_EQ(got, expected) << "mode=" << LeafKernelName(mode)
-                                   << " na=" << na << " nb=" << nb;
+          EXPECT_EQ(got, expected)
+              << "mode=" << label << " na=" << na << " nb=" << nb;
           EXPECT_EQ(kc.hits, expected.size());
           EXPECT_EQ(kc.candidates,
                     (na == 0 || nb == 0) ? 0 : uint64_t{na} * nb);
           EXPECT_EQ(kc.candidates, kc.computed + kc.pruned);
-        }
+        });
       }
     }
   }
@@ -237,14 +234,14 @@ TEST(KernelsTest, TiesExactlyAtEpsilonSurviveAllModes) {
   ASSERT_GT(exact_ties, 10u);
 
   LeafJoinScratch<2> scratch;
-  for (LeafKernel mode : AllKernelModes()) {
+  ForEachKernelMode(true, [&](LeafKernel mode, const char* label) {
     LinkVec got;
     SelfJoinKernel(scratch, std::span<const Entry<2>>(entries), eps2, mode,
                    [&](const Entry<2>& a, const Entry<2>& b) {
                      got.emplace_back(a.id, b.id);
                    });
-    EXPECT_EQ(got, expected) << "mode=" << LeafKernelName(mode);
-  }
+    EXPECT_EQ(got, expected) << "mode=" << label;
+  });
 }
 
 TEST(KernelsTest, ScratchAccumulatesTotals) {
@@ -302,70 +299,70 @@ TEST(KernelsTest, SelfJoinDriversIdenticalAcrossKernels) {
           const JoinStats naive_stats =
               RunSelfJoin(algo, tree, options, &baseline);
 
-          for (LeafKernel mode : PrunedKernelModes()) {
+          ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
             options.leaf_kernel = mode;
             MemorySink sink(IdWidthFor(entries.size()));
             const JoinStats stats = RunSelfJoin(algo, tree, options, &sink);
             EXPECT_EQ(sink.links(), baseline.links())
                 << JoinAlgorithmName(algo) << " eps=" << eps
-                << " mode=" << LeafKernelName(mode) << " sort=" << sort_pairs;
+                << " mode=" << label << " sort=" << sort_pairs;
             EXPECT_EQ(sink.groups(), baseline.groups());
             EXPECT_EQ(stats.kernel_hits, naive_stats.kernel_hits);
             EXPECT_EQ(stats.kernel_candidates, naive_stats.kernel_candidates);
             EXPECT_LE(stats.distance_computations,
                       naive_stats.distance_computations);
-          }
+          });
         }
       }
     }
   }
 }
 
-/// The batched leaf-tile pipeline is a pure scheduling change: every batch
-/// capacity — tiny ones that force drains mid-descent, huge ones that defer
-/// everything to the end, and 0/1 which disable batching outright — must
-/// reproduce the unbatched output byte for byte, links *and* groups, for
-/// both the tree and EGO drivers.
-TEST(KernelsTest, LeafBatchSizesAreOutputInvariant) {
-  const auto points = GenerateGaussianClusters<2>(500, 6, 0.02, 43);
+/// The batched leaf-tile pipeline is a pure scheduling change: with the
+/// batch filling and draining many times mid-traversal, every batched mode
+/// must reproduce the undeferred kNaive output byte for byte, links *and*
+/// groups, for both the tree and EGO drivers.
+TEST(KernelsTest, LeafBatchIsOutputInvariant) {
+  const auto points = GenerateGaussianClusters<2>(2000, 6, 0.02, 43);
   std::vector<Entry<2>> entries(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
     entries[i] = Entry<2>{static_cast<PointId>(i), points[i]};
   }
   const auto tree = SmallFanoutTree(entries);
-  const size_t batches[] = {0, 1, 2, 3, 64, size_t{1} << 20};
+  // Every leaf contributes at least one event, so this many leaves fill
+  // the batch at least three times before the end-of-run drain.
+  ASSERT_GE(tree.Stats().num_leaves, 3 * LeafBatch<2>::kCapacity);
 
   for (auto algo : {JoinAlgorithm::kSSJ, JoinAlgorithm::kCSJ}) {
     JoinOptions options;
-    options.epsilon = 0.05;
-    options.leaf_kernel = LeafKernel::kSimd;
-    options.leaf_batch = 0;  // Unbatched reference.
+    options.epsilon = 0.02;
+    options.leaf_kernel = LeafKernel::kNaive;
     MemorySink baseline(IdWidthFor(entries.size()));
     RunSelfJoin(algo, tree, options, &baseline);
-    for (size_t batch : batches) {
-      options.leaf_batch = batch;
+    ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
+      options.leaf_kernel = mode;
       MemorySink sink(IdWidthFor(entries.size()));
       RunSelfJoin(algo, tree, options, &sink);
       EXPECT_EQ(sink.links(), baseline.links())
-          << JoinAlgorithmName(algo) << " leaf_batch=" << batch;
+          << JoinAlgorithmName(algo) << " mode=" << label;
       EXPECT_EQ(sink.groups(), baseline.groups());
-    }
+    });
   }
 
+  // Ranges of at most 8 of the 2000 entries: at least 250 leaf ranges.
   EgoOptions ego;
-  ego.epsilon = 0.05;
-  ego.leaf_size = 16;
-  ego.leaf_kernel = LeafKernel::kSimd;
-  ego.leaf_batch = 0;
+  ego.epsilon = 0.02;
+  ego.leaf_size = 8;
+  ego.leaf_kernel = LeafKernel::kNaive;
   MemorySink ego_baseline(IdWidthFor(entries.size()));
   CompactEgoJoin(entries, ego, &ego_baseline);
-  for (size_t batch : batches) {
-    ego.leaf_batch = batch;
+  ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
+    ego.leaf_kernel = mode;
     MemorySink sink(IdWidthFor(entries.size()));
     CompactEgoJoin(entries, ego, &sink);
-    EXPECT_EQ(sink.links(), ego_baseline.links()) << "leaf_batch=" << batch;
+    EXPECT_EQ(sink.links(), ego_baseline.links()) << "mode=" << label;
     EXPECT_EQ(sink.groups(), ego_baseline.groups());
-  }
+  });
 }
 
 TEST(KernelsTest, SpatialJoinDriversIdenticalAcrossKernels) {
@@ -391,17 +388,17 @@ TEST(KernelsTest, SpatialJoinDriversIdenticalAcrossKernels) {
       MemorySink baseline_csj(IdWidthFor(100000 + eb.size()));
       CompactSpatialJoin(tree_a, tree_b, options, &baseline_csj);
 
-      for (LeafKernel mode : PrunedKernelModes()) {
+      ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
         options.leaf_kernel = mode;
         MemorySink ssj(IdWidthFor(100000 + eb.size()));
         StandardSpatialJoin(tree_a, tree_b, options, &ssj);
         EXPECT_EQ(ssj.links(), baseline.links())
-            << "eps=" << eps << " mode=" << LeafKernelName(mode);
+            << "eps=" << eps << " mode=" << label;
         MemorySink csj(IdWidthFor(100000 + eb.size()));
         CompactSpatialJoin(tree_a, tree_b, options, &csj);
         EXPECT_EQ(csj.links(), baseline_csj.links());
         EXPECT_EQ(csj.groups(), baseline_csj.groups());
-      }
+      });
     }
   }
 }
@@ -422,17 +419,17 @@ TEST(KernelsTest, EgoJoinsIdenticalAcrossKernels) {
     MemorySink base_csj(IdWidthFor(entries.size()));
     CompactEgoJoin(entries, options, &base_csj);
 
-    for (LeafKernel mode : PrunedKernelModes()) {
+    ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
       options.leaf_kernel = mode;
       MemorySink ssj(IdWidthFor(entries.size()));
       EgoSimilarityJoin(entries, options, &ssj);
       EXPECT_EQ(ssj.links(), base_ssj.links())
-          << "eps=" << eps << " mode=" << LeafKernelName(mode);
+          << "eps=" << eps << " mode=" << label;
       MemorySink csj(IdWidthFor(entries.size()));
       CompactEgoJoin(entries, options, &csj);
       EXPECT_EQ(csj.links(), base_csj.links());
       EXPECT_EQ(csj.groups(), base_csj.groups());
-    }
+    });
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/query_spec.h"
 #include "data/generators.h"
 #include "plan/estimator.h"
@@ -23,8 +26,6 @@ TEST(PlannerTest, ExplicitSpecPassesThroughUntouched) {
   spec.algo = QueryAlgo::kSSJ;  // deliberately "wrong" for clustered data
   spec.eps = 0.02;
   spec.window = 3;
-  spec.leaf_kernel = LeafKernel::kNaive;
-  spec.leaf_batch = 1;
   spec.threads = 2;
   const QueryPlan plan = PlanQuery(spec, sketch, 4);
   EXPECT_EQ(plan.resolved, spec);  // the planner only prices explicit runs
@@ -80,20 +81,14 @@ TEST(PlannerTest, EveryAutoKnobCarriesARationale) {
   const DatasetSketch sketch =
       BuildSketch(GenerateGaussianClusters<2>(6000, 8, 0.01, 7));
   const QueryPlan plan = PlanQuery(AutoSpec(0.02), sketch, 4);
-  bool saw_algo = false, saw_g = false, saw_kernel = false,
-       saw_threads = false;
+  std::vector<std::string> knobs;
   for (const PlanDecision& d : plan.decisions) {
     EXPECT_FALSE(d.choice.empty()) << d.knob;
     EXPECT_FALSE(d.rationale.empty()) << d.knob;
-    saw_algo |= d.knob == "algo";
-    saw_g |= d.knob == "g";
-    saw_kernel |= d.knob == "leaf_kernel";
-    saw_threads |= d.knob == "threads";
+    knobs.push_back(d.knob);
   }
-  EXPECT_TRUE(saw_algo);
-  EXPECT_TRUE(saw_g);
-  EXPECT_TRUE(saw_kernel);
-  EXPECT_TRUE(saw_threads);
+  // The planner decides only what changes cost.
+  EXPECT_EQ(knobs, (std::vector<std::string>{"algo", "g", "threads"}));
 }
 
 TEST(PlannerTest, PlanJsonRoundTripsTheResolvedKnobs) {
@@ -112,8 +107,8 @@ TEST(PlannerTest, PlanJsonRoundTripsTheResolvedKnobs) {
   EXPECT_EQ(knobs->Find("algo")->AsString(),
             QueryAlgoName(plan.resolved.algo));
   EXPECT_EQ(knobs->Find("g")->AsInt(), plan.resolved.window);
-  EXPECT_EQ(knobs->Find("leaf_kernel")->AsString(),
-            LeafKernelName(plan.resolved.leaf_kernel));
+  EXPECT_EQ(knobs->Find("threads")->AsInt(), plan.resolved.threads);
+  EXPECT_EQ(knobs->AsObject().size(), 3u);
   const json::Value* predicted = doc->Find("predicted");
   ASSERT_NE(predicted, nullptr);
   EXPECT_TRUE(predicted->is_object());
@@ -132,17 +127,14 @@ TEST(PlannerTest, DeriveJoinOptionsIsAFieldCopy) {
   spec.eps = 0.125;
   spec.algo = QueryAlgo::kCSJ;
   spec.window = 24;
-  spec.leaf_kernel = LeafKernel::kSimd;
-  spec.leaf_batch = 32;
-  spec.sort_child_pairs = true;
   spec.deadline_ms = 777;
   const JoinOptions options = DeriveJoinOptions(spec);
   EXPECT_DOUBLE_EQ(options.epsilon, 0.125);
   EXPECT_EQ(options.window_size, 24);
-  EXPECT_EQ(options.leaf_kernel, LeafKernel::kSimd);
-  EXPECT_EQ(options.leaf_batch, 32u);
-  EXPECT_TRUE(options.sort_child_pairs);
   EXPECT_EQ(options.deadline_ms, 777u);
+  // Every query runs the defaults: sweep, batched, index-order child pairs.
+  EXPECT_EQ(options.leaf_kernel, LeafKernel::kSweep);
+  EXPECT_FALSE(options.sort_child_pairs);
 }
 
 TEST(PlannerTest, DeriveEgoOptionsIsAFieldCopy) {
@@ -150,14 +142,11 @@ TEST(PlannerTest, DeriveEgoOptionsIsAFieldCopy) {
   spec.eps = 0.25;
   spec.algo = QueryAlgo::kCEgo;
   spec.window = 7;
-  spec.leaf_kernel = LeafKernel::kNaive;
-  spec.leaf_batch = 16;
   spec.deadline_ms = 99;
   const EgoOptions options = DeriveEgoOptions(spec);
   EXPECT_DOUBLE_EQ(options.epsilon, 0.25);
   EXPECT_EQ(options.window_size, 7);
-  EXPECT_EQ(options.leaf_kernel, LeafKernel::kNaive);
-  EXPECT_EQ(options.leaf_batch, 16u);
+  EXPECT_EQ(options.leaf_kernel, LeafKernel::kSweep);
   EXPECT_EQ(options.deadline_ms, 99u);
 }
 

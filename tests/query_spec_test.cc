@@ -96,9 +96,6 @@ TEST(QuerySpecTest, JsonRoundTripIsExact) {
   full.algo = QueryAlgo::kNCSJ;
   full.eps = 0.125;
   full.window = 32;
-  full.leaf_kernel = LeafKernel::kSimd;
-  full.leaf_batch = 128;
-  full.sort_child_pairs = true;
   full.threads = 4;
   full.deadline_ms = 2500;
   full.mem_budget = 1ull << 30;
@@ -127,8 +124,6 @@ TEST(QuerySpecTest, FromJsonAbsentFieldsKeepDefaults) {
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->algo, QueryAlgo::kCSJ);
   EXPECT_EQ(spec->window, 10);
-  EXPECT_EQ(spec->leaf_kernel, LeafKernel::kSweep);
-  EXPECT_EQ(spec->leaf_batch, 64u);
   EXPECT_EQ(spec->threads, 0);
   EXPECT_EQ(spec->output, OutputFormat::kText);
   EXPECT_DOUBLE_EQ(spec->eps, 0.25);
@@ -151,10 +146,53 @@ TEST(QuerySpecTest, FromJsonIsStrict) {
   typed["algo"] = "quantum";
   EXPECT_FALSE(QuerySpec::FromJson(typed).ok());
   typed = json::Object{};
-  typed["sort_child_pairs"] = 1;
+  typed["g"] = "ten";
   EXPECT_FALSE(QuerySpec::FromJson(typed).ok());
 
   EXPECT_FALSE(QuerySpec::FromJson(json::Value("[]")).ok());
+
+  // Integer fields take only integers in their C++ type's range: negative
+  // unsigned values, fractions and out-of-range values are field errors,
+  // never CHECK failures, exceptions or silent truncation.
+  for (const char* line :
+       {R"({"deadline_ms":-1})", R"({"mem_budget":-7})", R"({"g":2.5})",
+        R"({"g":18446744073709551615})", R"({"g":4294967297})",
+        R"({"g":-2147483649})", R"({"threads":1e3})",
+        R"({"deadline_ms":1.5})", R"({"mem_budget":1e30})"}) {
+    const auto doc = json::Parse(line);
+    ASSERT_TRUE(doc.ok()) << line;
+    const auto parsed = QuerySpec::FromJson(*doc);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.status().message().find("request field '"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The extremes of each range still parse.
+  const auto extremes = json::Parse(
+      R"({"g":2147483647,"threads":-2147483648,)"
+      R"("deadline_ms":18446744073709551615,"mem_budget":0})");
+  ASSERT_TRUE(extremes.ok());
+  const auto spec_at_extremes = QuerySpec::FromJson(*extremes);
+  ASSERT_TRUE(spec_at_extremes.ok()) << spec_at_extremes.status().ToString();
+  EXPECT_EQ(spec_at_extremes->window, 2147483647);
+  EXPECT_EQ(spec_at_extremes->threads, -2147483647 - 1);
+  EXPECT_EQ(spec_at_extremes->deadline_ms, 18446744073709551615ull);
+  EXPECT_EQ(spec_at_extremes->mem_budget, 0u);
+}
+
+TEST(QuerySpecTest, RemovedKnobsAreUnknownFields) {
+  // The leaf kernel, batch depth and child-pair order never change the
+  // output, so they are not part of a query.
+  for (const char* field : {"leaf_kernel", "leaf_batch", "sort_child_pairs"}) {
+    json::Value doc = json::Object{};
+    doc["eps"] = 0.25;
+    doc[field] = "sweep";
+    const auto spec = QuerySpec::FromJson(doc);
+    ASSERT_FALSE(spec.ok()) << field;
+    EXPECT_EQ(spec.status().message(),
+              std::string("unknown request field '") + field + "'");
+  }
 }
 
 }  // namespace

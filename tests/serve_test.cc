@@ -50,8 +50,11 @@
 namespace csj::serve {
 namespace {
 
+/// Per-process temp path: ctest runs every case as its own process, in
+/// parallel, so a shared name would let one case unlink another's fixture.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return StrFormat("%s/%d_%s", testing::TempDir().c_str(), getpid(),
+                   name.c_str());
 }
 
 std::vector<Entry<2>> FixtureEntries(size_t n, uint64_t seed) {
@@ -227,14 +230,16 @@ class ServeTest : public ::testing::Test {
     return bytes;
   }
 
-  /// Conversion temp files (`*.paged.tmp.*`) left in `dir` — a failed load
-  /// must never leave any.
+  /// Conversion temp files (`*.paged.tmp.<pid>.*`) this process left in
+  /// `dir` — a failed load must never leave any. Other test processes
+  /// running in parallel may be converting in the same directory.
   static std::vector<std::string> TempDroppings(const std::string& dir) {
+    const std::string mine = StrFormat(".paged.tmp.%d.", getpid());
     std::vector<std::string> found;
     DIR* d = ::opendir(dir.c_str());
     if (d == nullptr) return found;
     while (struct dirent* entry = ::readdir(d)) {
-      if (std::strstr(entry->d_name, ".paged.tmp.") != nullptr) {
+      if (std::strstr(entry->d_name, mine.c_str()) != nullptr) {
         found.push_back(entry->d_name);
       }
     }
@@ -286,6 +291,21 @@ TEST_F(ServeTest, PingListAndErrors) {
                                                ",\"unknown_knob\":1"))
                 .code,
             "InvalidArgument");
+
+  // Malformed integer fields are answered with an error line; none of them
+  // may take the server down, so a fresh connection is still served.
+  for (const char* line :
+       {R"({"op":"ping","deadline_ms":-1})", R"({"op":"ping","mem_budget":-7})",
+        R"({"op":"ping","g":2.5})", R"({"op":"ping","g":18446744073709551615})",
+        R"({"op":"ping","g":4294967297})"}) {
+    const Response bad = RoundTrip(socket_path, line);
+    ASSERT_TRUE(bad.transport.ok()) << line;
+    EXPECT_EQ(bad.code, "InvalidArgument") << line;
+    const Response after = RoundTrip(socket_path, "{\"op\":\"ping\"}");
+    ASSERT_TRUE(after.transport.ok()) << after.transport.ToString();
+    EXPECT_NE(after.first_line.find("\"ok\":true"), std::string::npos)
+        << line;
+  }
   server->Shutdown();
 }
 

@@ -19,9 +19,9 @@
 ///
 ///   csj_serve query --socket /tmp/csj.sock --dataset pts --eps 0.05
 ///                   [--algo auto|ssj|ncsj|csj] [--g 10]
-///                   [--leaf-kernel sweep] [--leaf-batch 64]
 ///                   (--algo auto: the server's cost-based planner picks the
-///                   knobs and the trailer's stats.plan explains the choice)
+///                   algorithm and g, and the trailer's stats.plan explains
+///                   the choice)
 ///                   [--output-format text|binary|none] [--out result.txt]
 ///                   [--deadline-ms N] [--mem-budget BYTES] [--metrics 1]
 ///                   [--dataset-b other]           (dual/spatial join)
@@ -323,10 +323,6 @@ int CmdQuery(Flags& flags) {
   if (eps > 0.0) request["eps"] = eps;
   const long g = flags.GetInt("g", -1);
   if (g >= 0) request["g"] = static_cast<int64_t>(g);
-  const std::string kernel = flags.GetOr("leaf-kernel", "");
-  if (!kernel.empty()) request["leaf_kernel"] = kernel;
-  const long leaf_batch = flags.GetInt("leaf-batch", -1);
-  if (leaf_batch >= 0) request["leaf_batch"] = static_cast<int64_t>(leaf_batch);
   const std::string format_name = flags.GetOr("output-format", "text");
   OutputFormat format = OutputFormat::kText;
   if (!ParseOutputFormat(format_name, &format)) {

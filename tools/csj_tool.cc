@@ -8,8 +8,8 @@
 ///                     --out result.txt   (one line)
 ///   csj_tool join     --points pts.txt --eps 0.05 --algo ego --out r.txt
 ///   csj_tool join     --index index.csjt --eps 0.05 --algo auto --out r.txt
-///                     (cost-based planner picks algorithm, g, leaf kernel
-///                     and serial-vs-parallel; the chosen plan and its
+///                     (cost-based planner picks algorithm, g and
+///                     serial-vs-parallel; the chosen plan and its
 ///                     predictions ride along in --metrics json output; see
 ///                     docs/PLANNING.md)
 ///   csj_tool plan     --index index.csjt --eps 0.05 [--algo csj] [--json 1]
@@ -18,14 +18,6 @@
 ///                     defaults to --algo auto, an explicit algo is priced)
 ///   csj_tool join     ... --metrics json   (stats + metrics snapshot JSON
 ///                     on stdout; --metrics text appends a readable dump)
-///   csj_tool join     ... --leaf-kernel naive|sweep|simd|avx2|avx512
-///                     (leaf-level pair-enumeration strategy; simd picks the
-///                     best ISA the host supports, avx2/avx512 force one;
-///                     identical output either way, see docs/PERFORMANCE.md;
-///                     default sweep)
-///   csj_tool join     ... --leaf-batch 64   (leaf-tile pairs buffered per
-///                     batched kernel pass; 0 or 1 disables batching;
-///                     identical output at any value)
 ///   csj_tool join     ... --output-format text|binary|none   (binary = the
 ///                     compact CSJ2 format, docs/OUTPUT_FORMAT.md; none =
 ///                     count bytes without writing; default text)
@@ -260,14 +252,6 @@ QuerySpec SpecFromFlags(Flags& flags, std::string* index_path,
   }
   spec.eps = flags.GetDouble("eps", 0.0);
   spec.window = static_cast<int>(flags.GetInt("g", 10));
-  const std::string kernel_name = flags.GetOr("leaf-kernel", "sweep");
-  if (!ParseLeafKernel(kernel_name, &spec.leaf_kernel)) {
-    Flags::Die("--leaf-kernel must be naive, sweep, simd, avx2 or avx512");
-  }
-  const long leaf_batch = flags.GetInt("leaf-batch", 64);
-  if (leaf_batch < 0) Flags::Die("--leaf-batch must be non-negative");
-  spec.leaf_batch = static_cast<size_t>(leaf_batch);
-  spec.sort_child_pairs = flags.GetOr("sort-child-pairs", "0") != "0";
   // Absent --threads leaves 0 ("unspecified"): the planner decides under
   // --algo auto, explicit runs stay serial — the historical default.
   spec.threads = static_cast<int>(flags.GetInt("threads", 0));
