@@ -1,18 +1,15 @@
 /// \file
 /// Engineering extension: multi-threaded CSJ(g) scaling. Not in the paper
 /// (2008, single-threaded); included because a production deployment would
-/// insist on it. Every row runs CheckpointedSelfJoin over the same 32-task
-/// list (threads x tasks-per-thread = 32), so every row writes the same
-/// bytes; per-task windows lose only the merges that would cross a task
-/// boundary, compared with the one-window sequential join.
-
-#include <unistd.h>
+/// insist on it. Every row runs the task loop over the task list every
+/// tree join of this (tree, eps) uses, so every row writes the same bytes
+/// as the plain CompactSimilarityJoin; only the worker count changes.
 
 #include <cstdio>
 #include <thread>
 
 #include "bench_common.h"
-#include "core/checkpoint_join.h"
+#include "core/similarity_join.h"
 #include "data/roadnet.h"
 #include "index/bulk_load.h"
 
@@ -27,7 +24,6 @@ void Main(const BenchArgs& args) {
   RStarTree<2> tree;
   PackStr(&tree, entries);
   const double eps = 0.02;
-  constexpr int kTasks = 32;
 
   std::printf("dataset: road network, %s points, eps=%.3g, %u hardware "
               "threads\n",
@@ -41,27 +37,15 @@ void Main(const BenchArgs& args) {
   double base_seconds = 0.0;
   Table table("Extension — parallel CSJ(10) scaling",
               {"threads", "time", "speedup", "bytes", "groups"});
-  {
-    BenchRecorder::Get().SetContext("sequential");
-    auto sink = MakeSinkOrDie(OutputSpec::Counting(entries.size()));
-    const JoinStats stats = CompactSimilarityJoin(tree, options, sink.get());
-    BenchRecorder::Get().RecordStats(stats);
-    base_seconds = stats.elapsed_seconds;
-    table.AddRow({"sequential", HumanDuration(stats.elapsed_seconds), "1.00x",
-                  WithThousands(sink->bytes()),
-                  WithThousands(sink->num_groups())});
-  }
   for (int threads : {1, 2, 4, 8}) {
-    CheckpointJoinOptions ckpt;
-    ckpt.manifest_path = StrFormat("/tmp/csj_bench_parallel_%d.ckpt", getpid());
-    ckpt.threads = threads;
-    ckpt.tasks_per_thread = kTasks / threads;
     BenchRecorder::Get().SetContext(StrFormat("threads=%d", threads));
-    const JoinStats stats = CheckpointedSelfJoin(
-        tree, JoinAlgorithm::kCSJ, options,
-        OutputSpec::Counting(entries.size()), ckpt);
+    auto sink = MakeSinkOrDie(OutputSpec::Counting(entries.size()));
+    const JoinStats stats = internal::RunJoin(
+        tree, tree, /*self_join=*/true, JoinAlgorithm::kCSJ, options,
+        sink.get(), threads);
     CSJ_CHECK(stats.status.ok()) << stats.status.ToString();
     BenchRecorder::Get().RecordStats(stats);
+    if (threads == 1) base_seconds = stats.elapsed_seconds;
     table.AddRow({StrFormat("%d", threads),
                   HumanDuration(stats.elapsed_seconds),
                   StrFormat("%.2fx", base_seconds / stats.elapsed_seconds),
@@ -71,10 +55,8 @@ void Main(const BenchArgs& args) {
   EmitTable(table, args, "parallel_scaling");
   std::printf(
       "Expected: near-linear speedup while the machine has that many cores "
-      "(on a single-core box every row shows only the runner's overhead); "
-      "bytes and groups identical in every threads row (one 32-task list), "
-      "and within a fraction of a percent of sequential (per-task windows "
-      "lose the merges that would cross a task boundary).\n");
+      "(on a single-core box every row shows only the loop's overhead); "
+      "bytes and groups identical in every row (one task list).\n");
 }
 
 }  // namespace

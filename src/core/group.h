@@ -206,6 +206,10 @@ class GroupWindow {
 
   size_t live_groups() const { return window_.size(); }
 
+  /// Points the window at another sink; call only while it is empty (after
+  /// Flush), as the task loop does between tasks.
+  void set_sink(JoinSink* sink) { sink_ = sink; }
+
  private:
   MemoryBudget* Budget() const {
     return exec_ != nullptr ? exec_->memory_budget() : nullptr;

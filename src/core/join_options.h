@@ -85,21 +85,17 @@ struct JoinOptions {
   /// emission, so leave off in pure-runtime sweeps.
   bool measure_write_time = false;
 
-  /// Wall-clock budget in milliseconds; 0 = unlimited. Every driver honors
-  /// it: the run stops at the next task boundary (node visit / task start)
-  /// and reports DeadlineExceeded through `JoinStats::status`. Checkpointed
-  /// runs (core/checkpoint_join.h) additionally write a final checkpoint at
-  /// the interrupted boundary, so `--resume` picks up exactly where the
-  /// budget ran out.
+  /// Wall-clock budget in milliseconds; 0 = unlimited. The run stops at the
+  /// next node visit and reports DeadlineExceeded through
+  /// `JoinStats::status`; a checkpointed run (core/checkpoint_join.h) stops
+  /// at a task boundary instead and saves a final checkpoint for `--resume`.
   uint64_t deadline_ms = 0;
 
   /// Optional resource governance (util/exec_context.h): cancel flag,
   /// deadline, memory budget. Not owned; may be shared across concurrent
-  /// runs (polling is thread-safe). A driver layers `deadline_ms` on top by
-  /// chaining a private context under this one, so both constraints apply.
-  /// On a trip the run unwinds at the next task boundary and
-  /// `JoinStats::status` carries kDeadlineExceeded / kCancelled /
-  /// kResourceExhausted.
+  /// runs (polling is thread-safe). The task loop layers `deadline_ms` on
+  /// top; on a trip `JoinStats::status` carries kDeadlineExceeded /
+  /// kCancelled / kResourceExhausted.
   ExecContext* exec = nullptr;
 
   /// Optional node/page access accounting (Experiment 3). Not owned.

@@ -90,10 +90,9 @@ struct QuerySpec {
   /// CSJ(g) merge-window size (the paper's g). JSON field "g".
   int window = 10;
 
-  /// Worker threads. 0 = unspecified: the planner decides for `algo=auto`,
-  /// explicit runs treat it as 1 (serial). Values > 1 select the
-  /// checkpointed parallel runner in csj_tool; csj_serve ignores the field
-  /// (each query runs serial on a server worker).
+  /// Worker threads for a tree join, clamped to the host's hardware threads.
+  /// 0 = unspecified: the planner decides for `algo=auto`, explicit runs
+  /// treat it as 1. The output does not depend on it; ego/cego run serial.
   int threads = 0;
 
   /// Wall-clock budget in milliseconds; 0 = unlimited (or the server

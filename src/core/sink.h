@@ -181,7 +181,7 @@ class JoinSink {
   virtual void DoGroup(std::span<const PointId> members) = 0;
 
   /// For a sink whose records are re-emitted into another sink later (the
-  /// checkpointed runner's task buffers): its records stay out of the
+  /// task loop's task buffers): its records stay out of the
   /// process-wide sink.* counters, so each record is counted once, by the
   /// sink that finally accepts it.
   void DisableRecordMetrics() { record_metrics_ = false; }

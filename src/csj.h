@@ -51,6 +51,7 @@
 #include "metric/generic_mtree.h"
 #include "metric/metric_join.h"
 #include "plan/estimator.h"
+#include "plan/execute.h"
 #include "plan/planner.h"
 #include "storage/binary_format.h"
 #include "storage/block_writer.h"

@@ -97,8 +97,8 @@ const KernelBackend& GetKernelBackend(KernelIsa isa);
 
 /// Records which backend a join run executed with: sets the
 /// `kernel.backend` gauge to the KernelIsa value and bumps the per-ISA
-/// `kernel.backend.<name>` run counter. Drivers call this once per run,
-/// alongside filling JoinStats::kernel_isa.
+/// `kernel.backend.<name>` run counter. Called once per join, alongside
+/// filling JoinStats::kernel_isa.
 void RecordKernelBackendMetric(KernelIsa isa);
 
 namespace dispatch_internal {

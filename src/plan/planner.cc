@@ -14,8 +14,8 @@ namespace {
 /// upkeep outweighs the output it saves and the planner picks SSJ.
 constexpr double kMinCompression = 1.2;
 
-/// Predicted leaf-work (candidate pairs) above which parallel checkpointed
-/// execution amortizes its task-decomposition and replay overhead.
+/// Predicted leaf-work (candidate pairs) above which extra workers pay for
+/// starting them. The output does not depend on the choice.
 constexpr double kParallelWork = 2.0e8;
 
 void RecordPick(QueryAlgo algo) {
@@ -163,13 +163,13 @@ QueryPlan PlanQuery(const QuerySpec& spec, const DatasetSketch& sketch,
     plan.resolved.threads = 4;
     decide("threads", "4",
            StrFormat("predicted leaf work ~%.2g candidate pairs — "
-                     "parallel traversal amortizes task setup",
+                     "enough to keep 4 workers busy",
                      est.leaf_work));
   } else {
     plan.resolved.threads = 1;
     decide("threads", "1",
-           StrFormat("predicted leaf work ~%.2g candidate pairs — serial "
-                     "avoids checkpoint and replay overhead",
+           StrFormat("predicted leaf work ~%.2g candidate pairs — too "
+                     "little for extra workers to pay for starting them",
                      est.leaf_work));
   }
   return plan;

@@ -17,17 +17,18 @@
 ///
 /// `PlanQuery` resolves a spec against a dataset sketch. An explicit spec
 /// passes through untouched (the planner only prices it); `algo=auto` makes
-/// the planner choose the algorithm, merge window and serial-vs-parallel
-/// execution — the decisions that change cost — recording a rationale per
-/// decision so `csj_tool plan` / the serve trailer can explain themselves.
+/// the planner choose the algorithm, merge window and worker threads — the
+/// decisions that change cost — recording a rationale per decision so
+/// `csj_tool plan` / the serve trailer can explain themselves. The plan runs
+/// through plan/execute.h.
 ///
 /// Policy (docs/PLANNING.md has the full derivation):
 ///  * SSJ when the predicted compression ratio is below 1.2x — groups that
 ///    do not pay for their window upkeep are pure overhead;
 ///  * otherwise CSJ(g), with g picked by predicted neighborhood density
 ///    (the paper's sweet spot g=10 in the middle band);
-///  * parallel (checkpointed) execution only when the predicted leaf work
-///    dwarfs the per-run setup cost; serving always runs queries serial.
+///  * 4 threads only when the predicted leaf work keeps them busy; threads
+///    choose the number of workers, never the output.
 ///
 /// `DeriveJoinOptions` / `DeriveEgoOptions` are the *only* spec-to-options
 /// mapping in the system: a 1:1 field copy onto the option defaults (sweep

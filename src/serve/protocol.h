@@ -43,13 +43,13 @@
 ///   dataset     (join/range) registered dataset name
 ///   dataset_b   second dataset: selects a dual (spatial) join
 ///   algo        "auto" | "ssj" | "ncsj" | "csj"    (default "csj"; "auto"
-///               lets the cost-based planner pick the algorithm and g
-///               against the dataset's load-time sketch, and the trailer's
-///               stats.plan echoes the resolved, explained plan)
+///               lets the cost-based planner pick the algorithm, g and
+///               threads against the dataset's load-time sketch, and the
+///               trailer's stats.plan echoes the resolved, explained plan)
 ///   eps         epsilon > 0 (required for join/range)
 ///   g           CSJ(g) window size                 (default 10)
-///   threads     accepted and ignored: every served query runs serial on a
-///               server worker
+///   threads     the query's workers, clamped to the host's cores (default
+///               1); the response does not depend on it
 ///   output      "text" | "binary" | "none"         (default "text";
 ///               range queries are text-only)
 ///   deadline_ms per-query wall-clock budget; 0 = server default

@@ -14,11 +14,9 @@
 #include <csignal>
 #include <cstring>
 #include <memory>
-#include <optional>
 
-#include "core/similarity_join.h"
 #include "core/sink.h"
-#include "plan/planner.h"
+#include "plan/execute.h"
 #include "serve/protocol.h"
 #include "storage/output_file.h"
 #include "util/failpoint.h"
@@ -517,58 +515,18 @@ bool Server::HandleRequest(int fd, const Request& req) {
     spec.id_width = id_width;
     spec.atomic = false;
     spec.budget = &query_budget;
-    auto sink_result = MakeSink(spec);
-    if (!sink_result.ok()) {
-      Unwatch(ticket);
-      return WriteCtrl(fd,
-                       TrailerLine(sink_result.status(), stats, 0, nullptr));
-    }
-    std::unique_ptr<JoinSink> sink = std::move(sink_result).value();
-
-    // "algo":"auto" — resolve against the dataset's load-time sketch. The
-    // resolved plan drives execution and is echoed (with its predictions)
-    // in the trailer's stats.plan. Dual joins plan against the left side.
+    // The same entry point as `csj_tool join`: "algo":"auto" resolves
+    // against the dataset's load-time sketch (dual joins plan against the
+    // left side), threads are honored, and the plan rides in the trailer.
+    // A stream has no artifact to discard, so it is sealed even when the
+    // join stops early: a partial binary payload still carries its EOF
+    // marker and footer, and the trailer's status says it is partial.
     QuerySpec run_spec = req.spec;
-    std::optional<plan::QueryPlan> query_plan;
-    if (run_spec.algo == QueryAlgo::kAuto) {
-      query_plan = plan::PlanQuery(run_spec, dataset->sketch, id_width);
-      run_spec = query_plan->resolved;
-    }
-
-    JoinOptions options = plan::DeriveJoinOptions(run_spec);
-    options.deadline_ms = deadline_ms;
-    options.exec = &exec;
-    const JoinAlgorithm algorithm = TreeAlgorithmFor(run_spec.algo);
-    if (dataset_b != nullptr) {
-      switch (algorithm) {
-        case JoinAlgorithm::kSSJ:
-          stats = StandardSpatialJoin(dataset->tree, dataset_b->tree, options,
-                                      sink.get());
-          break;
-        case JoinAlgorithm::kNCSJ:
-          stats = NaiveCompactSpatialJoin(dataset->tree, dataset_b->tree,
-                                          options, sink.get());
-          break;
-        case JoinAlgorithm::kCSJ:
-          stats = CompactSpatialJoin(dataset->tree, dataset_b->tree, options,
-                                     sink.get());
-          break;
-      }
-    } else {
-      stats = RunSelfJoin(algorithm, dataset->tree, options, sink.get());
-    }
-    if (query_plan) {
-      plan::AttachPlan(*query_plan, &stats);
-      if (stats.status.ok()) plan::RecordPlanAccuracy(stats);
-    }
+    run_spec.deadline_ms = deadline_ms;
+    stats = plan::Execute(run_spec, dataset->tree,
+                          dataset_b != nullptr ? &dataset_b->tree : nullptr,
+                          &dataset->sketch, spec, &exec);
     status = stats.status;
-    // Unlike a one-shot file sink (where a governed stop discards the
-    // artifact), a stream has no artifact to discard: always seal it, so a
-    // partial binary payload still carries its EOF marker and footer and
-    // the client-side structural scan terminates. The trailer's status says
-    // the result is partial.
-    const Status sealed = sink->Finish();
-    if (status.ok()) status = sealed;
   }
   Unwatch(ticket);
 

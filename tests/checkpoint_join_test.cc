@@ -25,16 +25,17 @@
 #include "util/metrics.h"
 
 /// \file
-/// The task runner (CheckpointedSelfJoin): output that depends only on the
-/// task list — byte-identical across thread counts for every algorithm and
-/// format — byte-identical resume after interruption, also at another
-/// thread count, graceful cancellation, deadline expiry, resume validation
-/// against configuration drift, exact cumulative JoinStats across resumes,
-/// and the runner's metrics. The interruptions here are real — a deadline
-/// stops the run at an arbitrary task boundary and the test resumes until
-/// completion, so every assertion is independent of *where* the run was
-/// cut. ParallelJoinTest covers multi-threaded runs: losslessness, degenerate
-/// inputs, window options, and sink deaths mid-run.
+/// The task loop and its manifest layer (CheckpointedSelfJoin): output that
+/// depends only on (tree, eps) — byte-identical across thread counts for
+/// every algorithm and format, and equal to the plain join's — byte-identical
+/// resume after interruption, also at another thread count, graceful
+/// cancellation, deadline expiry, resume validation against configuration
+/// drift, exact cumulative JoinStats across resumes, and the loop's metrics.
+/// The interruptions here are real — a deadline stops the run at an
+/// arbitrary task boundary and the test resumes until completion, so every
+/// assertion is independent of *where* the run was cut. ParallelJoinTest
+/// covers multi-threaded runs: losslessness, degenerate inputs, window
+/// options, sink deaths mid-run, and dual (spatial) joins.
 
 namespace csj {
 namespace {
@@ -117,13 +118,11 @@ class CheckpointJoinTest : public testing::Test {
     return spec;
   }
 
-  CheckpointJoinOptions Ckpt(const std::string& name, int threads = 1,
-                             int tasks_per_thread = 8) {
+  CheckpointJoinOptions Ckpt(const std::string& name, int threads = 1) {
     CheckpointJoinOptions ckpt;
     ckpt.manifest_path = testing::TempDir() + "/" + name;
     ckpt.checkpoint_interval = 7;
     ckpt.threads = threads;
-    ckpt.tasks_per_thread = tasks_per_thread;
     cleanup_.push_back(ckpt.manifest_path);
     return ckpt;
   }
@@ -142,12 +141,12 @@ class CheckpointJoinTest : public testing::Test {
   /// Runs under a short deadline, resuming after every expiration until the
   /// join completes. Returns the final (cumulative) stats and requires at
   /// least one real interruption, so the equivalence assertions downstream
-  /// genuinely cover the resume path. Resumes run with `resume_shape`'s
-  /// threads and tasks_per_thread when it is given.
+  /// genuinely cover the resume path. Resumes run at `resume_threads` when
+  /// it is positive.
   JoinStats RunCrashLoop(JoinAlgorithm algorithm, const OutputSpec& spec,
                          CheckpointJoinOptions ckpt, uint64_t deadline_ms,
                          int* interruptions_out = nullptr,
-                         const CheckpointJoinOptions* resume_shape = nullptr) {
+                         int resume_threads = 0) {
     JoinOptions options = Options();
     options.deadline_ms = deadline_ms;
     int interruptions = 0;
@@ -166,10 +165,7 @@ class CheckpointJoinTest : public testing::Test {
           << "interrupted run left no manifest";
       ++interruptions;
       ckpt.resume = true;
-      if (resume_shape != nullptr) {
-        ckpt.threads = resume_shape->threads;
-        ckpt.tasks_per_thread = resume_shape->tasks_per_thread;
-      }
+      if (resume_threads > 0) ckpt.threads = resume_threads;
       // Let later sessions run longer so the loop always converges even on
       // a slow (e.g. sanitizer) build.
       if (attempt >= 50) options.deadline_ms = deadline_ms * 10;
@@ -330,15 +326,23 @@ TEST_F(CheckpointJoinTest, ResumeValidatesConfigurationAndManifest) {
     EXPECT_EQ(stats.status.code(), StatusCode::kFailedPrecondition);
   }
   {
-    // Different task granularity (changes the task list). A different
-    // thread count alone is fine: see ResumeAtAnotherThreadCount below.
-    auto coarse = ckpt;
-    coarse.tasks_per_thread = 4096;
-    ASSERT_NE(internal::BuildTaskList(tree_, Options().epsilon, 8).size(),
-              internal::BuildTaskList(tree_, Options().epsilon, 4096).size());
-    const JoinStats stats = CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ,
-                                                 Options(), spec, coarse);
-    EXPECT_EQ(stats.status.code(), StatusCode::kFailedPrecondition);
+    // A tree of the same size and dimension built with another fanout
+    // passes the fingerprint, but its task list differs. A different thread
+    // count alone is fine: see ResumeAtAnotherThreadCount below.
+    RStarOptions narrow;
+    narrow.max_fanout = 8;
+    narrow.min_fanout = 3;
+    RStarTree<2> other(narrow);
+    PackStr(&other, entries_);
+    ASSERT_EQ(other.size(), tree_.size());
+    ASSERT_NE(internal::TaskListHash(internal::BuildTaskList(
+                  other, Options().epsilon, internal::kTaskTarget)),
+              internal::TaskListHash(internal::BuildTaskList(
+                  tree_, Options().epsilon, internal::kTaskTarget)));
+    const JoinStats stats = CheckpointedSelfJoin(other, JoinAlgorithm::kCSJ,
+                                                 Options(), spec, ckpt);
+    EXPECT_EQ(stats.status.code(), StatusCode::kFailedPrecondition)
+        << stats.status.ToString();
   }
   {
     // Truncated manifest: a clean parse error, never a silent restart.
@@ -462,30 +466,31 @@ std::string ShapeName(JoinAlgorithm algorithm, OutputFormat format) {
 }
 
 TEST_F(CheckpointJoinTest, OutputIsIdenticalAcrossThreadCounts) {
-  // (threads, tasks_per_thread) with one product build one task list, so the
-  // output is the same bytes whatever the thread count.
-  const std::pair<int, int> shapes[] = {{1, 32}, {2, 16}, {4, 8}, {8, 4}};
+  // The task list depends only on (tree, eps), so every thread count writes
+  // the same bytes — and so does the plain join, which runs the same list
+  // without a manifest.
   for (const JoinAlgorithm algorithm : kAlgorithms) {
     for (const OutputFormat format : kFormats) {
       const std::string name = "ckj_shape_" + ShapeName(algorithm, format);
       SCOPED_TRACE(name);
-      JoinStats reference;
-      std::string reference_bytes;
-      for (const auto& [threads, per_thread] : shapes) {
+      const auto plain_spec = Spec(format, name + "_plain.out");
+      auto sink = MakeSink(plain_spec);
+      ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+      const JoinStats reference =
+          RunSelfJoin(algorithm, tree_, Options(), sink->get());
+      ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+      ASSERT_TRUE((*sink)->Finish().ok());
+      ASSERT_GT(reference.links + reference.groups, 0u);
+      const std::string reference_bytes =
+          format == OutputFormat::kNone ? "" : ReadWholeFile(plain_spec.path);
+      for (const int threads : {1, 2, 4, 8}) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
         const auto spec =
             Spec(format, name + "_" + std::to_string(threads) + ".out");
         const JoinStats stats =
-            RunFull(algorithm, spec,
-                    Ckpt(name + ".ckpt", threads, per_thread));
+            RunFull(algorithm, spec, Ckpt(name + ".ckpt", threads));
         const std::string bytes =
             format == OutputFormat::kNone ? "" : ReadWholeFile(spec.path);
-        if (threads == 1) {
-          reference = stats;
-          reference_bytes = bytes;
-          ASSERT_GT(stats.links + stats.groups, 0u);
-          continue;
-        }
         EXPECT_EQ(bytes, reference_bytes);
         ExpectSameCounters(stats, reference);
       }
@@ -494,23 +499,21 @@ TEST_F(CheckpointJoinTest, OutputIsIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(CheckpointJoinTest, ResumeAtAnotherThreadCountIsByteIdentical) {
-  // Interrupted at 4 threads x 4 tasks, resumed at 2 x 8, compared with an
-  // uninterrupted serial run of the same 16-task list.
+  // Interrupted at 4 threads, resumed at 2, compared with an uninterrupted
+  // serial run.
   for (const JoinAlgorithm algorithm : kAlgorithms) {
     for (const OutputFormat format : kFormats) {
       const std::string name = "ckj_rethread_" + ShapeName(algorithm, format);
       SCOPED_TRACE(name);
       const auto full_spec = Spec(format, name + "_full.out");
       const JoinStats full =
-          RunFull(algorithm, full_spec, Ckpt(name + "_full.ckpt", 1, 16));
+          RunFull(algorithm, full_spec, Ckpt(name + "_full.ckpt", 1));
       const auto spec = Spec(format, name + "_crash.out");
-      CheckpointJoinOptions resume_shape;
-      resume_shape.threads = 2;
-      resume_shape.tasks_per_thread = 8;
       int interruptions = 0;
       const JoinStats resumed =
-          RunCrashLoop(algorithm, spec, Ckpt(name + "_crash.ckpt", 4, 4),
-                       /*deadline_ms=*/5, &interruptions, &resume_shape);
+          RunCrashLoop(algorithm, spec, Ckpt(name + "_crash.ckpt", 4),
+                       /*deadline_ms=*/5, &interruptions,
+                       /*resume_threads=*/2);
       EXPECT_GT(interruptions, 0) << "deadline never fired; nothing tested";
       if (format != OutputFormat::kNone) {
         EXPECT_EQ(ReadWholeFile(spec.path), ReadWholeFile(full_spec.path));
@@ -554,8 +557,7 @@ TEST_F(CheckpointJoinTest, WriteSecondsCoverTheSinkAtTwoThreads) {
   const uint64_t replay_ns = HistogramSum("parallel.replay_ns");
   // Many small tasks and no periodic checkpoint keep the frontier rarely
   // free, so much of the output reaches the sink by replay.
-  auto ckpt = Ckpt("ckj_write_time.ckpt", /*threads=*/2,
-                   /*tasks_per_thread=*/64);
+  auto ckpt = Ckpt("ckj_write_time.ckpt", /*threads=*/2);
   ckpt.checkpoint_interval = 0;
   const JoinStats stats =
       CheckpointedSelfJoin(tree_, JoinAlgorithm::kSSJ, options, spec, ckpt);
@@ -594,11 +596,47 @@ TEST_F(CheckpointJoinTest, ParallelMetricsDescribeTheTaskList) {
   const uint64_t workers = CounterValue("parallel.workers");
   const uint64_t tasks = CounterValue("parallel.tasks_total");
   const auto spec = Spec(OutputFormat::kNone, "unused");
-  RunFull(JoinAlgorithm::kCSJ, spec, Ckpt("ckj_par_metrics.ckpt", 4, 8));
+  RunFull(JoinAlgorithm::kCSJ, spec, Ckpt("ckj_par_metrics.ckpt", 4));
   EXPECT_EQ(CounterValue("parallel.joins") - joins, 1u);
   EXPECT_EQ(CounterValue("parallel.workers") - workers, 4u);
   EXPECT_EQ(CounterValue("parallel.tasks_total") - tasks,
-            internal::BuildTaskList(tree_, Options().epsilon, 32).size());
+            internal::BuildTaskList(tree_, Options().epsilon,
+                                    internal::kTaskTarget)
+                .size());
+}
+
+TEST_F(CheckpointJoinTest, PerJoinMetricsCountOncePerJoin) {
+  // A plain join runs the task loop over many tasks, but it is one join:
+  // join.runs and join.elapsed_ns move once, and so does the backend
+  // counter of a simd join.
+  JoinOptions options = Options();
+  options.epsilon = 0.2;
+  ASSERT_GE(internal::BuildTaskList(tree_, options.epsilon,
+                                    internal::kTaskTarget)
+                .size(),
+            100u);
+  const uint64_t runs = CounterValue("join.runs");
+  const uint64_t samples = [] {
+    for (const auto& h : metrics::Snapshot().histograms) {
+      if (h.name == "join.elapsed_ns") return h.count;
+    }
+    return uint64_t{0};
+  }();
+  const std::string backend =
+      std::string("kernel.backend.") + KernelIsaName(DispatchedKernelIsa());
+  const uint64_t backend_runs = CounterValue(backend);
+  options.leaf_kernel = LeafKernel::kSimd;
+  CountingSink sink(IdWidthFor(entries_.size()));
+  const JoinStats stats =
+      CompactSimilarityJoin(tree_, options, &sink);
+  ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+  EXPECT_EQ(CounterValue("join.runs") - runs, 1u);
+  uint64_t samples_after = 0;
+  for (const auto& h : metrics::Snapshot().histograms) {
+    if (h.name == "join.elapsed_ns") samples_after = h.count;
+  }
+  EXPECT_EQ(samples_after - samples, 1u);
+  EXPECT_EQ(CounterValue(backend) - backend_runs, 1u);
 }
 
 #endif  // CSJ_NO_METRICS
@@ -647,13 +685,12 @@ struct TextRun {
 TextRun RunText(const SpatialIndex auto& tree, const JoinOptions& options,
                 int threads, const std::string& name,
                 JoinAlgorithm algorithm = JoinAlgorithm::kCSJ,
-                uint64_t checkpoint_interval = 32, int tasks_per_thread = 16) {
+                uint64_t checkpoint_interval = 32) {
   const OutputSpec spec =
       OutputSpec::File(testing::TempDir() + "/" + name, tree.size());
   CheckpointJoinOptions ckpt;
   ckpt.manifest_path = spec.path + ".ckpt";
   ckpt.threads = threads;
-  ckpt.tasks_per_thread = tasks_per_thread;
   ckpt.checkpoint_interval = checkpoint_interval;
   TextRun run;
   run.stats = CheckpointedSelfJoin(tree, algorithm, options, spec, ckpt);
@@ -697,20 +734,16 @@ TEST(ParallelJoinTest, LosslessAcrossThreadCounts) {
 }
 
 TEST(ParallelJoinTest, MTreeOutputIsIdenticalAcrossThreadCounts) {
-  // MTree<D> declares kThreadSafeReads, so the runner reads one M-tree from
-  // several threads; one 16-task list gives the same bytes at any count.
+  // MTree<D> declares kThreadSafeReads, so the loop reads one M-tree from
+  // several threads; its one task list gives the same bytes at any count.
   const auto entries = Workload(3000, 37);
   MTree<2> tree;
   for (const auto& e : entries) tree.Insert(e.id, e.point);
   JoinOptions options;
   options.epsilon = 0.03;
   const auto reference = BruteForceSelfJoin(entries, options.epsilon);
-  const TextRun serial =
-      RunText(tree, options, 1, "pj_mtree_1.txt", JoinAlgorithm::kCSJ, 32,
-              /*tasks_per_thread=*/16);
-  const TextRun parallel =
-      RunText(tree, options, 4, "pj_mtree_4.txt", JoinAlgorithm::kCSJ, 32,
-              /*tasks_per_thread=*/4);
+  const TextRun serial = RunText(tree, options, 1, "pj_mtree_1.txt");
+  const TextRun parallel = RunText(tree, options, 4, "pj_mtree_4.txt");
   ASSERT_TRUE(serial.stats.status.ok()) << serial.stats.status.ToString();
   ASSERT_TRUE(parallel.stats.status.ok()) << parallel.stats.status.ToString();
   ASSERT_GT(serial.stats.groups, 0u);
@@ -720,9 +753,9 @@ TEST(ParallelJoinTest, MTreeOutputIsIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(report.lossless()) << report.ToString();
 }
 
-TEST(ParallelJoinTest, OutputAsCompactAsSequentialWithinSlack) {
-  // Per-task windows lose the merges that would cross a task boundary, but
-  // the output should stay in the sequential join's compactness ballpark.
+TEST(ParallelJoinTest, OutputEqualsThePlainJoin) {
+  // The plain join runs the same task list on one thread, so a 4-thread
+  // checkpointed run writes exactly its bytes, groups and links.
   const auto entries = Workload(5000, 11);
   const RStarTree<2> tree = InsertAll(entries);
   JoinOptions options;
@@ -737,8 +770,9 @@ TEST(ParallelJoinTest, OutputAsCompactAsSequentialWithinSlack) {
       CheckpointedSelfJoin(tree, JoinAlgorithm::kCSJ, options,
                            OutputSpec::Counting(entries.size()), ckpt);
   ASSERT_TRUE(parallel.status.ok()) << parallel.status.ToString();
-  EXPECT_LT(parallel.output_bytes,
-            static_cast<uint64_t>(1.5 * static_cast<double>(sequential.bytes())));
+  EXPECT_EQ(parallel.output_bytes, sequential.bytes());
+  EXPECT_EQ(parallel.groups, sequential.num_groups());
+  EXPECT_EQ(parallel.links, sequential.num_links());
 }
 
 TEST(ParallelJoinTest, SmallAndDegenerateInputs) {
@@ -834,9 +868,8 @@ TEST(ParallelJoinTest, TrackerRejectedWithStatusNotACrash) {
 TEST(ParallelJoinTest, ImpliedLinkCountConsistentInBothModes) {
   // In either mode the reported implied-link upper bound equals the count
   // recomputed from the emitted output, and it bounds the number of
-  // distinct links the output expands to. (Strict equality between the
-  // modes does NOT hold: the sequential join's one window merges across
-  // task boundaries, and overlapping groups imply different totals.)
+  // distinct links the output expands to. Both modes run one task list, so
+  // the bounds are equal too.
   const auto entries = Workload(2500, 37);
   const RStarTree<2> tree = InsertAll(entries);
   JoinOptions options;
@@ -859,8 +892,57 @@ TEST(ParallelJoinTest, ImpliedLinkCountConsistentInBothModes) {
             ImpliedFromText(parallel.bytes));
   EXPECT_GE(parallel.stats.ImpliedLinkUpperBound(), parallel.links.size());
 
+  EXPECT_EQ(parallel.stats.ImpliedLinkUpperBound(),
+            seq_stats.ImpliedLinkUpperBound());
+
   // Both expansions are the same exact result set.
   EXPECT_EQ(ExpandSelfJoin(sequential).size(), parallel.links.size());
+}
+
+TEST(ParallelJoinTest, SpatialJoinsAreIdenticalAcrossThreadCounts) {
+  // A dual join runs the same loop over a list of subtree pairs: the same
+  // records in the same order at every thread count (hence the same bytes
+  // in every format), equal to the public spatial join's, and lossless.
+  const auto set_a = Workload(3000, 41);
+  std::vector<Entry<2>> set_b;
+  for (const auto& e : Workload(2500, 43)) {
+    set_b.push_back(Entry<2>{e.id + 10000, e.point});  // disjoint id spaces
+  }
+  const RStarTree<2> tree_a = InsertAll(set_a);
+  const RStarTree<2> tree_b = InsertAll(set_b);
+  JoinOptions options;
+  options.epsilon = 0.03;
+  ASSERT_GT(internal::BuildTaskList(tree_a, tree_b, options.epsilon,
+                                    internal::kTaskTarget)
+                .size(),
+            16u);
+  const auto reference =
+      BruteForceSpatialJoin(set_a, set_b, options.epsilon);
+  auto is_a = [](PointId id) { return id < 10000; };
+  for (const JoinAlgorithm algorithm : kAlgorithms) {
+    SCOPED_TRACE(JoinAlgorithmName(algorithm));
+    MemorySink serial(5);
+    const JoinStats stats =
+        algorithm == JoinAlgorithm::kSSJ
+            ? StandardSpatialJoin(tree_a, tree_b, options, &serial)
+        : algorithm == JoinAlgorithm::kNCSJ
+            ? NaiveCompactSpatialJoin(tree_a, tree_b, options, &serial)
+            : CompactSpatialJoin(tree_a, tree_b, options, &serial);
+    ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+    EXPECT_TRUE(CompareLinkSets(ExpandSpatialJoin(serial, is_a), reference)
+                    .lossless());
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      MemorySink sink(5);
+      const JoinStats run =
+          internal::RunJoin(tree_a, tree_b, /*self_join=*/false, algorithm,
+                            options, &sink, threads);
+      ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+      EXPECT_EQ(sink.links(), serial.links());
+      EXPECT_EQ(sink.groups(), serial.groups());
+      ExpectSameCounters(run, stats);
+    }
+  }
 }
 
 #ifndef CSJ_NO_FAILPOINTS

@@ -5,8 +5,9 @@
 # cannot reach: a graceful SIGTERM (final checkpoint, exit 3) and a hard
 # SIGKILL (no chance to react; only the periodic checkpoints survive). After
 # each, `--resume 1` must finish the join and the output must be
-# byte-identical to an uninterrupted run — also when the resume uses another
-# thread count over the same task list (threads x tasks-per-thread). Usage:
+# byte-identical to a plain run without checkpoint flags — also when the
+# resume uses another thread count: the task list depends only on the data
+# and eps. Usage:
 #
 #   checkpoint_resume_smoke.sh /path/to/csj_tool
 set -u
@@ -16,18 +17,30 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/csj_smoke.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
 
-JOIN_ARGS=(join --algo csj --eps 0.012 --points pts.txt
-           --output-format binary --checkpoint-interval 2)
+PLAIN_ARGS=(join --algo csj --eps 0.012 --points pts.txt
+            --output-format binary)
+JOIN_ARGS=("${PLAIN_ARGS[@]}" --checkpoint-interval 2)
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
 "$TOOL" generate --kind clusters --n 40000 --out pts.txt --seed 11 \
   >/dev/null || fail "generate"
 
-# The defaults spelled out: one thread over a 16-task list.
-"$TOOL" "${JOIN_ARGS[@]}" --threads 1 --tasks-per-thread 16 --out ref.bin \
-  >/dev/null || fail "reference run"
-[ -e ref.bin.ckpt ] && fail "manifest survived a completed run"
+# The reference: a plain run, no checkpoint flags, no manifest.
+"$TOOL" "${PLAIN_ARGS[@]}" --out ref.bin >/dev/null || fail "reference run"
+[ -e ref.bin.ckpt ] && fail "a plain run wrote a manifest"
+
+# Threads only set the number of workers: the same bytes, still no manifest.
+"$TOOL" "${PLAIN_ARGS[@]}" --threads 4 --out threads.bin >/dev/null \
+  || fail "4-thread plain run"
+[ -e threads.bin.ckpt ] && fail "a plain 4-thread run wrote a manifest"
+cmp -s ref.bin threads.bin || fail "4-thread output differs from the reference"
+
+# An uninterrupted checkpointed run writes the same bytes and removes its
+# manifest.
+"$TOOL" "${JOIN_ARGS[@]}" --out ckpt.bin >/dev/null || fail "checkpointed run"
+[ -e ckpt.bin.ckpt ] && fail "manifest survived a completed run"
+cmp -s ref.bin ckpt.bin || fail "checkpointed output differs from the reference"
 
 # Interrupts a backgrounded join with $1 (TERM|KILL) once the output file
 # shows progress, then asserts on the tool's exit code. Arguments after the
@@ -90,10 +103,10 @@ elif [ "$code" -ne 0 ]; then
   fail "deadline run: unexpected exit $code"
 fi
 
-# --- SIGKILL at 4 threads, resume at 2: the same 16-task list -----------------
-interrupt_with KILL rethread.bin 137 --threads 4 --tasks-per-thread 4
-"$TOOL" "${JOIN_ARGS[@]}" --out rethread.bin --threads 2 --tasks-per-thread 8 \
-  --resume 1 >/dev/null || fail "resume at another thread count"
+# --- SIGKILL at 4 threads, resume at 2: the same task list -------------------
+interrupt_with KILL rethread.bin 137 --threads 4
+"$TOOL" "${JOIN_ARGS[@]}" --out rethread.bin --threads 2 --resume 1 \
+  >/dev/null || fail "resume at another thread count"
 cmp -s ref.bin rethread.bin \
   || fail "output resumed at 2 threads differs from the 1-thread reference"
 

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/brute.h"
+#include "core/expand.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "data/generators.h"
@@ -273,8 +275,9 @@ TEST(MTreeTest, TreeShapesAndJoinOutputArePinned) {
   JoinOptions options;
   options.epsilon = 0.02;
   options.window_size = 10;
+  // The CSJ row is the task list's: each task has its own CSJ(g) window.
   const JoinOutput point_expected[] = {
-      {113518, 0, 1135180}, {112764, 6, 1128125}, {0, 23488, 594210}};
+      {113518, 0, 1135180}, {112764, 6, 1128125}, {0, 23495, 594205}};
   int i = 0;
   for (const JoinAlgorithm algorithm :
        {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
@@ -282,6 +285,23 @@ TEST(MTreeTest, TreeShapesAndJoinOutputArePinned) {
     RunSelfJoin(algorithm, tree, options, &sink);
     EXPECT_EQ(OutputOf(sink), point_expected[i++])
         << JoinAlgorithmName(algorithm);
+  }
+  {
+    // That CSJ output is lossless and the same at four threads.
+    MemorySink serial(IdWidthFor(tree.size()));
+    MemorySink parallel(IdWidthFor(tree.size()));
+    RunSelfJoin(JoinAlgorithm::kCSJ, tree, options, &serial);
+    internal::RunJoin(tree, tree, /*self_join=*/true, JoinAlgorithm::kCSJ,
+                      options, &parallel, /*threads=*/4);
+    EXPECT_EQ(parallel.groups(), serial.groups());
+    EXPECT_EQ(parallel.links(), serial.links());
+    std::vector<Entry<2>> entries;
+    for (size_t k = 0; k < points.size(); ++k) {
+      entries.push_back(Entry<2>{static_cast<PointId>(k), points[k]});
+    }
+    EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(serial),
+                                BruteForceSelfJoin(entries, options.epsilon))
+                    .lossless());
   }
 
   Rng rng(11);

@@ -268,7 +268,7 @@ TEST(PagedTreeTest, ConcurrentReadersShareOneTree) {
 }
 
 TEST(PagedTreeTest, ParallelJoinOverPagedTreeIsLossless) {
-  // PagedTree is safe for concurrent reads, so the task runner may use
+  // PagedTree is safe for concurrent reads, so the task loop may use
   // several threads over a disk tree; its output matches brute force and the
   // serial run's bytes.
   RStarTree<2> tree;
@@ -291,7 +291,6 @@ TEST(PagedTreeTest, ParallelJoinOverPagedTreeIsLossless) {
     CheckpointJoinOptions ckpt;
     ckpt.manifest_path = spec.path + ".ckpt";
     ckpt.threads = threads;
-    ckpt.tasks_per_thread = 16 / threads;
     const JoinStats stats = CheckpointedSelfJoin(*paged, JoinAlgorithm::kCSJ,
                                                  options, spec, ckpt);
     ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();

@@ -30,6 +30,9 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
   --output-format text >/dev/null || fail "reference ssj join"
 "$TOOL" join --points pts.txt --algo csj --eps 0.02 --out ref_csj.bin \
   --output-format binary >/dev/null || fail "reference binary join"
+# At this eps the planner resolves `auto` to csj with threads: 4.
+"$TOOL" join --points pts.txt --algo auto --eps 0.2 --out ref_auto.txt \
+  >/dev/null || fail "reference auto join"
 
 # --- Daemon start-up --------------------------------------------------------
 "$SERVE" serve --datasets pts=pts.txt --socket csj.sock --workers 4 \
@@ -62,6 +65,12 @@ cmp -s ref_csj.txt got1.txt || fail "served csj text differs from one-shot"
 cmp -s ref_ssj.txt got2.txt || fail "served ssj text differs from one-shot"
 cmp -s ref_csj.bin got3.bin || fail "served binary differs from one-shot"
 cmp -s ref_csj.txt got4.txt || fail "served csj text (2nd client) differs"
+
+# --- auto: the served plan runs on 4 threads and writes the one-shot bytes --
+query --dataset pts --algo auto --eps 0.2 --out got_auto.txt 2>auto.trailer \
+  || fail "served auto query failed"
+grep -q '"threads":4' auto.trailer || fail "served auto plan is not 4 threads"
+cmp -s ref_auto.txt got_auto.txt || fail "served auto differs from one-shot"
 
 # --- ping / list ------------------------------------------------------------
 query --op ping | grep -q '"ok":true' || fail "ping"

@@ -21,6 +21,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -32,8 +33,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/query_spec.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
+#include "data/dataset.h"
 #include "data/generators.h"
 #include "geom/point.h"
 #include "index/bulk_load.h"
@@ -388,6 +391,131 @@ TEST_F(ServeTest, AutoAlgoPlansAndMatchesExplicitRun) {
           .code,
       "InvalidArgument");
   server->Shutdown();
+}
+
+TEST_F(ServeTest, ThreadsAreHonoredWithoutChangingBytes) {
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Load({.name = "pts", .path = *index_path_}).ok());
+  std::unique_ptr<Server> server;
+  const std::string socket_path = StartServer(&registry, {}, &server);
+
+  // "threads" sets the query's workers, clamped to the host's cores; the
+  // task list, and so the response, does not depend on it.
+  const std::string reference =
+      OneShotPayload(JoinAlgorithm::kCSJ, 0.01, 10, OutputFormat::kText);
+  const uint64_t cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  for (const int threads : {4, 64}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const uint64_t workers = CounterValue("parallel.workers");
+    Response response = RoundTrip(
+        socket_path,
+        JoinRequest("csj", 0.01, 10, StrFormat(",\"threads\":%d", threads)));
+    ASSERT_TRUE(response.transport.ok()) << response.transport.ToString();
+    EXPECT_EQ(response.code, "OK");
+    EXPECT_EQ(response.payload, reference);
+#ifndef CSJ_NO_METRICS
+    const uint64_t added = CounterValue("parallel.workers") - workers;
+    EXPECT_GE(added, 1u);
+    EXPECT_LE(added, cores);
+#else
+    (void)workers;
+    (void)cores;
+#endif
+  }
+  server->Shutdown();
+}
+
+TEST_F(ServeTest, AutoPlanWithThreadsMatchesSerialOneShot) {
+  // On a dense dataset "auto" resolves to several threads. The served
+  // response still equals a serial one-shot run of the resolved knobs.
+  RStarTree<2> dense;
+  PackStr(&dense, ToEntries(GenerateGaussianClusters<2>(20000, 8, 0.02, 11)));
+  const std::string path = TempPath("serve_dense.csjt");
+  ASSERT_TRUE(SaveTree(dense, path).ok());
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Load({.name = "dense", .path = path}).ok());
+  std::unique_ptr<Server> server;
+  const std::string socket_path = StartServer(&registry, {}, &server);
+
+  Response response = RoundTrip(
+      socket_path,
+      "{\"op\":\"join\",\"dataset\":\"dense\",\"algo\":\"auto\","
+      "\"eps\":0.2}");
+  ASSERT_TRUE(response.transport.ok()) << response.transport.ToString();
+  EXPECT_EQ(response.code, "OK");
+  auto trailer = json::Parse(response.trailer);
+  ASSERT_TRUE(trailer.ok()) << trailer.status().ToString();
+  const json::Value* knobs = trailer->Find("stats")->Find("plan")->Find("knobs");
+  ASSERT_NE(knobs, nullptr);
+  EXPECT_GT(knobs->Find("threads")->AsInt(), 1);
+  QueryAlgo algo;
+  ASSERT_TRUE(ParseQueryAlgo(knobs->Find("algo")->AsString(), &algo));
+  EXPECT_EQ(response.payload,
+            PayloadOver(dense, TreeAlgorithmFor(algo), 0.2,
+                        static_cast<int>(knobs->Find("g")->AsInt()),
+                        IdWidthFor(dense.size())));
+  server->Shutdown();
+  ::unlink(path.c_str());
+}
+
+TEST_F(ServeTest, DualJoinMatchesOneShotSpatialJoin) {
+  // "dataset_b" selects a spatial join of two registered datasets; it runs
+  // the same loop as a one-shot CompactSpatialJoin over the two index files.
+  std::vector<Entry<2>> entries_b;
+  for (const auto& e : FixtureEntries(1000, 33)) {
+    entries_b.push_back(Entry<2>{e.id + 4000, e.point});  // disjoint ids
+  }
+  RStarTree<2> tree_b;
+  PackStr(&tree_b, entries_b);
+  const std::string path_b = TempPath("serve_dual_b.csjt");
+  ASSERT_TRUE(SaveTree(tree_b, path_b).ok());
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Load({.name = "pts", .path = *index_path_}).ok());
+  ASSERT_TRUE(registry.Load({.name = "b", .path = path_b}).ok());
+  std::unique_ptr<Server> server;
+  const std::string socket_path = StartServer(&registry, {}, &server);
+
+  for (const OutputFormat format : {OutputFormat::kText, OutputFormat::kBinary}) {
+    SCOPED_TRACE(OutputFormatName(format));
+    const std::string out_path = TempPath("serve_dual_ref.out");
+    OutputSpec spec;
+    spec.format = format;
+    spec.path = out_path;
+    spec.id_width = IdWidthFor(tree_->size());  // the wider of the two
+    auto sink = MakeSink(spec);
+    ASSERT_TRUE(sink.ok());
+    JoinOptions options;
+    options.epsilon = 0.03;
+    options.window_size = 10;
+    ASSERT_TRUE(
+        CompactSpatialJoin(*tree_, tree_b, options, sink->get()).status.ok());
+    ASSERT_TRUE((*sink)->Finish().ok());
+    std::string reference;
+    std::FILE* f = std::fopen(out_path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char chunk[1 << 16];
+    size_t n;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+      reference.append(chunk, n);
+    }
+    std::fclose(f);
+    ::unlink(out_path.c_str());
+    ASSERT_FALSE(reference.empty());
+
+    Response response = RoundTrip(
+        socket_path,
+        StrFormat("{\"op\":\"join\",\"dataset\":\"pts\",\"dataset_b\":"
+                  "\"b\",\"algo\":\"csj\",\"eps\":0.03,\"g\":10,"
+                  "\"output\":\"%s\"}",
+                  OutputFormatName(format)),
+        format);
+    ASSERT_TRUE(response.transport.ok()) << response.transport.ToString();
+    EXPECT_EQ(response.code, "OK");
+    EXPECT_EQ(response.payload, reference);
+  }
+  server->Shutdown();
+  ::unlink(path_b.c_str());
 }
 
 TEST_F(ServeTest, RangeQueryMatchesBruteForce) {

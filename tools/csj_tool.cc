@@ -8,10 +8,9 @@
 ///                     --out result.txt   (one line)
 ///   csj_tool join     --points pts.txt --eps 0.05 --algo ego --out r.txt
 ///   csj_tool join     --index index.csjt --eps 0.05 --algo auto --out r.txt
-///                     (cost-based planner picks algorithm, g and
-///                     serial-vs-parallel; the chosen plan and its
-///                     predictions ride along in --metrics json output; see
-///                     docs/PLANNING.md)
+///                     (cost-based planner picks algorithm, g and threads;
+///                     the chosen plan and its predictions ride along in
+///                     --metrics json output; see docs/PLANNING.md)
 ///   csj_tool plan     --index index.csjt --eps 0.05 [--algo csj] [--json 1]
 ///                     (alias: explain — print the QueryPlan, with a
 ///                     rationale per decision, without executing anything;
@@ -21,24 +20,22 @@
 ///   csj_tool join     ... --output-format text|binary|none   (binary = the
 ///                     compact CSJ2 format, docs/OUTPUT_FORMAT.md; none =
 ///                     count bytes without writing; default text)
+///   csj_tool join     ... --threads 4   (tree algorithms: workers over the
+///                     join's task list; the output does not depend on it)
 ///   csj_tool join     ... [--deadline-ms 60000] [--mem-budget 268435456]
 ///                     (resource governance, docs/ROBUSTNESS.md: every join
-///                     — including plain, ego and cego runs — stops cleanly
-///                     when the wall-clock budget or the memory budget in
-///                     bytes runs out; deadline exits 4, exhausted memory
-///                     exits 5, SIGINT/SIGTERM exits 3; no partial output
-///                     file is left behind)
+///                     stops cleanly when the wall-clock budget or the memory
+///                     budget in bytes runs out; deadline exits 4, exhausted
+///                     memory exits 5, SIGINT/SIGTERM exits 3; no partial
+///                     output file is left behind)
 ///   csj_tool join     ... --checkpoint-interval 32 [--checkpoint run.ckpt]
-///                     [--threads 4] [--tasks-per-thread 16]   (crash-safe
-///                     checkpointed execution, docs/ROBUSTNESS.md; the
-///                     manifest defaults to <out>.ckpt; SIGINT/SIGTERM and
-///                     deadlines additionally save a final checkpoint for
-///                     --resume; the output depends on threads x
-///                     tasks-per-thread, not on the thread count)
+///                     (crash-safe checkpointed execution,
+///                     docs/ROBUSTNESS.md; the manifest defaults to
+///                     <out>.ckpt; SIGINT/SIGTERM and deadlines additionally
+///                     save a final checkpoint for --resume)
 ///   csj_tool join     ... --resume 1   (continue an interrupted run from
-///                     its manifest, at any thread count with the same
-///                     threads x tasks-per-thread; the finished output is
-///                     byte-identical to an uninterrupted run)
+///                     its manifest, at any thread count; the finished
+///                     output is byte-identical to an uninterrupted run)
 ///   csj_tool cat      --result result.bin [--out result.txt] [--width N]
 ///                     (decode any result — text or binary — to canonical
 ///                     text; stdout when --out is omitted)
@@ -57,7 +54,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <optional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -165,8 +162,7 @@ int GovernanceExitCode(const Status& status) {
 
 /// Reports a join's terminal status: returns 0 for OK (continue), the
 /// governance exit code for a clean stop, and dies (exit 2) on any other
-/// error. On a non-zero return the caller must skip sink->Finish(), so the
-/// atomic output file is discarded instead of committed half-written.
+/// error.
 int HandleJoinStatus(const Status& status) {
   if (status.ok()) return 0;
   const int code = GovernanceExitCode(status);
@@ -272,45 +268,35 @@ QuerySpec SpecFromFlags(Flags& flags, std::string* index_path,
   return spec;
 }
 
-/// Loads the dataset named by --index / --points as raw points (for the
-/// planner's sketch; `plan` also renders predictions from them).
-std::vector<Point2> LoadPlanningPoints(const std::string& index_path,
-                                       const std::string& points_path) {
-  std::vector<Point2> points;
+/// Loads the tree named by --index, or STR-packs the points named by
+/// --points. Dies when neither is given or the load fails.
+std::unique_ptr<RStarTree<2>> LoadTreeOrDie(const std::string& index_path,
+                                            const std::string& points_path) {
+  RStarOptions options;
   if (!index_path.empty()) {
+    // Match the on-disk fanout before loading.
     auto info = PeekTreeFile(index_path);
     DieOnError(info.status());
-    RStarOptions options;
     options.max_fanout = info->max_fanout;
     options.min_fanout = info->min_fanout;
-    RStarTree<2> tree(options);
-    DieOnError(LoadTree(&tree, index_path));
-    points.reserve(tree.size());
-    ForEachEntryInSubtree(
-        tree, tree.Root(), static_cast<NodeAccessTracker*>(nullptr),
-        [&](const Entry<2>& e) { points.push_back(e.point); });
+  }
+  auto tree = std::make_unique<RStarTree<2>>(options);
+  if (!index_path.empty()) {
+    DieOnError(LoadTree(tree.get(), index_path));
   } else if (!points_path.empty()) {
-    // Pack and walk exactly as CmdJoin does: the sketch's seeded sample is
-    // input-order sensitive, so `plan` must see the same point sequence as
-    // `join --algo auto` for the two to resolve the same plan.
     auto entries = LoadEntries(points_path);
     DieOnError(entries.status());
-    RStarTree<2> tree;
-    PackStr(&tree, *entries);
-    points.reserve(tree.size());
-    ForEachEntryInSubtree(
-        tree, tree.Root(), static_cast<NodeAccessTracker*>(nullptr),
-        [&](const Entry<2>& e) { points.push_back(e.point); });
+    PackStr(tree.get(), *entries);
   } else {
     Flags::Die("need --index or --points");
   }
-  return points;
+  return tree;
 }
 
 int CmdJoin(Flags& flags) {
   std::string index_path;
   std::string points_path;
-  QuerySpec spec = SpecFromFlags(flags, &index_path, &points_path);
+  const QuerySpec spec = SpecFromFlags(flags, &index_path, &points_path);
   const std::string out = flags.GetOr("out", "");
   if (out.empty() && spec.output != OutputFormat::kNone) {
     Flags::Die("join needs --out (or --output-format none)");
@@ -320,142 +306,58 @@ int CmdJoin(Flags& flags) {
       metrics_mode != "json") {
     Flags::Die("--metrics must be off, text or json");
   }
-  // Checkpoint/resume flags. Any of them — or a resolved thread count above
-  // one — selects the crash-safe runner (docs/ROBUSTNESS.md); without them
-  // the join runs exactly as before.
-  const long tasks_per_thread = flags.GetInt("tasks-per-thread", 16);
+  // Only the checkpoint flags select the manifest layer (docs/ROBUSTNESS.md);
+  // --threads sets the number of workers and never changes the output.
   const long checkpoint_interval = flags.GetInt("checkpoint-interval", -1);
   const bool resume = flags.GetOr("resume", "0") != "0";
   std::string manifest_path = flags.GetOr("checkpoint", "");
   flags.CheckAllUsed();
 
-  const bool checkpoint_flags =
+  const bool checkpointed =
       resume || checkpoint_interval >= 0 || !manifest_path.empty();
-  if (tasks_per_thread < 1) Flags::Die("--tasks-per-thread must be positive");
-  if ((checkpoint_flags || spec.threads > 1) && IsEgoAlgo(spec.algo)) {
-    Flags::Die("checkpointing supports the tree algorithms (ssj|ncsj|csj)");
-  }
-  if (manifest_path.empty()) {
-    manifest_path = (out.empty() ? std::string("csj_join") : out) + ".ckpt";
+  if ((checkpointed || spec.threads > 1) && IsEgoAlgo(spec.algo)) {
+    Flags::Die("--threads and checkpointing support the tree algorithms "
+               "(ssj|ncsj|csj); ego and cego run serial");
   }
 
-  // Governance shared by every join flavor below: SIGINT/SIGTERM cancel,
-  // plus the optional memory budget. Drivers layer --deadline-ms on top.
+  // Governance shared by every join: SIGINT/SIGTERM cancel, plus the
+  // optional memory budget; --deadline-ms rides in the spec.
   MemoryBudget budget(spec.mem_budget);
   ExecContext exec;
   exec.SetCancelFlag(&g_cancel_requested);
   exec.SetMemoryBudget(&budget);
   InstallTerminationHandlers();
 
-  // Every sink — text file, binary file, or byte-counting — comes from the
-  // same factory, so the join code below is format-agnostic.
-  const auto make_sink = [&](uint64_t n) {
-    OutputSpec out_spec;
-    out_spec.format = spec.output;
-    out_spec.path = out;
-    out_spec.id_width = IdWidthFor(n);
-    out_spec.budget = &budget;
-    auto sink = MakeSink(out_spec);
-    DieOnError(sink.status());
-    return std::move(sink).value();
-  };
-
+  OutputSpec out_spec;
+  out_spec.format = spec.output;
+  out_spec.path = out;
+  out_spec.budget = &budget;
   JoinStats stats;
-  uint64_t n = 0;
   if (IsEgoAlgo(spec.algo)) {
     if (points_path.empty()) Flags::Die("--algo ego needs --points");
     auto entries = LoadEntries(points_path);
     DieOnError(entries.status());
-    n = entries->size();
-    auto sink = make_sink(n);
-    EgoOptions options = plan::DeriveEgoOptions(spec);
-    options.exec = &exec;
-    stats = spec.algo == QueryAlgo::kEgo
-                ? EgoSimilarityJoin(*entries, options, sink.get())
-                : CompactEgoJoin(*entries, options, sink.get());
-    // A governed stop must not leave a partial artifact: skipping Finish()
-    // makes the atomic FileSink discard its temp file.
-    if (const int code = HandleJoinStatus(stats.status)) return code;
-    DieOnError(sink->Finish());
+    out_spec.id_width = IdWidthFor(entries->size());
+    stats = plan::Execute(spec, *entries, out_spec, &exec);
   } else {
-    RStarOptions tree_options;
-    if (!index_path.empty()) {
-      // Match the on-disk fanout before loading.
-      auto info = PeekTreeFile(index_path);
-      DieOnError(info.status());
-      tree_options.max_fanout = info->max_fanout;
-      tree_options.min_fanout = info->min_fanout;
-    }
-    RStarTree<2> tree(tree_options);
-    if (!index_path.empty()) {
-      DieOnError(LoadTree(&tree, index_path));
-    } else if (!points_path.empty()) {
-      auto entries = LoadEntries(points_path);
-      DieOnError(entries.status());
-      PackStr(&tree, *entries);
-    } else {
-      Flags::Die("join needs --index or --points");
-    }
-    n = tree.size();
-
-    // --algo auto: sketch the already-loaded dataset and let the planner
-    // resolve every open knob; the plan rides along in the stats.
-    std::optional<plan::QueryPlan> query_plan;
-    if (spec.algo == QueryAlgo::kAuto) {
-      std::vector<Point2> points;
-      points.reserve(n);
-      ForEachEntryInSubtree(
-          tree, tree.Root(), static_cast<NodeAccessTracker*>(nullptr),
-          [&](const Entry<2>& e) { points.push_back(e.point); });
-      query_plan =
-          plan::PlanQuery(spec, plan::BuildSketch(points), IdWidthFor(n));
-      spec = query_plan->resolved;
-    }
-    const auto finish_plan = [&](JoinStats* s) {
-      if (!query_plan) return;
-      plan::AttachPlan(*query_plan, s);
-      if (s->status.ok()) plan::RecordPlanAccuracy(*s);
-    };
-
-    JoinOptions options = plan::DeriveJoinOptions(spec);
-    options.exec = &exec;
-    const JoinAlgorithm algorithm = TreeAlgorithmFor(spec.algo);
-    if (checkpoint_flags || spec.threads > 1) {
-      OutputSpec out_spec;
-      out_spec.format = spec.output;
-      out_spec.path = out;
-      out_spec.id_width = IdWidthFor(n);
-      out_spec.budget = &budget;
-      CheckpointJoinOptions ckpt;
-      ckpt.manifest_path = manifest_path;
-      ckpt.checkpoint_interval = checkpoint_interval < 0
-                                     ? uint64_t{32}
-                                     : static_cast<uint64_t>(checkpoint_interval);
-      ckpt.threads = spec.threads > 0 ? spec.threads : 1;
-      ckpt.tasks_per_thread = static_cast<int>(tasks_per_thread);
-      ckpt.resume = resume;
-      ckpt.cancel = &g_cancel_requested;
-      stats = CheckpointedSelfJoin(tree, algorithm, options, out_spec, ckpt);
-      finish_plan(&stats);
-      // The checkpoint runner already persisted a resumable manifest, so a
-      // governed stop here is an orderly exit, not a Die().
-      if (const int code = HandleJoinStatus(stats.status)) return code;
-    } else {
-      auto sink = make_sink(n);
-      if (algorithm == JoinAlgorithm::kSSJ) {
-        stats = StandardSimilarityJoin(tree, options, sink.get());
-      } else if (algorithm == JoinAlgorithm::kNCSJ) {
-        stats = NaiveCompactJoin(tree, options, sink.get());
-      } else {
-        stats = CompactSimilarityJoin(tree, options, sink.get());
-      }
-      finish_plan(&stats);
-      // Skip Finish() on a governed stop so the atomic FileSink discards its
-      // temp file instead of publishing a partial result.
-      if (const int code = HandleJoinStatus(stats.status)) return code;
-      DieOnError(sink->Finish());
-    }
+    const auto tree = LoadTreeOrDie(index_path, points_path);
+    out_spec.id_width = IdWidthFor(tree->size());
+    CheckpointJoinOptions ckpt;
+    ckpt.manifest_path =
+        !manifest_path.empty()
+            ? manifest_path
+            : (out.empty() ? std::string("csj_join") : out) + ".ckpt";
+    ckpt.checkpoint_interval = checkpoint_interval < 0
+                                   ? uint64_t{32}
+                                   : static_cast<uint64_t>(checkpoint_interval);
+    ckpt.resume = resume;
+    ckpt.cancel = &g_cancel_requested;
+    stats = plan::Execute(spec, *tree, nullptr, nullptr, out_spec, &exec,
+                          checkpointed ? &ckpt : nullptr);
   }
+  // A governed stop exits with its own code. A plain run's file sink was
+  // discarded, a checkpointed run's manifest kept for --resume.
+  if (const int code = HandleJoinStatus(stats.status)) return code;
   if (metrics_mode == "json") {
     // Machine-readable mode: stdout carries exactly one JSON document with
     // the run's stats and the process metrics snapshot.
@@ -498,10 +400,11 @@ int CmdPlan(Flags& flags) {
   const bool as_json = flags.GetOr("json", "0") != "0";
   flags.CheckAllUsed();
 
-  const std::vector<Point2> points =
-      LoadPlanningPoints(index_path, points_path);
-  const auto query_plan = plan::PlanQuery(spec, plan::BuildSketch(points),
-                                          IdWidthFor(points.size()));
+  // The same tree and sketch `join --algo auto` plans against, so the two
+  // resolve the same plan.
+  const auto tree = LoadTreeOrDie(index_path, points_path);
+  const auto query_plan = plan::PlanQuery(spec, plan::SketchTree(*tree),
+                                          IdWidthFor(tree->size()));
   if (as_json) {
     std::printf("%s\n",
                 json::Write(query_plan.ToJsonValue(), /*pretty=*/true).c_str());
