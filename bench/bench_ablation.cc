@@ -3,9 +3,9 @@
 ///  * early-stop vs merge-only: isolates how much of CSJ's saving comes from
 ///    the subtree stopping rule vs the g-window merging (the paper's
 ///    Experiment 3 attributes most time savings to the stop rule);
-///  * traversal order: pseudocode index order vs MinDistance-sorted child
-///    pairs (Brinkhoff-style, paper ref [1]);
-///  * window recency policy: creation order vs promote-on-merge (LRU-like).
+///  * window recency policy: creation order vs promote-on-merge (LRU-like);
+///  * group shape: MBR vs eps/2 ball (Section V-A);
+///  * tree fanout vs compaction.
 
 #include <cstdio>
 
@@ -55,26 +55,19 @@ void Main(const BenchArgs& args) {
     struct VariantSpec {
       const char* label;
       bool early_stop;
-      bool sort_pairs;
       bool promote;
-      bool best_fit;
     };
     const VariantSpec variants[] = {
-        {"baseline", true, false, false, false},
-        {"no early stop", false, false, false, false},
-        {"sorted child pairs", true, true, false, false},
-        {"promote on merge", true, false, true, false},
-        {"best-fit window", true, false, false, true},
+        {"baseline", true, false},
+        {"no early stop", false, false},
+        {"promote on merge", true, true},
     };
     for (const auto& v : variants) {
       JoinOptions options;
       options.epsilon = eps;
       options.window_size = 10;
       options.early_stop = v.early_stop;
-      options.sort_child_pairs = v.sort_pairs;
       options.promote_on_merge = v.promote;
-      options.window_policy =
-          v.best_fit ? WindowPolicy::kBestFit : WindowPolicy::kFirstFit;
       const RunResult r = Run(tree, entries.size(), options, args);
       table.AddRow({StrFormat("%.3g", eps), v.label,
                     HumanDuration(r.seconds), WithThousands(r.bytes),
@@ -87,7 +80,7 @@ void Main(const BenchArgs& args) {
   std::printf(
       "Expected: disabling the early stop slows CSJ down sharply at large "
       "eps and bloats link-merge traffic (the stop rule is the main saving, "
-      "as the paper's Experiment 3 concludes); the other two toggles are "
+      "as the paper's Experiment 3 concludes); promote on merge is "
       "second-order.\n\n");
 
   RunGroupShapeAblation(args);

@@ -74,16 +74,17 @@ BENCHMARK(BM_PointDistance2D);
 /// with group size. Merge attempts against groups of growing size.
 void BM_GroupMergeAttempt(benchmark::State& state) {
   const size_t group_size = static_cast<size_t>(state.range(0));
-  Group<2> group(0, Point2{{0.0, 0.0}}, 1, Point2{{0.001, 0.0}});
-  const double eps2 = 0.1 * 0.1;
+  const BoxShape<2> shape(0.1);
+  Group<BoxShape<2>> group(0, 1, Box<2>(Point2{{0.0, 0.0}},
+                                        Point2{{0.001, 0.0}}));
   for (PointId id = 2; id < group_size; ++id) {
-    group.TryAddLink(eps2, 0, Point2{{0.0, 0.0}}, id,
+    group.TryAddLink(shape, 0, Point2{{0.0, 0.0}}, id,
                      Point2{{0.0005, 0.0001 * (id % 100)}});
   }
   for (auto _ : state) {
     // A failing trial: extension check only, no commit.
     benchmark::DoNotOptimize(group.TryAddLink(
-        eps2, 500000, Point2{{5.0, 5.0}}, 500001, Point2{{5.001, 5.0}}));
+        shape, 500000, Point2{{5.0, 5.0}}, 500001, Point2{{5.001, 5.0}}));
   }
 }
 BENCHMARK(BM_GroupMergeAttempt)->Arg(4)->Arg(64)->Arg(1024)->Arg(16384);

@@ -96,9 +96,7 @@ uint64_t ConfigFingerprint(const Tree& tree, JoinAlgorithm algorithm,
   h = HashCombine(h, eps_bits);
   h = HashCombine(h, static_cast<uint64_t>(options.window_size));
   h = HashCombine(h, (options.early_stop ? 1u : 0u) |
-                         (options.sort_child_pairs ? 2u : 0u) |
-                         (options.promote_on_merge ? 4u : 0u));
-  h = HashCombine(h, static_cast<uint64_t>(options.window_policy));
+                         (options.promote_on_merge ? 2u : 0u));
   // leaf_kernel is deliberately *excluded*: all kernels emit hits in the
   // same order (geom/kernels.h), so the output stream is kernel-invariant
   // and a resume may use a different kernel than the original run.

@@ -104,7 +104,8 @@ struct EgoJoinState {
   LeafKernel leaf_kernel = LeafKernel::kSweep;
   JoinSink* sink = nullptr;
   JoinStats* stats = nullptr;
-  GroupWindow<D>* window = nullptr;
+  /// Writes every record: merged under CSJ(g), passed through otherwise.
+  GroupWindow<BoxShape<D>>* window = nullptr;
   /// Governance context polled at every range visit. Never null while the
   /// recursion runs (RunEgoJoin installs a local context).
   const ExecContext* exec = nullptr;
@@ -164,13 +165,7 @@ const Box<D>& PointBounds(EgoJoinState<D>& state, size_t lo, size_t hi) {
 template <int D>
 void EmitEgoLink(EgoJoinState<D>& state, const Entry<D>& a,
                  const Entry<D>& b) {
-  if (state.compact) {
-    state.window->MergeLink(a.id, a.point, b.id, b.point,
-                            /*promote_on_merge=*/false);
-  } else {
-    state.stats->AddImpliedLink();
-    state.sink->Link(a.id, b.id);
-  }
+  state.window->Link(a.id, a.point, b.id, b.point);
 }
 
 /// Emits the whole range pair as one group (the termination-as-a-group case
@@ -187,7 +182,7 @@ void EmitEgoGroup(EgoJoinState<D>& state, size_t lo1, size_t hi1, size_t lo2,
       members.push_back((*state.data)[i].entry.id);
     }
   }
-  state.window->AddSubtreeGroup(std::move(members), box);
+  state.window->SubtreeGroup(std::move(members), box);
 }
 
 /// Folds one kernel invocation's bulk counters into the run's stats.
@@ -408,8 +403,10 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
     ordered.insert(ordered.end(), ordered_b.begin(), ordered_b.end());
   }
 
-  GroupWindow<D> window(std::max(options.window_size, 1), options.epsilon,
-                        sink, &stats, /*write_timer=*/nullptr, &run_ctx);
+  GroupWindow<BoxShape<D>> window(
+      BoxShape<D>(options.epsilon), stats.algorithm,
+      std::max(options.window_size, 1), /*promote_on_merge=*/false, sink,
+      &stats, /*write_timer=*/nullptr, &run_ctx);
   EgoJoinState<D> state;
   state.exec = &run_ctx;
   state.trip_ctx = &run_ctx;
@@ -434,7 +431,7 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
     EgoJoinRanges(state, 0, split, split, ordered.size());
   }
   DrainEgoBatch(state);
-  if (compact) window.Flush();
+  window.Flush();
 
   if (options.leaf_kernel == LeafKernel::kSimd) {
     const KernelIsa isa = DispatchedKernelIsa();
@@ -448,6 +445,7 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
   stats.groups = sink->num_groups();
   stats.group_member_total = sink->group_member_total();
   stats.output_bytes = sink->bytes();
+  CountJoinWork(stats);
   return stats;
 }
 

@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/join_options.h"
 #include "core/join_stats.h"
 #include "core/sink.h"
 #include "geom/box.h"
@@ -16,70 +19,142 @@
 #include "util/timer.h"
 
 /// \file
-/// Groups and the g-most-recent-groups merge window of CSJ(g).
+/// Groups and the g-most-recent-groups merge window of CSJ(g): the one
+/// writer of every join's output.
 ///
-/// A group is a set of point ids plus a bounding MBR whose diagonal is kept
-/// <= epsilon, which guarantees (Section V-A) that all members mutually
-/// satisfy the range — membership tests, insertions and boundary updates are
-/// all constant time. The window implements mergeIntoPrevGroup from the
-/// paper's Figure 3: a link is merged into the first of the g most recent
-/// groups whose tentatively-extended MBR still has diagonal <= epsilon;
-/// otherwise it founds a new group.
+/// A group is a set of point ids plus a bound that guarantees (Section V-A)
+/// that all members mutually satisfy the range, so membership tests,
+/// insertions and bound updates are all constant time. The bound has one of
+/// two shapes:
+///
+///  * BoxShape: an MBR whose diagonal is kept <= epsilon (vector space; the
+///    tree and EGO joins);
+///  * BallShape: a fixed centre and radius epsilon/2, so any two members are
+///    within epsilon by the triangle inequality (general metric spaces, where
+///    no coordinates exist; the metric joins).
+///
+/// The window implements mergeIntoPrevGroup from the paper's Figure 3: a link
+/// is merged into the first of the g most recent groups whose bound still
+/// admits it; otherwise it founds a new group. Under SSJ and N-CSJ it holds
+/// nothing and writes every record straight to the sink. Either way it is
+/// the only code between a join driver and its sink: it times the writes,
+/// counts implied links only for records the sink accepted, drops groups of
+/// fewer than two members and charges pending groups to the memory budget.
 
 namespace csj {
 
-/// One output group under construction.
+/// MBR groups: the bound is a box whose diagonal stays <= eps.
 template <int D>
+class BoxShape {
+ public:
+  using Item = Point<D>;
+  using Bound = Box<D>;
+
+  explicit BoxShape(double epsilon) : eps_squared_(epsilon * epsilon) {}
+
+  /// Every box group takes merges.
+  static bool Mergeable(const Bound&) { return true; }
+
+  /// Extends the MBR to cover the link if its diagonal stays within eps
+  /// (squared comparison; no sqrt); leaves it untouched otherwise.
+  bool TryExtend(Bound& box, const Item& a, const Item& b) const {
+    Box<D> extended = box;
+    extended.Extend(a);
+    extended.Extend(b);
+    if (extended.SquaredDiagonal() > eps_squared_) return false;
+    box = extended;
+    return true;
+  }
+
+  /// The bound of a group founded by the link (a, b); an MBR can host any
+  /// qualifying link.
+  std::optional<Bound> Found(const Item& a, const Item& b, JoinStats*) const {
+    Box<D> box;
+    box.Extend(a);
+    box.Extend(b);
+    return box;
+  }
+
+ private:
+  double eps_squared_;
+};
+
+/// Ball groups: every member lies within eps/2 of a fixed centre item. A
+/// subtree group is mergeable only if it comes from one node whose covering
+/// radius already fits in eps/2; any other is frozen — proven at creation and
+/// never merged into, since a general metric space offers no cheap way to
+/// re-centre a ball.
+template <typename ItemT, typename Metric>
+class BallShape {
+ public:
+  using Item = ItemT;
+  struct Bound {
+    Item center{};
+    bool mergeable = false;
+  };
+
+  /// `metric` must outlive the shape.
+  BallShape(const Metric& metric, double epsilon)
+      : metric_(metric), radius_(epsilon / 2.0) {}
+
+  static bool Mergeable(const Bound& ball) { return ball.mergeable; }
+
+  /// Admits the link if both endpoints lie within eps/2 of the centre.
+  bool TryExtend(const Bound& ball, const Item& a, const Item& b) const {
+    return metric_(ball.center, a) <= radius_ &&
+           metric_(ball.center, b) <= radius_;
+  }
+
+  /// A mergeable group centred on a, if b lies within eps/2 of a. Otherwise
+  /// (b is in (eps/2, eps] of a) the ball cannot host the pair, and the link
+  /// stays a plain link. Costs one distance computation.
+  std::optional<Bound> Found(const Item& a, const Item& b,
+                             JoinStats* stats) const {
+    ++stats->distance_computations;
+    if (metric_(a, b) > radius_) return std::nullopt;
+    return Bound{a, true};
+  }
+
+  /// The bound of a subtree group covering node(s) centred on `center`.
+  Bound Subtree(const Item& center, double node_radius, bool one_node) const {
+    return Bound{center, one_node && node_radius <= radius_};
+  }
+
+ private:
+  const Metric& metric_;
+  double radius_;
+};
+
+/// One output group under construction: its bound and its member ids, in
+/// insertion order and deduplicated.
+template <typename Shape>
 class Group {
  public:
-  /// New group from a single link (two points).
-  Group(PointId id_a, const Point<D>& a, PointId id_b, const Point<D>& b) {
-    box_.Extend(a);
-    box_.Extend(b);
+  using Item = typename Shape::Item;
+  using Bound = typename Shape::Bound;
+
+  /// New group founded by the link (id_a, id_b).
+  Group(PointId id_a, PointId id_b, Bound bound) : bound_(std::move(bound)) {
     members_.push_back(id_a);
     if (id_b != id_a) members_.push_back(id_b);
   }
 
-  /// New group from a whole subtree (the early-stopping rule). `box` must
-  /// cover all member points and have diagonal <= epsilon.
-  Group(std::vector<PointId> members, const Box<D>& box)
-      : box_(box), members_(std::move(members)) {}
+  /// New group from a whole subtree (the early-stopping rule). `bound` must
+  /// cover all member points.
+  Group(std::vector<PointId> members, Bound bound)
+      : bound_(std::move(bound)), members_(std::move(members)) {}
 
-  /// Squared diagonal the MBR would have if extended to cover the link —
-  /// the dry-run of the merge test (used by the best-fit window policy).
-  double ExtensionSquaredDiagonal(const Point<D>& a, const Point<D>& b) const {
-    Box<D> extended = box_;
-    extended.Extend(a);
-    extended.Extend(b);
-    return extended.SquaredDiagonal();
-  }
-
-  /// Attempts to absorb the link (a, b): extends the MBR tentatively and
-  /// commits only if the extended diagonal is still within eps (squared
-  /// comparison; no sqrt). Returns true on success.
-  bool TryAddLink(double eps_squared, PointId id_a, const Point<D>& a,
-                  PointId id_b, const Point<D>& b) {
-    Box<D> extended = box_;
-    extended.Extend(a);
-    extended.Extend(b);
-    if (extended.SquaredDiagonal() > eps_squared) return false;
-    box_ = extended;
+  /// Attempts to absorb the link (a, b); commits the bound and the members
+  /// only if the shape admits it. Returns true on success.
+  bool TryAddLink(const Shape& shape, PointId id_a, const Item& a,
+                  PointId id_b, const Item& b) {
+    if (!shape.TryExtend(bound_, a, b)) return false;
     AddMember(id_a);
     AddMember(id_b);
     return true;
   }
 
-  /// Unconditional absorb (caller already verified the bound via
-  /// ExtensionSquaredDiagonal).
-  void AddLink(PointId id_a, const Point<D>& a, PointId id_b,
-               const Point<D>& b) {
-    box_.Extend(a);
-    box_.Extend(b);
-    AddMember(id_a);
-    AddMember(id_b);
-  }
-
-  const Box<D>& box() const { return box_; }
+  const Bound& bound() const { return bound_; }
   const std::vector<PointId>& members() const { return members_; }
   size_t size() const { return members_.size(); }
 
@@ -93,32 +168,42 @@ class Group {
     if (member_set_.insert(id).second) members_.push_back(id);
   }
 
-  Box<D> box_;
+  Bound bound_;
   std::vector<PointId> members_;
   std::unordered_set<PointId> member_set_;
 };
 
-/// The CSJ(g) merge window: holds the g most recently created groups; older
-/// groups are emitted to the sink as they are evicted, and Flush() emits the
-/// remainder at the end of the join.
-template <int D>
+/// The CSJ(g) merge window and output writer (see the file comment): holds
+/// the g most recently created groups; older groups are written as they are
+/// evicted, and Flush() writes the remainder at the end of the join.
+template <typename Shape>
 class GroupWindow {
  public:
+  using Item = typename Shape::Item;
+  using Bound = typename Shape::Bound;
+
+  /// \param shape the group shape.
+  /// \param algorithm kCSJ merges links into the window; kSSJ and kNCSJ
+  ///        write every record through.
   /// \param capacity the paper's g (>= 1).
-  /// \param epsilon query range.
-  /// \param sink receives evicted/flushed groups. Not owned.
-  /// \param stats implied-link accounting. Not owned.
+  /// \param promote_on_merge move a successfully extended group to the
+  ///        most-recent slot (ablation; the default keeps creation order).
+  /// \param sink receives the output. Not owned; may be set later.
+  /// \param stats implied links and merge work. Not owned.
   /// \param write_timer if non-null, sink time is accumulated there.
   /// \param exec optional governance context (util/exec_context.h). When it
   ///        carries a memory budget, each admitted group charges an estimate
   ///        of its member storage; under pressure the window degrades by
   ///        shedding its oldest groups (still-correct output, fewer merge
   ///        opportunities) before tripping `kResourceExhausted`.
-  GroupWindow(int capacity, double epsilon, JoinSink* sink, JoinStats* stats,
+  GroupWindow(Shape shape, JoinAlgorithm algorithm, int capacity,
+              bool promote_on_merge, JoinSink* sink, JoinStats* stats,
               StopwatchAccumulator* write_timer,
               const ExecContext* exec = nullptr)
-      : capacity_(static_cast<size_t>(capacity)),
-        eps_squared_(epsilon * epsilon),
+      : shape_(std::move(shape)),
+        merge_(algorithm == JoinAlgorithm::kCSJ),
+        capacity_(static_cast<size_t>(capacity)),
+        promote_on_merge_(promote_on_merge),
         sink_(sink),
         stats_(stats),
         write_timer_(write_timer),
@@ -126,114 +211,97 @@ class GroupWindow {
     CSJ_CHECK(capacity >= 1);
   }
 
-  ~GroupWindow() {
-    // An aborted run destroys the window with groups still pending; their
-    // reservations must flow back to the budget (without emitting).
-    MemoryBudget* budget = Budget();
-    if (budget != nullptr) {
-      for (uint64_t charge : charges_) {
-        if (charge > 0) budget->Release(charge);
-      }
-    }
-  }
-
   GroupWindow(const GroupWindow&) = delete;
   GroupWindow& operator=(const GroupWindow&) = delete;
 
-  /// mergeIntoPrevGroup (Figure 3): try the g most recent groups, newest
-  /// first; on failure start a new group containing just this link.
-  /// \param promote_on_merge move a successfully-extended group to the
-  ///        most-recent slot (ablation; the default keeps creation order).
-  void MergeLink(PointId id_a, const Point<D>& a, PointId id_b,
-                 const Point<D>& b, bool promote_on_merge) {
-    for (size_t i = window_.size(); i-- > 0;) {
-      ++stats_->merge_attempts;
-      if (window_[i].TryAddLink(eps_squared_, id_a, a, id_b, b)) {
-        ++stats_->merges;
-        if (promote_on_merge && i + 1 != window_.size()) {
-          Group<D> g = std::move(window_[i]);
-          window_.erase(window_.begin() + static_cast<long>(i));
-          window_.push_back(std::move(g));
-        }
-        return;
-      }
+  /// A qualifying link: merged under CSJ, written otherwise.
+  void Link(PointId id_a, const Item& a, PointId id_b, const Item& b) {
+    if (merge_) {
+      MergeLink(id_a, a, id_b, b);
+    } else {
+      WriteLink(id_a, id_b);
     }
-    Push(Group<D>(id_a, a, id_b, b));
   }
 
-  /// Best-fit variant of mergeIntoPrevGroup: evaluates every window group
-  /// and commits to the one whose extended MBR stays *tightest* (Section
-  /// V-B notes that insertion/grouping choices change output size; best-fit
-  /// trades g dry-run extensions — still O(g), still constant per group —
-  /// for better packing).
-  void MergeLinkBestFit(PointId id_a, const Point<D>& a, PointId id_b,
-                        const Point<D>& b, bool promote_on_merge) {
-    size_t best = window_.size();
-    double best_diag = eps_squared_;
-    for (size_t i = window_.size(); i-- > 0;) {
-      ++stats_->merge_attempts;
-      const double diag = window_[i].ExtensionSquaredDiagonal(a, b);
-      if (diag <= best_diag) {
-        best_diag = diag;
-        best = i;
-      }
-    }
-    if (best == window_.size()) {
-      Push(Group<D>(id_a, a, id_b, b));
+  /// createNewGroup(n): an early-stopped subtree (or subtree pair). Under
+  /// CSJ it joins the window so later links may merge into it; otherwise it
+  /// is written.
+  void SubtreeGroup(std::vector<PointId> members, Bound bound) {
+    if (members.size() < 2) return;  // a singleton implies no links
+    if (!merge_) {
+      WriteGroup(members);
       return;
     }
-    ++stats_->merges;
-    window_[best].AddLink(id_a, a, id_b, b);
-    if (promote_on_merge && best + 1 != window_.size()) {
-      Group<D> g = std::move(window_[best]);
-      window_.erase(window_.begin() + static_cast<long>(best));
-      window_.push_back(std::move(g));
-    }
+    Push(Group<Shape>(std::move(members), std::move(bound)));
   }
 
-  /// createNewGroup(n): admit a subtree group to the window so later links
-  /// may merge into it.
-  void AddSubtreeGroup(std::vector<PointId> members, const Box<D>& box) {
-    if (members.size() < 2) return;  // a singleton implies no links
-    Push(Group<D>(std::move(members), box));
-  }
-
-  /// Emits everything still buffered. Call exactly once, after the traversal.
+  /// Writes everything still buffered. Call exactly once, after the
+  /// traversal.
   void Flush() {
+    if (!merge_) return;
     CSJ_METRIC_COUNT("window.flushed_groups", window_.size());
     while (!window_.empty()) EvictOldest();
   }
 
   size_t live_groups() const { return window_.size(); }
+  const Shape& shape() const { return shape_; }
 
   /// Points the window at another sink; call only while it is empty (after
   /// Flush), as the task loop does between tasks.
   void set_sink(JoinSink* sink) { sink_ = sink; }
 
  private:
+  /// A pending group and its budget reservation (released with the slot).
+  struct Slot {
+    Group<Shape> group;
+    ScopedCharge charge;
+  };
+
+  /// mergeIntoPrevGroup (Figure 3): try the g most recent mergeable groups,
+  /// newest first (frozen groups are skipped without counting an attempt);
+  /// on failure found a new group containing just this link, or write a
+  /// plain link if the shape cannot host it.
+  void MergeLink(PointId id_a, const Item& a, PointId id_b, const Item& b) {
+    for (size_t i = window_.size(); i-- > 0;) {
+      if (!Shape::Mergeable(window_[i].group.bound())) continue;
+      ++stats_->merge_attempts;
+      if (window_[i].group.TryAddLink(shape_, id_a, a, id_b, b)) {
+        ++stats_->merges;
+        if (promote_on_merge_ && i + 1 != window_.size()) {
+          Slot slot = std::move(window_[i]);
+          window_.erase(window_.begin() + static_cast<long>(i));
+          window_.push_back(std::move(slot));
+        }
+        return;
+      }
+    }
+    std::optional<Bound> bound = shape_.Found(a, b, stats_);
+    if (!bound) {
+      WriteLink(id_a, id_b);
+      return;
+    }
+    Push(Group<Shape>(id_a, id_b, std::move(*bound)));
+  }
+
   MemoryBudget* Budget() const {
     return exec_ != nullptr ? exec_->memory_budget() : nullptr;
   }
 
-  /// Estimated heap footprint of a group: member ids plus container
-  /// overhead. Deliberately approximate (links merged later grow members_
-  /// uncharged); the dominant cost — big subtree groups — is captured at
-  /// admission, which is when it is decided.
-  static uint64_t GroupBytes(const Group<D>& group) {
-    return static_cast<uint64_t>(group.size()) * sizeof(PointId) +
-           kGroupOverheadBytes;
-  }
-
-  void Push(Group<D> group) {
-    uint64_t charged = 0;
+  void Push(Group<Shape> group) {
     MemoryBudget* budget = Budget();
+    ScopedCharge charge;
     if (budget != nullptr) {
-      const uint64_t bytes = GroupBytes(group);
+      // Estimated heap footprint: member ids plus container overhead.
+      // Deliberately approximate (links merged later grow the group
+      // uncharged); the dominant cost — big subtree groups — is captured at
+      // admission, which is when it is decided.
+      const uint64_t bytes =
+          group.size() * sizeof(PointId) + kGroupOverheadBytes;
       // Graceful degradation: shed the oldest groups (their output is still
       // correct; only future merge opportunities are lost) until the new
       // group fits. Only when even an empty window cannot hold it does the
       // run trip kResourceExhausted.
-      while (!budget->TryReserve(bytes)) {
+      while (!charge.Acquire(budget, bytes)) {
         if (window_.empty()) {
           exec_->Trip(Status::ResourceExhausted(StrFormat(
               "memory budget exhausted admitting a %zu-member group to the "
@@ -245,10 +313,8 @@ class GroupWindow {
         CSJ_METRIC_COUNT("resource.window_degradations", 1);
         EvictOldest();
       }
-      charged = bytes;
     }
-    window_.push_back(std::move(group));
-    charges_.push_back(charged);
+    window_.emplace_back(std::move(group), std::move(charge));
     // Under budget pressure the window proactively halves its capacity —
     // fewer pending groups, more headroom for the rest of the run.
     size_t capacity = capacity_;
@@ -266,32 +332,35 @@ class GroupWindow {
   }
 
   void EvictOldest() {
-    Emit(window_.front());
+    WriteGroup(window_.front().group.members());
     window_.pop_front();
-    if (!charges_.empty()) {
-      if (charges_.front() > 0) Budget()->Release(charges_.front());
-      charges_.pop_front();
-    }
   }
 
-  void Emit(const Group<D>& group) {
-    if (group.size() < 2) return;
+  void WriteLink(PointId a, PointId b) {
     ScopedStopwatch watch(write_timer_);
-    sink_->Group(group.members());
-    if (sink_->error().ok()) stats_->AddImpliedGroup(group.size());
+    sink_->Link(a, b);
+    // Implied links count only what the sink accepted.
+    if (sink_->error().ok()) stats_->AddImpliedLink();
+  }
+
+  void WriteGroup(std::span<const PointId> members) {
+    if (members.size() < 2) return;  // a singleton implies no links
+    ScopedStopwatch watch(write_timer_);
+    sink_->Group(members);
+    if (sink_->error().ok()) stats_->AddImpliedGroup(members.size());
   }
 
   static constexpr uint64_t kGroupOverheadBytes = 96;
 
+  Shape shape_;
+  bool merge_;
   size_t capacity_;
-  double eps_squared_;
+  bool promote_on_merge_;
   JoinSink* sink_;
   JoinStats* stats_;
   StopwatchAccumulator* write_timer_;
   const ExecContext* exec_;
-  std::deque<Group<D>> window_;
-  /// Per-group budget reservation, aligned with window_ (0 = uncharged).
-  std::deque<uint64_t> charges_;
+  std::deque<Slot> window_;
 };
 
 }  // namespace csj

@@ -32,13 +32,6 @@ inline const char* JoinAlgorithmName(JoinAlgorithm a) {
   return "?";
 }
 
-/// How CSJ(g) picks the group a link merges into.
-enum class WindowPolicy {
-  kFirstFit,  ///< the paper's mergeIntoPrevGroup: first fitting group,
-              ///< most-recent-first
-  kBestFit,   ///< all g groups evaluated; tightest resulting MBR wins
-};
-
 /// Join parameters.
 ///
 /// Range predicate: the paper's prose and pseudocode mix "<" and "<=" for
@@ -58,16 +51,10 @@ struct JoinOptions {
   /// merging alone). N-CSJ ignores this — the early stop *is* N-CSJ.
   bool early_stop = true;
 
-  /// Ablation: visit child pairs ordered by ascending MinDistance instead of
-  /// the pseudocode's index order (Brinkhoff-style ordering, paper ref [1]).
-  bool sort_child_pairs = false;
-
   /// Ablation: on a successful merge, move the group to the most-recent slot
-  /// of the window (LRU-like) instead of keeping creation order.
+  /// of the window (LRU-like) instead of keeping creation order. Box and
+  /// ball groups alike; a library option only (no flag or request sets it).
   bool promote_on_merge = false;
-
-  /// Ablation: first-fit (the paper's pseudocode) vs best-fit link merging.
-  WindowPolicy window_policy = WindowPolicy::kFirstFit;
 
   /// Leaf-level pair enumeration strategy (geom/kernels.h): the scalar
   /// baseline double loop (the reference the kernel tests compare against),

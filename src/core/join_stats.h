@@ -7,6 +7,7 @@
 #include "core/join_options.h"
 #include "util/format.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 /// \file
@@ -141,6 +142,16 @@ struct JoinStats {
  private:
   uint64_t implied_links_ = 0;
 };
+
+/// Mirrors a run's (or a task's) work counters into the process-wide join.*
+/// metrics: one bulk add per run, so the per-pair hot loops stay untouched.
+/// Every driver calls it once per unit of work it reports.
+inline void CountJoinWork([[maybe_unused]] const JoinStats& stats) {
+  CSJ_METRIC_COUNT("join.distance_computations", stats.distance_computations);
+  CSJ_METRIC_COUNT("join.early_stops", stats.early_stops);
+  CSJ_METRIC_COUNT("join.merge_attempts", stats.merge_attempts);
+  CSJ_METRIC_COUNT("join.merges", stats.merges);
+}
 
 }  // namespace csj
 

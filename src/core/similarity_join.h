@@ -93,8 +93,10 @@ class JoinDriver {
         options_(options),
         eps_(options.epsilon),
         eps_squared_(options.epsilon * options.epsilon),
-        window_(std::max(options.window_size, 1), options.epsilon, nullptr,
-                &stats_, options.measure_write_time ? &write_timer_ : nullptr,
+        window_(BoxShape<D>(options.epsilon), algorithm,
+                std::max(options.window_size, 1), options.promote_on_merge,
+                /*sink=*/nullptr, &stats_,
+                options.measure_write_time ? &write_timer_ : nullptr,
                 &run_ctx_) {
     CSJ_CHECK(options.epsilon > 0.0) << "epsilon must be positive";
     // Governance: options.exec is the task loop's context, polled at every
@@ -102,7 +104,6 @@ class JoinDriver {
     run_ctx_.SetParent(options.exec);
     if (MemoryBudget* budget = run_ctx_.memory_budget()) {
       kernel_scratch_charge_.Acquire(budget, 0);
-      pair_scratch_charge_.Acquire(budget, 0);
       batch_charge_.Acquire(budget, 0);
     }
     // kNaive stays undeferred so it remains the honest pre-batching
@@ -121,25 +122,17 @@ class JoinDriver {
     window_.set_sink(sink);
     stats_ = JoinStats();
     write_timer_.Reset();
-    if (!self_join_) {
-      DualJoin(task.first, task.second);
-    } else if (task.second == kInvalidNode) {
+    if (task.second == kInvalidNode) {
       SelfJoin(task.first);
     } else {
-      SelfDualJoin(task.first, task.second);
+      DualJoin(task.first, task.second);
     }
     DrainLeafBatch();
-    if (algorithm_ == JoinAlgorithm::kCSJ) window_.Flush();
+    window_.Flush();
     stats_.status = sink_->error();
     if (stats_.status.ok()) stats_.status = run_ctx_.status();
     stats_.write_seconds = write_timer_.TotalSeconds();
-    // Mirror the task's work counters into the process-wide metrics (one
-    // bulk add per task, so the per-pair hot loops stay untouched).
-    CSJ_METRIC_COUNT("join.distance_computations",
-                     stats_.distance_computations);
-    CSJ_METRIC_COUNT("join.early_stops", stats_.early_stops);
-    CSJ_METRIC_COUNT("join.merge_attempts", stats_.merge_attempts);
-    CSJ_METRIC_COUNT("join.merges", stats_.merges);
+    CountJoinWork(stats_);
     return stats_;
   }
 
@@ -198,11 +191,14 @@ class JoinDriver {
 
   // --- Batched leaf pipeline (core/leaf_batch.h) ----------------------------
 
-  /// Batch keys: tree A leaves use the node id; tree B leaves (dual joins)
-  /// set the top bit so the two id spaces never collide in one batch.
+  /// Batch keys: tree A leaves use the node id; tree B leaves of a dual join
+  /// set the top bit so the two id spaces never collide in one batch. A
+  /// self-join keys both sides by node id, so each leaf is transposed once
+  /// per batch.
   static uint64_t LeafKeyA(NodeId n) { return static_cast<uint64_t>(n); }
-  static uint64_t LeafKeyB(NodeId n) {
-    return static_cast<uint64_t>(n) | (uint64_t{1} << 63);
+  uint64_t LeafKeyB(NodeId n) const {
+    return self_join_ ? LeafKeyA(n)
+                      : static_cast<uint64_t>(n) | (uint64_t{1} << 63);
   }
 
   /// High-water budget accounting for the batch's resident tiles + queue,
@@ -253,13 +249,8 @@ class JoinDriver {
                            kInvalidNode);
           break;
         case LeafEvent::Kind::kGroupPair:
-          if (self_join_) {
-            EmitSubtreeGroup(tree_a_, static_cast<NodeId>(e.id_a), tree_a_,
-                             static_cast<NodeId>(e.id_b));
-          } else {
-            EmitSubtreeGroup(tree_a_, static_cast<NodeId>(e.id_a), tree_b_,
-                             static_cast<NodeId>(e.id_b));
-          }
+          EmitSubtreeGroup(tree_a_, static_cast<NodeId>(e.id_a), tree_b_,
+                           static_cast<NodeId>(e.id_b));
           break;
       }
     }
@@ -277,53 +268,9 @@ class JoinDriver {
     return false;
   }
 
-  /// MinDistance-sorted child pair lists (Brinkhoff ordering) need a
-  /// (dist, pair) buffer per recursion level; the pool reuses one buffer per
-  /// depth so steady-state traversals allocate nothing. Indexed access only:
-  /// growing the pool moves the inner vectors.
-  using ChildPair = std::pair<double, std::pair<NodeId, NodeId>>;
-  std::vector<ChildPair>& PairScratch(int depth) {
-    if (static_cast<size_t>(depth) >= pair_scratch_pool_.size()) {
-      pair_scratch_pool_.resize(depth + 1);
-      // Nominal per-level estimate; the sort scratch is small but the issue
-      // is the principle: every reusable buffer answers to the budget.
-      if (!pair_scratch_charge_.Resize(pair_scratch_pool_.size() *
-                                       kPairScratchLevelBytes)) {
-        run_ctx_.Trip(Status::ResourceExhausted(
-            "memory budget exhausted growing the child-pair sort scratch"));
-      }
-    }
-    pair_scratch_pool_[depth].clear();
-    return pair_scratch_pool_[depth];
-  }
-
-  /// Recurses into the child pairs `offer(consider)` enumerates as
-  /// consider(MinDistance, n1, n2): those within eps, in offer order, or by
-  /// ascending MinDistance under sort_child_pairs (Brinkhoff ordering).
-  template <typename Offer, typename Recurse>
-  void VisitChildPairs(int depth, Offer&& offer, Recurse&& recurse) {
-    if (!options_.sort_child_pairs) {
-      offer([&](double dist, NodeId n1, NodeId n2) {
-        if (dist <= eps_) recurse(n1, n2);
-      });
-      return;
-    }
-    auto& pairs = PairScratch(depth);
-    offer([&](double dist, NodeId n1, NodeId n2) {
-      if (dist <= eps_) pairs.push_back({dist, {n1, n2}});
-    });
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    // Indexed, value-copied iteration: recursion below may grow the pool.
-    for (size_t k = 0; k < pair_scratch_pool_[depth].size(); ++k) {
-      const auto pair = pair_scratch_pool_[depth][k].second;
-      recurse(pair.first, pair.second);
-    }
-  }
-
   // --- Single-node recursion (Figure 3, simJoin(n)) -------------------------
 
-  void SelfJoin(NodeId n, int depth = 0) {
+  void SelfJoin(NodeId n) {
     if (Aborted()) return;
     CSJ_METRIC_COUNT("join.node_visits", 1);
     TouchA(n);
@@ -352,84 +299,23 @@ class JoinDriver {
       return;
     }
     const auto children = TreeChildren(tree_a_, n, &run_ctx_);
-    for (NodeId child : children) SelfJoin(child, depth + 1);
-    VisitChildPairs(
-        depth,
-        [&](auto&& consider) {
-          for (size_t i = 0; i < children.size(); ++i) {
-            for (size_t j = i + 1; j < children.size(); ++j) {
-              consider(tree_a_.MinDistance(children[i], children[j]),
-                       children[i], children[j]);
-            }
-          }
-        },
-        [&](NodeId c1, NodeId c2) { SelfDualJoin(c1, c2, depth + 1); });
+    for (NodeId child : children) SelfJoin(child);
+    for (size_t i = 0; i < children.size(); ++i) {
+      for (size_t j = i + 1; j < children.size(); ++j) {
+        if (tree_a_.MinDistance(children[i], children[j]) <= eps_) {
+          DualJoin(children[i], children[j]);
+        }
+      }
+    }
   }
 
-  /// Dual-node recursion within the self-joined tree (simJoin(n1, n2)).
-  void SelfDualJoin(NodeId n1, NodeId n2, int depth = 0) {
-    if (Aborted()) return;
-    CSJ_METRIC_COUNT("join.node_visits", 2);
-    TouchA(n1);
-    TouchA(n2);
-    if (Compact() && options_.early_stop &&
-        tree_a_.MaxDiameter(n1, n2) <= eps_) {
-      if (batch_enabled_) {
-        leaf_batch_.PushGroupPair(LeafKeyA(n1), LeafKeyA(n2));
-        AfterEnqueue();
-      } else {
-        EmitSubtreeGroup(tree_a_, n1, tree_a_, n2);
-      }
-      return;
-    }
-    const bool leaf1 = tree_a_.IsLeaf(n1);
-    const bool leaf2 = tree_a_.IsLeaf(n2);
-    if (leaf1 && leaf2) {
-      decltype(auto) entries1 = TreeEntries(tree_a_, n1, &run_ctx_);
-      decltype(auto) entries2 = TreeEntries(tree_a_, n2, &run_ctx_);
-      if (!ChargeLeafScratch(entries1.size() + entries2.size())) return;
-      if (batch_enabled_) {
-        const uint32_t slot1 = leaf_batch_.TileSlot(
-            LeafKeyA(n1), [&](LeafTile<D>& t) { t.Load(entries1); });
-        const uint32_t slot2 = leaf_batch_.TileSlot(
-            LeafKeyA(n2), [&](LeafTile<D>& t) { t.Load(entries2); });
-        leaf_batch_.PushPair(slot1, slot2);
-        AfterEnqueue();
-        return;
-      }
-      AddKernelWork(BlockJoinKernel(
-          kernel_scratch_, entries1, entries2, eps_squared_,
-          options_.leaf_kernel,
-          [this](const Entry<D>& a, const Entry<D>& b) { EmitLink(a, b); }));
-      return;
-    }
-    if (leaf1) {
-      for (NodeId c2 : TreeChildren(tree_a_, n2, &run_ctx_)) {
-        if (tree_a_.MinDistance(n1, c2) <= eps_) SelfDualJoin(n1, c2, depth + 1);
-      }
-      return;
-    }
-    if (leaf2) {
-      for (NodeId c1 : TreeChildren(tree_a_, n1, &run_ctx_)) {
-        if (tree_a_.MinDistance(c1, n2) <= eps_) SelfDualJoin(c1, n2, depth + 1);
-      }
-      return;
-    }
-    VisitChildPairs(
-        depth,
-        [&](auto&& consider) {
-          for (NodeId c1 : TreeChildren(tree_a_, n1, &run_ctx_)) {
-            for (NodeId c2 : TreeChildren(tree_a_, n2, &run_ctx_)) {
-              consider(tree_a_.MinDistance(c1, c2), c1, c2);
-            }
-          }
-        },
-        [&](NodeId c1, NodeId c2) { SelfDualJoin(c1, c2, depth + 1); });
-  }
+  // --- Dual-node recursion (Figure 3, simJoin(n1, n2)) ----------------------
 
-  // --- Dual-tree recursion (spatial join, Section IV-D) ----------------------
-
-  void DualJoin(NodeId a, NodeId b, int depth = 0) {
+  /// Pairs bridging node a of tree A and node b of tree B: two subtrees of
+  /// the self-joined tree, or a spatial join's two trees (Section IV-D). For
+  /// every tree type, Shape-based bounds do the same floating-point work as
+  /// the tree's own MinDistance / MaxDiameter.
+  void DualJoin(NodeId a, NodeId b) {
     if (Aborted()) return;
     CSJ_METRIC_COUNT("join.node_visits", 2);
     TouchA(a);
@@ -469,46 +355,27 @@ class JoinDriver {
     }
     if (leaf_a) {
       for (NodeId cb : TreeChildren(tree_b_, b, &run_ctx_)) {
-        if (MinDist(a, cb) <= eps_) DualJoin(a, cb, depth + 1);
+        if (MinDist(a, cb) <= eps_) DualJoin(a, cb);
       }
       return;
     }
     if (leaf_b) {
       for (NodeId ca : TreeChildren(tree_a_, a, &run_ctx_)) {
-        if (MinDist(ca, b) <= eps_) DualJoin(ca, b, depth + 1);
+        if (MinDist(ca, b) <= eps_) DualJoin(ca, b);
       }
       return;
     }
-    VisitChildPairs(
-        depth,
-        [&](auto&& consider) {
-          for (NodeId ca : TreeChildren(tree_a_, a, &run_ctx_)) {
-            for (NodeId cb : TreeChildren(tree_b_, b, &run_ctx_)) {
-              consider(MinDist(ca, cb), ca, cb);
-            }
-          }
-        },
-        [&](NodeId ca, NodeId cb) { DualJoin(ca, cb, depth + 1); });
+    for (NodeId ca : TreeChildren(tree_a_, a, &run_ctx_)) {
+      for (NodeId cb : TreeChildren(tree_b_, b, &run_ctx_)) {
+        if (MinDist(ca, cb) <= eps_) DualJoin(ca, cb);
+      }
+    }
   }
 
   // --- Emission ---------------------------------------------------------------
 
   void EmitLink(const Entry<D>& e1, const Entry<D>& e2) {
-    if (algorithm_ == JoinAlgorithm::kCSJ) {
-      if (options_.window_policy == WindowPolicy::kBestFit) {
-        window_.MergeLinkBestFit(e1.id, e1.point, e2.id, e2.point,
-                                 options_.promote_on_merge);
-      } else {
-        window_.MergeLink(e1.id, e1.point, e2.id, e2.point,
-                          options_.promote_on_merge);
-      }
-      return;
-    }
-    ScopedStopwatch watch(options_.measure_write_time ? &write_timer_
-                                                      : nullptr);
-    sink_->Link(e1.id, e2.id);
-    // Implied links count only what the sink accepted.
-    if (sink_->error().ok()) stats_.AddImpliedLink();
+    window_.Link(e1.id, e1.point, e2.id, e2.point);
   }
 
   /// Early-stopping rule: every point below n1 (in tree t1) and below n2
@@ -532,20 +399,7 @@ class JoinDriver {
     if (n2 != kInvalidNode) {
       ForEachEntryInSubtree(t2, n2, options_.tracker, collect, &run_ctx_);
     }
-    EmitGroup(std::move(members), box);
-  }
-
-  void EmitGroup(std::vector<PointId> members, const Box<D>& box) {
-    if (members.size() < 2) return;  // no links implied; nothing to report
-    if (algorithm_ == JoinAlgorithm::kCSJ) {
-      // Admit to the merge window so later bridging links can join it.
-      window_.AddSubtreeGroup(std::move(members), box);
-      return;
-    }
-    ScopedStopwatch watch(options_.measure_write_time ? &write_timer_
-                                                      : nullptr);
-    sink_->Group(members);
-    if (sink_->error().ok()) stats_.AddImpliedGroup(members.size());
+    window_.SubtreeGroup(std::move(members), box);
   }
 
   const TreeA& tree_a_;
@@ -561,22 +415,17 @@ class JoinDriver {
   /// Governance context, chained under options.exec. Declared before
   /// window_, which captures a pointer to it.
   ExecContext run_ctx_;
-  GroupWindow<D> window_;
+  GroupWindow<BoxShape<D>> window_;
   /// Leaf-kernel scratch (SoA tiles + hit buffer), reused across leaf visits.
   LeafJoinScratch<D> kernel_scratch_;
   /// Deferred leaf/group events + per-batch tile cache (core/leaf_batch.h).
   LeafBatch<D> leaf_batch_;
   bool batch_enabled_ = false;
-  /// Per-recursion-depth (dist, child pair) buffers for sort_child_pairs.
-  std::vector<std::vector<ChildPair>> pair_scratch_pool_;
   /// High-water-mark budget reservations for the scratch buffers above.
   ScopedCharge kernel_scratch_charge_;
-  ScopedCharge pair_scratch_charge_;
   ScopedCharge batch_charge_;
   size_t charged_leaf_entries_ = 0;
   uint64_t charged_batch_bytes_ = 0;
-  static constexpr uint64_t kPairScratchLevelBytes =
-      256 * sizeof(ChildPair);
 };
 
 /// The task-list size every tree join targets. On the MG road network it

@@ -2,52 +2,34 @@
 #define CSJ_METRIC_METRIC_JOIN_H_
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
+#include "core/group.h"
 #include "core/join_options.h"
 #include "core/join_stats.h"
 #include "core/sink.h"
 #include "metric/generic_mtree.h"
 #include "util/exec_context.h"
 #include "util/format.h"
-#include "util/metrics.h"
 #include "util/timer.h"
 
 /// \file
 /// Compact similarity joins in *general metric spaces* — the paper's second
 /// problem ("the algorithms are equally applicable to metric space, and the
-/// gains carry over", Section VII). No coordinates exist here, so the MBR
-/// group shape is replaced by a bounding ball with a *fixed center and
-/// radius eps/2*: any two members are within eps of each other by the
-/// triangle inequality, and membership tests stay constant time (one
-/// distance evaluation), preserving the Section V-A cost guarantees.
+/// gains carry over", Section VII). No coordinates exist here, so groups take
+/// the ball shape (core/group.h): a *fixed centre and radius eps/2*, so any
+/// two members are within eps of each other by the triangle inequality, and
+/// membership tests stay constant time (one distance evaluation per
+/// endpoint), preserving the Section V-A cost guarantees.
 ///
 /// Output semantics are identical to the vector-space joins: links, groups,
-/// and the same lossless expansion contract.
+/// and the same lossless expansion contract, written by the same GroupWindow.
+///
+/// The recursion stays apart from JoinDriver (core/similarity_join.h): that
+/// driver's leaf tiles, kernels and leaf batch need coordinates, so folding
+/// this one in would make it branch on point vs metric leaves.
 
 namespace csj {
-
-namespace metric_internal {
-
-/// A metric group: members all within eps/2 of the (fixed) center item.
-/// Frozen groups (from subtree early stops) are proven-correct at creation
-/// and never accept merges — there is no cheap way to re-center a ball in a
-/// general metric space.
-template <typename Item>
-struct MetricGroup {
-  Item center{};
-  bool mergeable = false;
-  std::vector<PointId> members;
-  std::unordered_set<PointId> member_set;
-
-  void AddMember(PointId id) {
-    if (member_set.insert(id).second) members.push_back(id);
-  }
-};
-
-}  // namespace metric_internal
 
 /// Drives SSJ / N-CSJ / CSJ(g) over a GenericMTree of any item type
 /// (MTree<D> included).
@@ -56,16 +38,20 @@ class MetricJoinDriver {
  public:
   using Tree = GenericMTree<Item, Metric>;
   using EntryT = typename Tree::EntryT;
-  using Group = metric_internal::MetricGroup<Item>;
+  using Shape = BallShape<Item, Metric>;
 
   MetricJoinDriver(const Tree& tree, JoinAlgorithm algorithm,
                    const JoinOptions& options, JoinSink* sink)
       : tree_(tree),
-        algorithm_(algorithm),
         options_(options),
         eps_(options.epsilon),
-        half_eps_(options.epsilon / 2.0),
-        sink_(sink) {
+        compact_(algorithm != JoinAlgorithm::kSSJ),
+        sink_(sink),
+        window_(Shape(tree.metric(), options.epsilon), algorithm,
+                std::max(options.window_size, 1), options.promote_on_merge,
+                sink, &stats_,
+                options.measure_write_time ? &write_timer_ : nullptr,
+                &run_ctx_) {
     CSJ_CHECK(options.epsilon > 0.0);
     CSJ_CHECK(sink != nullptr);
     run_ctx_.SetParent(options.exec);
@@ -81,19 +67,20 @@ class MetricJoinDriver {
     if (tree_.Root() != kInvalidNode && tree_.size() >= 2) {
       SelfJoin(tree_.Root());
     }
-    Flush();
+    window_.Flush();
     stats_.status = sink_->error();
     if (stats_.status.ok()) stats_.status = run_ctx_.status();
     stats_.elapsed_seconds = timer.ElapsedSeconds();
+    stats_.write_seconds = write_timer_.TotalSeconds();
     stats_.links = sink_->num_links();
     stats_.groups = sink_->num_groups();
     stats_.group_member_total = sink_->group_member_total();
     stats_.output_bytes = sink_->bytes();
+    CountJoinWork(stats_);
     return stats_;
   }
 
  private:
-  bool Compact() const { return algorithm_ != JoinAlgorithm::kSSJ; }
   const Metric& metric() const { return tree_.metric(); }
 
   /// Sink dead, cancel fired, deadline expired, or budget exhausted —
@@ -102,7 +89,7 @@ class MetricJoinDriver {
 
   void SelfJoin(NodeId n) {
     if (Aborted()) return;
-    if (Compact() && options_.early_stop && tree_.MaxDiameter(n) <= eps_) {
+    if (compact_ && options_.early_stop && tree_.MaxDiameter(n) <= eps_) {
       EmitSubtree(n, kInvalidNode);
       return;
     }
@@ -131,7 +118,7 @@ class MetricJoinDriver {
 
   void DualJoin(NodeId n1, NodeId n2) {
     if (Aborted()) return;
-    if (Compact() && options_.early_stop &&
+    if (compact_ && options_.early_stop &&
         tree_.MaxDiameter(n1, n2) <= eps_) {
       EmitSubtree(n1, n2);
       return;
@@ -167,53 +154,12 @@ class MetricJoinDriver {
   }
 
   void EmitLink(const EntryT& a, const EntryT& b) {
-    if (algorithm_ != JoinAlgorithm::kCSJ) {
-      WriteLink(a.id, b.id);
-      return;
-    }
-    const Item& item_a = EntryItem(a);
-    const Item& item_b = EntryItem(b);
-    // mergeIntoPrevGroup, metric version: a link joins a mergeable group if
-    // BOTH endpoints are within eps/2 of the group's center.
-    for (size_t i = window_.size(); i-- > 0;) {
-      Group& group = window_[i];
-      if (!group.mergeable) continue;
-      ++stats_.merge_attempts;
-      if (metric()(group.center, item_a) <= half_eps_ &&
-          metric()(group.center, item_b) <= half_eps_) {
-        group.AddMember(a.id);
-        group.AddMember(b.id);
-        ++stats_.merges;
-        return;
-      }
-    }
-    // New group centered on one endpoint — mergeable only if it can actually
-    // host both members under the ball invariant.
-    ++stats_.distance_computations;
-    if (metric()(item_a, item_b) > half_eps_) {
-      // The ball invariant cannot hold (b is in (eps/2, eps] of a); emit the
-      // pair as a plain link instead of a dead group.
-      WriteLink(a.id, b.id);
-      return;
-    }
-    Group group;
-    group.center = item_a;
-    group.mergeable = true;
-    group.AddMember(a.id);
-    group.AddMember(b.id);
-    Push(std::move(group));
-  }
-
-  void WriteLink(PointId a, PointId b) {
-    sink_->Link(a, b);
-    // Implied links count only what the sink accepted.
-    if (sink_->error().ok()) stats_.AddImpliedLink();
+    window_.Link(a.id, EntryItem(a), b.id, EntryItem(b));
   }
 
   /// Early stop: all items under n1 (and n2, if given) form one group,
-  /// proven by the ball bound at creation; frozen thereafter. The member
-  /// collection is charged to the budget before it is built, as in the
-  /// vector-space driver.
+  /// proven by the ball bound at creation. The member collection is charged
+  /// to the budget before it is built, as in the vector-space driver.
   void EmitSubtree(NodeId n1, NodeId n2) {
     ++stats_.early_stops;
     size_t count = CountEntriesInSubtree(tree_, n1);
@@ -225,90 +171,35 @@ class MetricJoinDriver {
           count)));
       return;
     }
-    Group group;
-    group.center = tree_.NodeCenter(n1);
-    CollectMembers(n1, &group);
-    if (n2 != kInvalidNode) CollectMembers(n2, &group);
-    if (group.members.size() < 2) return;
-    if (algorithm_ == JoinAlgorithm::kCSJ) {
-      // Mergeable only if the covering ball already fits in eps/2 — then
-      // future links inside it keep the mutual-eps guarantee.
-      group.mergeable =
-          n2 == kInvalidNode && tree_.NodeRadius(n1) <= half_eps_;
-      Push(std::move(group));
-    } else {
-      Emit(group);
-    }
+    std::vector<PointId> members;
+    members.reserve(count);
+    CollectMembers(n1, &members);
+    if (n2 != kInvalidNode) CollectMembers(n2, &members);
+    window_.SubtreeGroup(
+        std::move(members),
+        window_.shape().Subtree(tree_.NodeCenter(n1), tree_.NodeRadius(n1),
+                                /*one_node=*/n2 == kInvalidNode));
   }
 
-  void CollectMembers(NodeId n, Group* group) {
+  void CollectMembers(NodeId n, std::vector<PointId>* members) {
     if (tree_.IsLeaf(n)) {
-      for (const auto& e : tree_.Entries(n)) group->AddMember(e.id);
+      for (const auto& e : tree_.Entries(n)) members->push_back(e.id);
       return;
     }
-    for (NodeId child : tree_.Children(n)) CollectMembers(child, group);
-  }
-
-  /// Estimated heap footprint of a ball group (members + dedup set).
-  static uint64_t GroupBytes(const Group& group) {
-    return static_cast<uint64_t>(group.members.size()) *
-               (sizeof(PointId) + 2 * sizeof(PointId)) +
-           128;
-  }
-
-  void Push(Group group) {
-    uint64_t charged = 0;
-    if (MemoryBudget* budget = run_ctx_.memory_budget()) {
-      const uint64_t bytes = GroupBytes(group);
-      // Same degradation order as GroupWindow: shed oldest groups before
-      // tripping kResourceExhausted.
-      while (!budget->TryReserve(bytes)) {
-        if (window_.empty()) {
-          run_ctx_.Trip(Status::ResourceExhausted(
-              "memory budget exhausted admitting a metric ball group"));
-          return;
-        }
-        CSJ_METRIC_COUNT("resource.window_degradations", 1);
-        EvictOldest();
-      }
-      charged = bytes;
-    }
-    window_.push_back(std::move(group));
-    charges_.push_back(charged);
-    if (window_.size() > static_cast<size_t>(std::max(options_.window_size, 1))) {
-      EvictOldest();
-    }
-  }
-
-  void EvictOldest() {
-    Emit(window_.front());
-    window_.pop_front();
-    if (!charges_.empty()) {
-      if (charges_.front() > 0) run_ctx_.memory_budget()->Release(charges_.front());
-      charges_.pop_front();
-    }
-  }
-
-  void Emit(const Group& group) {
-    if (group.members.size() < 2) return;
-    sink_->Group(group.members);
-    if (sink_->error().ok()) stats_.AddImpliedGroup(group.members.size());
-  }
-
-  void Flush() {
-    while (!window_.empty()) EvictOldest();
+    for (NodeId child : tree_.Children(n)) CollectMembers(child, members);
   }
 
   const Tree& tree_;
-  JoinAlgorithm algorithm_;
   const JoinOptions& options_;
   double eps_;
-  double half_eps_;
+  bool compact_;
   JoinSink* sink_;
-  ExecContext run_ctx_;
   JoinStats stats_;
-  std::deque<Group> window_;
-  std::deque<uint64_t> charges_;
+  StopwatchAccumulator write_timer_;
+  /// Governance context, chained under options.exec. Declared before
+  /// window_, which captures a pointer to it.
+  ExecContext run_ctx_;
+  GroupWindow<Shape> window_;
 };
 
 /// Standard similarity self-join over a metric tree.

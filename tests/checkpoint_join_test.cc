@@ -832,7 +832,6 @@ TEST(ParallelJoinTest, WindowOptionsRespected) {
   const RStarTree<2> tree = InsertAll(entries);
   JoinOptions options;
   options.epsilon = 0.05;
-  options.window_policy = WindowPolicy::kBestFit;
   options.promote_on_merge = true;
   options.window_size = 3;
   const TextRun run = RunText(tree, options, 4, "pj_window.txt");

@@ -76,10 +76,7 @@ TEST_P(JoinFuzzTest, RandomConfigurationsAreLossless) {
     options.epsilon = eps;
     options.window_size = 1 + static_cast<int>(rng.UniformInt(uint64_t{40}));
     options.early_stop = !rng.Bernoulli(0.2);
-    options.sort_child_pairs = rng.Bernoulli(0.3);
     options.promote_on_merge = rng.Bernoulli(0.3);
-    options.window_policy = rng.Bernoulli(0.3) ? WindowPolicy::kBestFit
-                                               : WindowPolicy::kFirstFit;
 
     const int tree_kind = static_cast<int>(rng.UniformInt(uint64_t{3}));
     const size_t fanout = 4 + rng.UniformInt(uint64_t{28});

@@ -336,18 +336,5 @@ TEST(JoinBasicTest, EarlyStopDisabledStillLossless) {
                   .lossless());
 }
 
-TEST(JoinBasicTest, SortChildPairsStillLossless) {
-  const auto entries = Figure1Points();
-  auto tree = SmallTree(entries);
-  JoinOptions options;
-  options.epsilon = 0.07;
-  options.sort_child_pairs = true;
-  MemorySink sink(1);
-  CompactSimilarityJoin(tree, options, &sink);
-  EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(sink),
-                              BruteForceSelfJoin(entries, options.epsilon))
-                  .lossless());
-}
-
 }  // namespace
 }  // namespace csj

@@ -290,29 +290,26 @@ TEST(KernelsTest, SelfJoinDriversIdenticalAcrossKernels) {
     for (double eps : {0.01, 0.05, 0.2}) {
       for (auto algo : {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ,
                         JoinAlgorithm::kCSJ}) {
-        for (bool sort_pairs : {false, true}) {
-          JoinOptions options;
-          options.epsilon = eps;
-          options.sort_child_pairs = sort_pairs;
-          options.leaf_kernel = LeafKernel::kNaive;
-          MemorySink baseline(IdWidthFor(entries.size()));
-          const JoinStats naive_stats =
-              RunSelfJoin(algo, tree, options, &baseline);
+        JoinOptions options;
+        options.epsilon = eps;
+        options.leaf_kernel = LeafKernel::kNaive;
+        MemorySink baseline(IdWidthFor(entries.size()));
+        const JoinStats naive_stats =
+            RunSelfJoin(algo, tree, options, &baseline);
 
-          ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
-            options.leaf_kernel = mode;
-            MemorySink sink(IdWidthFor(entries.size()));
-            const JoinStats stats = RunSelfJoin(algo, tree, options, &sink);
-            EXPECT_EQ(sink.links(), baseline.links())
-                << JoinAlgorithmName(algo) << " eps=" << eps
-                << " mode=" << label << " sort=" << sort_pairs;
-            EXPECT_EQ(sink.groups(), baseline.groups());
-            EXPECT_EQ(stats.kernel_hits, naive_stats.kernel_hits);
-            EXPECT_EQ(stats.kernel_candidates, naive_stats.kernel_candidates);
-            EXPECT_LE(stats.distance_computations,
-                      naive_stats.distance_computations);
-          });
-        }
+        ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
+          options.leaf_kernel = mode;
+          MemorySink sink(IdWidthFor(entries.size()));
+          const JoinStats stats = RunSelfJoin(algo, tree, options, &sink);
+          EXPECT_EQ(sink.links(), baseline.links())
+              << JoinAlgorithmName(algo) << " eps=" << eps
+              << " mode=" << label;
+          EXPECT_EQ(sink.groups(), baseline.groups());
+          EXPECT_EQ(stats.kernel_hits, naive_stats.kernel_hits);
+          EXPECT_EQ(stats.kernel_candidates, naive_stats.kernel_candidates);
+          EXPECT_LE(stats.distance_computations,
+                    naive_stats.distance_computations);
+        });
       }
     }
   }
@@ -378,28 +375,25 @@ TEST(KernelsTest, SpatialJoinDriversIdenticalAcrossKernels) {
   const auto tree_a = SmallFanoutTree(ea);
   const auto tree_b = SmallFanoutTree(eb);
   for (double eps : {0.02, 0.1}) {
-    for (bool sort_pairs : {false, true}) {
-      JoinOptions options;
-      options.epsilon = eps;
-      options.sort_child_pairs = sort_pairs;
-      options.leaf_kernel = LeafKernel::kNaive;
-      MemorySink baseline(IdWidthFor(100000 + eb.size()));
-      StandardSpatialJoin(tree_a, tree_b, options, &baseline);
-      MemorySink baseline_csj(IdWidthFor(100000 + eb.size()));
-      CompactSpatialJoin(tree_a, tree_b, options, &baseline_csj);
+    JoinOptions options;
+    options.epsilon = eps;
+    options.leaf_kernel = LeafKernel::kNaive;
+    MemorySink baseline(IdWidthFor(100000 + eb.size()));
+    StandardSpatialJoin(tree_a, tree_b, options, &baseline);
+    MemorySink baseline_csj(IdWidthFor(100000 + eb.size()));
+    CompactSpatialJoin(tree_a, tree_b, options, &baseline_csj);
 
-      ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
-        options.leaf_kernel = mode;
-        MemorySink ssj(IdWidthFor(100000 + eb.size()));
-        StandardSpatialJoin(tree_a, tree_b, options, &ssj);
-        EXPECT_EQ(ssj.links(), baseline.links())
-            << "eps=" << eps << " mode=" << label;
-        MemorySink csj(IdWidthFor(100000 + eb.size()));
-        CompactSpatialJoin(tree_a, tree_b, options, &csj);
-        EXPECT_EQ(csj.links(), baseline_csj.links());
-        EXPECT_EQ(csj.groups(), baseline_csj.groups());
-      });
-    }
+    ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
+      options.leaf_kernel = mode;
+      MemorySink ssj(IdWidthFor(100000 + eb.size()));
+      StandardSpatialJoin(tree_a, tree_b, options, &ssj);
+      EXPECT_EQ(ssj.links(), baseline.links())
+          << "eps=" << eps << " mode=" << label;
+      MemorySink csj(IdWidthFor(100000 + eb.size()));
+      CompactSpatialJoin(tree_a, tree_b, options, &csj);
+      EXPECT_EQ(csj.links(), baseline_csj.links());
+      EXPECT_EQ(csj.groups(), baseline_csj.groups());
+    });
   }
 }
 

@@ -2,19 +2,24 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/brute.h"
+#include "core/ego.h"
 #include "core/expand.h"
 #include "core/sink.h"
+#include "data/generators.h"
 #include "index/mtree.h"
 #include "metric/edit_distance.h"
 #include "metric/generic_mtree.h"
 #include "metric/metric_join.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace csj {
@@ -253,6 +258,55 @@ TEST(MetricJoinTest, EuclideanItemsWorkToo) {
                   .lossless());
 }
 
+#ifndef CSJ_NO_METRICS
+uint64_t CounterValue(const std::string& name) {
+  for (const auto& [counter, value] : metrics::Snapshot().counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+TEST(MetricJoinTest, WorkCountersReachTheMetricsRegistry) {
+  // A compact EGO run and a metric CSJ run each add exactly their JoinStats
+  // work counters to the process-wide join.* metrics, as tree joins do.
+  const auto points = GenerateGaussianClusters<2>(2000, 4, 0.01, 5);
+  std::vector<Entry<2>> entries;
+  MTree<2> tree;
+  for (size_t i = 0; i < points.size(); ++i) {
+    entries.push_back({static_cast<PointId>(i), points[i]});
+    tree.Insert(static_cast<PointId>(i), points[i]);
+  }
+  JoinOptions options;
+  options.epsilon = 0.05;
+  EgoOptions ego;
+  ego.epsilon = options.epsilon;
+  const std::pair<const char*, std::function<JoinStats(JoinSink*)>> runs[] = {
+      {"CEGO",
+       [&](JoinSink* sink) { return CompactEgoJoin(entries, ego, sink); }},
+      {"metric CSJ",
+       [&](JoinSink* sink) { return MetricCompactJoin(tree, options, sink); }},
+  };
+  const char* const names[] = {"join.distance_computations",
+                               "join.early_stops", "join.merge_attempts",
+                               "join.merges"};
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    uint64_t before[4];
+    for (int k = 0; k < 4; ++k) before[k] = CounterValue(names[k]);
+    CountingSink sink(IdWidthFor(entries.size()));
+    const JoinStats stats = run(&sink);
+    ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+    const uint64_t expected[] = {stats.distance_computations,
+                                 stats.early_stops, stats.merge_attempts,
+                                 stats.merges};
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_GT(expected[k], 0u) << names[k];
+      EXPECT_EQ(CounterValue(names[k]) - before[k], expected[k]) << names[k];
+    }
+  }
+}
+#endif  // CSJ_NO_METRICS
+
 #ifndef CSJ_NO_FAILPOINTS
 
 std::string ReadWholeFile(const std::string& path) {
@@ -283,20 +337,40 @@ uint64_t ImpliedFromText(const std::string& text) {
 
 TEST(MetricJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
   // A sink that dies mid-join drops every later record; the implied-link
-  // count must describe only the complete records the file holds.
+  // count must describe only the complete records the file holds. The metric
+  // driver and both EGO joins write through the same GroupWindow.
   Rng rng(43);
   MTree<2> tree;
+  std::vector<Entry<2>> entries;
   for (PointId i = 0; i < 2000; ++i) {
-    tree.Insert(i, Point2{{rng.UniformDouble(), rng.UniformDouble()}});
+    const Point2 p{{rng.UniformDouble(), rng.UniformDouble()}};
+    tree.Insert(i, p);
+    entries.push_back({i, p});
   }
   JoinOptions options;
   options.epsilon = 0.05;
+  EgoOptions ego;
+  ego.epsilon = options.epsilon;
+  auto metric = [&](JoinAlgorithm algorithm) {
+    return [&, algorithm](JoinSink* sink) {
+      return MetricJoinDriver<Point2, L2Metric<2>>(tree, algorithm, options,
+                                                   sink)
+          .Run();
+    };
+  };
+  const std::pair<const char*, std::function<JoinStats(JoinSink*)>> runs[] = {
+      {"metric SSJ", metric(JoinAlgorithm::kSSJ)},
+      {"metric N-CSJ", metric(JoinAlgorithm::kNCSJ)},
+      {"metric CSJ", metric(JoinAlgorithm::kCSJ)},
+      {"EGO",
+       [&](JoinSink* sink) { return EgoSimilarityJoin(entries, ego, sink); }},
+      {"CEGO",
+       [&](JoinSink* sink) { return CompactEgoJoin(entries, ego, sink); }},
+  };
   const std::string path = testing::TempDir() + "/metric_dying.txt";
-  for (const JoinAlgorithm algorithm :
-       {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
+  for (const auto& [name, run] : runs) {
     for (const uint64_t nth : {1ull, 2ull, 100ull, 1000ull}) {
-      SCOPED_TRACE(testing::Message() << JoinAlgorithmName(algorithm)
-                                      << " nth=" << nth);
+      SCOPED_TRACE(testing::Message() << name << " nth=" << nth);
       JoinStats stats;
       {
         failpoint::ScopedFailpoint fp("output_file.append",
@@ -306,9 +380,7 @@ TEST(MetricJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
         spec.checkpointable = true;
         auto sink = MakeSink(spec);
         ASSERT_TRUE(sink.ok()) << sink.status().ToString();
-        MetricJoinDriver<Point2, L2Metric<2>> driver(tree, algorithm, options,
-                                                     sink->get());
-        stats = driver.Run();
+        stats = run(sink->get());
       }
       EXPECT_EQ(stats.status.code(), StatusCode::kIoError)
           << stats.status.ToString();

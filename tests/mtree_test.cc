@@ -287,6 +287,18 @@ TEST(MTreeTest, TreeShapesAndJoinOutputArePinned) {
         << JoinAlgorithmName(algorithm);
   }
   {
+    // The ball-group path over the same tree (bench_ablation's group-shape
+    // table): N-CSJ, then CSJ(g) with its work counters.
+    CountingSink ncsj(IdWidthFor(tree.size())), csj(IdWidthFor(tree.size()));
+    MetricNaiveCompactJoin(tree, options, &ncsj);
+    const JoinStats stats = MetricCompactJoin(tree, options, &csj);
+    EXPECT_EQ(OutputOf(ncsj), (JoinOutput{112764, 6, 1128125}));
+    EXPECT_EQ(OutputOf(csj), (JoinOutput{61560, 2281, 719820}));
+    EXPECT_EQ(stats.distance_computations, 806259u);
+    EXPECT_EQ(stats.merge_attempts, 745157u);
+    EXPECT_EQ(stats.merges, 48929u);
+  }
+  {
     // That CSJ output is lossless and the same at four threads.
     MemorySink serial(IdWidthFor(tree.size()));
     MemorySink parallel(IdWidthFor(tree.size()));
@@ -327,10 +339,13 @@ TEST(MTreeTest, TreeShapesAndJoinOutputArePinned) {
   CountingSink ssj(3), ncsj(3), csj(3);
   MetricStandardJoin(strings, options, &ssj);
   MetricNaiveCompactJoin(strings, options, &ncsj);
-  MetricCompactJoin(strings, options, &csj);
+  const JoinStats stats = MetricCompactJoin(strings, options, &csj);
   EXPECT_EQ(OutputOf(ssj), (JoinOutput{5143, 0, 41144}));
   EXPECT_EQ(OutputOf(ncsj), (JoinOutput{5141, 2, 41144}));
   EXPECT_EQ(OutputOf(csj), (JoinOutput{4185, 233, 37188}));
+  EXPECT_EQ(stats.distance_computations, 323900u);
+  EXPECT_EQ(stats.merge_attempts, 46437u);
+  EXPECT_EQ(stats.merges, 725u);
 }
 
 }  // namespace

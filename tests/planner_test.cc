@@ -132,9 +132,9 @@ TEST(PlannerTest, DeriveJoinOptionsIsAFieldCopy) {
   EXPECT_DOUBLE_EQ(options.epsilon, 0.125);
   EXPECT_EQ(options.window_size, 24);
   EXPECT_EQ(options.deadline_ms, 777u);
-  // Every query runs the defaults: sweep, batched, index-order child pairs.
+  // Every query runs the defaults: sweep, batched, creation-order window.
   EXPECT_EQ(options.leaf_kernel, LeafKernel::kSweep);
-  EXPECT_FALSE(options.sort_child_pairs);
+  EXPECT_FALSE(options.promote_on_merge);
 }
 
 TEST(PlannerTest, DeriveEgoOptionsIsAFieldCopy) {
