@@ -79,12 +79,13 @@ void BM_GroupMergeAttempt(benchmark::State& state) {
                                         Point2{{0.001, 0.0}}));
   for (PointId id = 2; id < group_size; ++id) {
     group.TryAddLink(shape, 0, Point2{{0.0, 0.0}}, id,
-                     Point2{{0.0005, 0.0001 * (id % 100)}});
+                     Point2{{0.0005, 0.0001 * (id % 100)}}, nullptr);
   }
   for (auto _ : state) {
     // A failing trial: extension check only, no commit.
     benchmark::DoNotOptimize(group.TryAddLink(
-        shape, 500000, Point2{{5.0, 5.0}}, 500001, Point2{{5.001, 5.0}}));
+        shape, 500000, Point2{{5.0, 5.0}}, 500001, Point2{{5.001, 5.0}},
+        nullptr));
   }
 }
 BENCHMARK(BM_GroupMergeAttempt)->Arg(4)->Arg(64)->Arg(1024)->Arg(16384);

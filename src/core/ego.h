@@ -10,12 +10,12 @@
 #include <vector>
 
 #include "core/group.h"
-#include "core/leaf_batch.h"
-#include "geom/kernels.h"
 #include "core/join_options.h"
 #include "core/join_stats.h"
+#include "core/leaf_stage.h"
 #include "core/sink.h"
 #include "geom/box.h"
+#include "geom/kernels.h"
 #include "util/timer.h"
 
 /// \file
@@ -51,8 +51,7 @@ struct EgoOptions {
   bool early_stop = true;
   /// Leaf-range pair enumeration strategy (geom/kernels.h), same knob as
   /// JoinOptions::leaf_kernel. All modes produce identical output; every
-  /// mode but kNaive defers leaf-range and group events through the batched
-  /// tile pipeline (core/leaf_batch.h).
+  /// mode but kNaive joins ranges through cached tiles (core/leaf_stage.h).
   LeafKernel leaf_kernel = LeafKernel::kSweep;
 
   /// Wall-clock budget in milliseconds; 0 = unlimited. The recursion stops
@@ -101,24 +100,15 @@ struct EgoJoinState {
   size_t leaf_size = 32;
   bool compact = false;
   bool early_stop = true;
-  LeafKernel leaf_kernel = LeafKernel::kSweep;
   JoinSink* sink = nullptr;
   JoinStats* stats = nullptr;
   /// Writes every record: merged under CSJ(g), passed through otherwise.
   GroupWindow<BoxShape<D>>* window = nullptr;
+  /// Joins the leaf ranges; its tiles are keyed by RangeKey.
+  LeafStage<D>* leaf = nullptr;
   /// Governance context polled at every range visit. Never null while the
   /// recursion runs (RunEgoJoin installs a local context).
   const ExecContext* exec = nullptr;
-  /// Same context, mutable: the batch charge trips it on budget denial.
-  ExecContext* trip_ctx = nullptr;
-  /// Leaf-kernel scratch tiles + hit buffer, reused across range pairs.
-  LeafJoinScratch<D> kernel_scratch;
-  /// Deferred leaf/group events + per-batch tile cache (core/leaf_batch.h),
-  /// with its high-water budget charge.
-  LeafBatch<D> batch;
-  bool batch_enabled = false;
-  ScopedCharge batch_charge;
-  uint64_t charged_batch_bytes = 0;
 
   /// Sink dead, cancel fired, deadline expired, or budget exhausted.
   bool Aborted() const { return !sink->error().ok() || exec->ShouldStop(); }
@@ -162,12 +152,6 @@ const Box<D>& PointBounds(EgoJoinState<D>& state, size_t lo, size_t hi) {
   return it->second;
 }
 
-template <int D>
-void EmitEgoLink(EgoJoinState<D>& state, const Entry<D>& a,
-                 const Entry<D>& b) {
-  state.window->Link(a.id, a.point, b.id, b.point);
-}
-
 /// Emits the whole range pair as one group (the termination-as-a-group case
 /// the paper's Section VII describes for JoinBuffer).
 template <int D>
@@ -183,121 +167,6 @@ void EmitEgoGroup(EgoJoinState<D>& state, size_t lo1, size_t hi1, size_t lo2,
     }
   }
   state.window->SubtreeGroup(std::move(members), box);
-}
-
-/// Folds one kernel invocation's bulk counters into the run's stats.
-template <int D>
-void AddEgoKernelWork(EgoJoinState<D>& state, const KernelCounters& kc) {
-  state.stats->distance_computations += kc.computed;
-  state.stats->kernel_candidates += kc.candidates;
-  state.stats->kernel_pruned += kc.pruned;
-  state.stats->kernel_hits += kc.hits;
-}
-
-/// Executes every deferred event in enqueue (= recursion) order, then resets
-/// the batch. Group events carry their RangeKeys; boxes come back out of the
-/// PointBounds memo, so the drain recomputes nothing.
-template <int D>
-void DrainEgoBatch(EgoJoinState<D>& state) {
-  auto emit = [&state](const Entry<D>& a, const Entry<D>& b) {
-    EmitEgoLink(state, a, b);
-  };
-  for (const LeafEvent& e : state.batch.events()) {
-    if (state.Aborted()) break;
-    switch (e.kind) {
-      case LeafEvent::Kind::kSelfLeaf:
-        AddEgoKernelWork(
-            state, SelfJoinTileKernel(state.kernel_scratch,
-                                      state.batch.Tile(e.tile_a), state.eps2,
-                                      state.leaf_kernel, emit));
-        break;
-      case LeafEvent::Kind::kPairLeaf:
-        AddEgoKernelWork(
-            state, BlockJoinTileKernel(
-                       state.kernel_scratch, state.batch.Tile(e.tile_a),
-                       state.batch.Tile(e.tile_b), state.eps2,
-                       state.leaf_kernel, emit));
-        break;
-      case LeafEvent::Kind::kGroup: {
-        const size_t lo = e.id_a >> 32;
-        const size_t hi = e.id_a & 0xffffffffu;
-        EmitEgoGroup(state, lo, hi, lo, hi, PointBounds(state, lo, hi));
-        break;
-      }
-      case LeafEvent::Kind::kGroupPair: {
-        const size_t lo1 = e.id_a >> 32;
-        const size_t hi1 = e.id_a & 0xffffffffu;
-        const size_t lo2 = e.id_b >> 32;
-        const size_t hi2 = e.id_b & 0xffffffffu;
-        EmitEgoGroup(state, lo1, hi1, lo2, hi2,
-                     Box<D>::Union(PointBounds(state, lo1, hi1),
-                                   PointBounds(state, lo2, hi2)));
-        break;
-      }
-    }
-  }
-  state.batch.Clear();
-}
-
-/// Budget charge + capacity check after an enqueue; drains a full batch.
-template <int D>
-void AfterEgoEnqueue(EgoJoinState<D>& state) {
-  const uint64_t bytes = state.batch.BytesResident();
-  if (bytes > state.charged_batch_bytes) {
-    state.charged_batch_bytes = bytes;
-    if (!state.batch_charge.Resize(bytes)) {
-      state.trip_ctx->Trip(Status::ResourceExhausted(
-          "memory budget exhausted growing the EGO leaf batch"));
-      return;
-    }
-  }
-  if (state.batch.Full()) DrainEgoBatch(state);
-}
-
-/// Join of two (possibly identical) small ranges, through the leaf-kernel
-/// layer (geom/kernels.h): the ranges are transposed into SoA tiles and
-/// enumerated by the configured kernel. Replaces the scalar nested loop.
-/// With batching on, the join is deferred instead: the range tiles enter the
-/// batch cache (loaded once per batch each) and a leaf event is queued.
-template <int D>
-void EgoLeafJoin(EgoJoinState<D>& state, size_t lo1, size_t hi1, size_t lo2,
-                 size_t hi2) {
-  const auto& data = *state.data;
-  const auto proj = [](const EgoEntry<D>& e) -> const Entry<D>& {
-    return e.entry;
-  };
-  if (state.batch_enabled) {
-    const uint32_t slot1 =
-        state.batch.TileSlot(RangeKey(lo1, hi1), [&](LeafTile<D>& t) {
-          t.Load(std::span(data.data() + lo1, hi1 - lo1), proj);
-        });
-    if (lo1 == lo2 && hi1 == hi2) {
-      state.batch.PushSelf(slot1);
-    } else {
-      const uint32_t slot2 =
-          state.batch.TileSlot(RangeKey(lo2, hi2), [&](LeafTile<D>& t) {
-            t.Load(std::span(data.data() + lo2, hi2 - lo2), proj);
-          });
-      state.batch.PushPair(slot1, slot2);
-    }
-    AfterEgoEnqueue(state);
-    return;
-  }
-  auto emit = [&state](const Entry<D>& a, const Entry<D>& b) {
-    EmitEgoLink(state, a, b);
-  };
-  KernelCounters kc;
-  if (lo1 == lo2 && hi1 == hi2) {
-    kc = SelfJoinKernel(state.kernel_scratch,
-                        std::span(data.data() + lo1, hi1 - lo1), state.eps2,
-                        state.leaf_kernel, emit, proj);
-  } else {
-    kc = BlockJoinKernel(state.kernel_scratch,
-                         std::span(data.data() + lo1, hi1 - lo1),
-                         std::span(data.data() + lo2, hi2 - lo2), state.eps2,
-                         state.leaf_kernel, emit, proj);
-  }
-  AddEgoKernelWork(state, kc);
 }
 
 /// Recursive EGO join of two contiguous ranges of the EGO-sorted data.
@@ -323,24 +192,26 @@ void EgoJoinRanges(EgoJoinState<D>& state, size_t lo1, size_t hi1, size_t lo2,
     const Box<D> both = Box<D>::Union(points1, points2);
     if (both.SquaredDiagonal() <= state.eps2 &&
         (hi1 - lo1) + (same ? 0 : hi2 - lo2) >= 2) {
-      if (state.batch_enabled) {
-        // Defer through the same queue as the leaf joins so the CSJ(g)
-        // window sees groups and links in recursion order.
-        if (same) {
-          state.batch.PushGroup(RangeKey(lo1, hi1));
-        } else {
-          state.batch.PushGroupPair(RangeKey(lo1, hi1), RangeKey(lo2, hi2));
-        }
-        AfterEgoEnqueue(state);
-      } else {
-        EmitEgoGroup(state, lo1, hi1, lo2, hi2, both);
-      }
+      EmitEgoGroup(state, lo1, hi1, lo2, hi2, both);
       return;
     }
   }
 
   if (hi1 - lo1 <= state.leaf_size && hi2 - lo2 <= state.leaf_size) {
-    EgoLeafJoin(state, lo1, hi1, lo2, hi2);
+    const auto range = [&state](size_t lo, size_t hi) {
+      return std::span(state.data->data() + lo, hi - lo);
+    };
+    const auto proj = [](const EgoEntry<D>& e) -> const Entry<D>& {
+      return e.entry;
+    };
+    if (same) {
+      state.leaf->Self(RangeKey(lo1, hi1), [&] { return range(lo1, hi1); },
+                       proj);
+    } else {
+      state.leaf->Pair(RangeKey(lo1, hi1), [&] { return range(lo1, hi1); },
+                       RangeKey(lo2, hi2), [&] { return range(lo2, hi2); },
+                       proj);
+    }
     return;
   }
 
@@ -407,30 +278,26 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
       BoxShape<D>(options.epsilon), stats.algorithm,
       std::max(options.window_size, 1), /*promote_on_merge=*/false, sink,
       &stats, /*write_timer=*/nullptr, &run_ctx);
+  LeafStage<D> leaf(options.leaf_kernel, options.epsilon, &window, &stats,
+                    &run_ctx);
   EgoJoinState<D> state;
   state.exec = &run_ctx;
-  state.trip_ctx = &run_ctx;
   state.data = &ordered;
   state.eps = options.epsilon;
   state.eps2 = options.epsilon * options.epsilon;
   state.leaf_size = std::max<size_t>(options.leaf_size, 2);
   state.compact = compact;
   state.early_stop = options.early_stop;
-  state.leaf_kernel = options.leaf_kernel;
   state.sink = sink;
   state.stats = &stats;
   state.window = &window;
-  state.batch_enabled = options.leaf_kernel != LeafKernel::kNaive;
-  if (MemoryBudget* budget = run_ctx.memory_budget()) {
-    state.batch_charge.Acquire(budget, 0);
-  }
+  state.leaf = &leaf;
 
   if (set_b == nullptr) {
     EgoJoinRanges(state, 0, split, 0, split);
   } else {
     EgoJoinRanges(state, 0, split, split, ordered.size());
   }
-  DrainEgoBatch(state);
   window.Flush();
 
   if (options.leaf_kernel == LeafKernel::kSimd) {

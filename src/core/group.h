@@ -57,7 +57,7 @@ class BoxShape {
 
   /// Extends the MBR to cover the link if its diagonal stays within eps
   /// (squared comparison; no sqrt); leaves it untouched otherwise.
-  bool TryExtend(Bound& box, const Item& a, const Item& b) const {
+  bool TryExtend(Bound& box, const Item& a, const Item& b, JoinStats*) const {
     Box<D> extended = box;
     extended.Extend(a);
     extended.Extend(b);
@@ -100,9 +100,13 @@ class BallShape {
   static bool Mergeable(const Bound& ball) { return ball.mergeable; }
 
   /// Admits the link if both endpoints lie within eps/2 of the centre.
-  bool TryExtend(const Bound& ball, const Item& a, const Item& b) const {
-    return metric_(ball.center, a) <= radius_ &&
-           metric_(ball.center, b) <= radius_;
+  /// Costs one distance computation, or two when a is inside.
+  bool TryExtend(const Bound& ball, const Item& a, const Item& b,
+                 JoinStats* stats) const {
+    ++stats->distance_computations;
+    if (metric_(ball.center, a) > radius_) return false;
+    ++stats->distance_computations;
+    return metric_(ball.center, b) <= radius_;
   }
 
   /// A mergeable group centred on a, if b lies within eps/2 of a. Otherwise
@@ -145,10 +149,11 @@ class Group {
       : bound_(std::move(bound)), members_(std::move(members)) {}
 
   /// Attempts to absorb the link (a, b); commits the bound and the members
-  /// only if the shape admits it. Returns true on success.
+  /// only if the shape admits it. Returns true on success. The distances a
+  /// ball shape evaluates are counted in `stats`.
   bool TryAddLink(const Shape& shape, PointId id_a, const Item& a,
-                  PointId id_b, const Item& b) {
-    if (!shape.TryExtend(bound_, a, b)) return false;
+                  PointId id_b, const Item& b, JoinStats* stats) {
+    if (!shape.TryExtend(bound_, a, b, stats)) return false;
     AddMember(id_a);
     AddMember(id_b);
     return true;
@@ -265,7 +270,7 @@ class GroupWindow {
     for (size_t i = window_.size(); i-- > 0;) {
       if (!Shape::Mergeable(window_[i].group.bound())) continue;
       ++stats_->merge_attempts;
-      if (window_[i].group.TryAddLink(shape_, id_a, a, id_b, b)) {
+      if (window_[i].group.TryAddLink(shape_, id_a, a, id_b, b, stats_)) {
         ++stats_->merges;
         if (promote_on_merge_ && i + 1 != window_.size()) {
           Slot slot = std::move(window_[i]);

@@ -63,8 +63,8 @@ struct JoinOptions {
   /// byte-identical output (the kernels replay hits in the naive loop's
   /// order and the SIMD backends are decision-identical by the dispatch
   /// contract); they differ only in speed and in how many distances they
-  /// actually compute. Every mode but kNaive also defers leaf work through
-  /// the batched tile pipeline (core/leaf_batch.h).
+  /// actually compute. Every mode but kNaive joins cached SoA tiles
+  /// (core/leaf_stage.h).
   LeafKernel leaf_kernel = LeafKernel::kSweep;
 
   /// When true, time spent inside the sink is accumulated separately

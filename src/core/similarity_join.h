@@ -18,7 +18,7 @@
 #include "core/group.h"
 #include "core/join_options.h"
 #include "core/join_stats.h"
-#include "core/leaf_batch.h"
+#include "core/leaf_stage.h"
 #include "core/sink.h"
 #include "geom/kernels.h"
 #include "index/spatial_index.h"
@@ -92,30 +92,25 @@ class JoinDriver {
         algorithm_(algorithm),
         options_(options),
         eps_(options.epsilon),
-        eps_squared_(options.epsilon * options.epsilon),
         window_(BoxShape<D>(options.epsilon), algorithm,
                 std::max(options.window_size, 1), options.promote_on_merge,
                 /*sink=*/nullptr, &stats_,
                 options.measure_write_time ? &write_timer_ : nullptr,
-                &run_ctx_) {
+                &run_ctx_),
+        leaf_stage_(options.leaf_kernel, options.epsilon, &window_, &stats_,
+                    &run_ctx_) {
     CSJ_CHECK(options.epsilon > 0.0) << "epsilon must be positive";
     // Governance: options.exec is the task loop's context, polled at every
     // node visit.
     run_ctx_.SetParent(options.exec);
-    if (MemoryBudget* budget = run_ctx_.memory_budget()) {
-      kernel_scratch_charge_.Acquire(budget, 0);
-      batch_charge_.Acquire(budget, 0);
-    }
-    // kNaive stays undeferred so it remains the honest pre-batching
-    // baseline; every other mode defers leaf work through the batch.
-    batch_enabled_ = options.leaf_kernel != LeafKernel::kNaive;
   }
 
   /// Runs one task as a join of its own, writing to `sink`: the stats start
   /// from zero, and the CSJ(g) window starts empty and is flushed when the
-  /// task ends, so the task's output depends on nothing but the task. The
-  /// scratch buffers carry over, so one driver runs every task of a worker.
-  /// Returns the task's work counters, implied links, write time and status.
+  /// task ends, so the task's output depends on nothing but the task. One
+  /// driver runs every task of a worker, so the leaf stage's tiles carry
+  /// over from task to task. Returns the task's work counters, implied
+  /// links, write time and status.
   JoinStats RunTask(const JoinTask& task, JoinSink* sink) {
     CSJ_CHECK(sink != nullptr);
     sink_ = sink;
@@ -127,7 +122,6 @@ class JoinDriver {
     } else {
       DualJoin(task.first, task.second);
     }
-    DrainLeafBatch();
     window_.Flush();
     stats_.status = sink_->error();
     if (stats_.status.ok()) stats_.status = run_ctx_.status();
@@ -161,100 +155,13 @@ class JoinDriver {
     return MinDistance(tree_a_.Shape(a), tree_b_.Shape(b));
   }
 
-  // --- Leaf kernels (geom/kernels.h) ----------------------------------------
-
-  /// Folds one leaf-kernel invocation's bulk counters into the run's stats.
-  /// The per-pair ++distance_computations of the old scalar loops became one
-  /// add per leaf visit; under LeafKernel::kNaive the totals are identical.
-  void AddKernelWork(const KernelCounters& kc) {
-    stats_.distance_computations += kc.computed;
-    stats_.kernel_candidates += kc.candidates;
-    stats_.kernel_pruned += kc.pruned;
-    stats_.kernel_hits += kc.hits;
-  }
-
-  /// Budget accounting for the reusable leaf-kernel scratch (SoA tiles, hit
-  /// buffers). The charge is a monotone high-water mark resized only when a
-  /// bigger leaf is visited; a denial trips the context and the traversal
-  /// unwinds at the next node visit.
-  bool ChargeLeafScratch(size_t entry_count) {
-    if (entry_count <= charged_leaf_entries_) return true;
-    charged_leaf_entries_ = entry_count;
-    constexpr uint64_t kPerEntry =
-        2 * (D * sizeof(double) + sizeof(PointId) + sizeof(uint32_t)) +
-        2 * sizeof(KernelHit) + sizeof(uint32_t);
-    if (kernel_scratch_charge_.Resize(entry_count * kPerEntry)) return true;
-    run_ctx_.Trip(Status::ResourceExhausted(
-        "memory budget exhausted growing leaf-kernel scratch"));
-    return false;
-  }
-
-  // --- Batched leaf pipeline (core/leaf_batch.h) ----------------------------
-
-  /// Batch keys: tree A leaves use the node id; tree B leaves of a dual join
-  /// set the top bit so the two id spaces never collide in one batch. A
-  /// self-join keys both sides by node id, so each leaf is transposed once
-  /// per batch.
+  /// Leaf-stage cache keys: tree A leaves use the node id; tree B leaves of
+  /// a dual join set the top bit so the two id spaces never collide. A
+  /// self-join keys both sides by node id, so each leaf has one tile.
   static uint64_t LeafKeyA(NodeId n) { return static_cast<uint64_t>(n); }
   uint64_t LeafKeyB(NodeId n) const {
     return self_join_ ? LeafKeyA(n)
                       : static_cast<uint64_t>(n) | (uint64_t{1} << 63);
-  }
-
-  /// High-water budget accounting for the batch's resident tiles + queue,
-  /// called after every enqueue. A denial trips the context; the pending
-  /// events are abandoned with the rest of the run.
-  bool ChargeBatch() {
-    const uint64_t bytes = leaf_batch_.BytesResident();
-    if (bytes <= charged_batch_bytes_) return true;
-    charged_batch_bytes_ = bytes;
-    if (batch_charge_.Resize(bytes)) return true;
-    run_ctx_.Trip(Status::ResourceExhausted(
-        "memory budget exhausted growing the leaf batch"));
-    return false;
-  }
-
-  /// Charge + capacity check after an enqueue; drains a full batch.
-  void AfterEnqueue() {
-    if (!ChargeBatch()) return;
-    if (leaf_batch_.Full()) DrainLeafBatch();
-  }
-
-  /// Executes every deferred event in enqueue (= traversal) order, then
-  /// resets the batch. Kernel work runs back to back over the resident
-  /// tiles; group events re-walk their subtrees here, so their member
-  /// collections interleave with links exactly as in the undeferred driver.
-  void DrainLeafBatch() {
-    for (const LeafEvent& e : leaf_batch_.events()) {
-      if (Aborted()) break;
-      switch (e.kind) {
-        case LeafEvent::Kind::kSelfLeaf:
-          AddKernelWork(SelfJoinTileKernel(
-              kernel_scratch_, leaf_batch_.Tile(e.tile_a), eps_squared_,
-              options_.leaf_kernel,
-              [this](const Entry<D>& a, const Entry<D>& b) {
-                EmitLink(a, b);
-              }));
-          break;
-        case LeafEvent::Kind::kPairLeaf:
-          AddKernelWork(BlockJoinTileKernel(
-              kernel_scratch_, leaf_batch_.Tile(e.tile_a),
-              leaf_batch_.Tile(e.tile_b), eps_squared_, options_.leaf_kernel,
-              [this](const Entry<D>& a, const Entry<D>& b) {
-                EmitLink(a, b);
-              }));
-          break;
-        case LeafEvent::Kind::kGroup:
-          EmitSubtreeGroup(tree_a_, static_cast<NodeId>(e.id_a), tree_a_,
-                           kInvalidNode);
-          break;
-        case LeafEvent::Kind::kGroupPair:
-          EmitSubtreeGroup(tree_a_, static_cast<NodeId>(e.id_a), tree_b_,
-                           static_cast<NodeId>(e.id_b));
-          break;
-      }
-    }
-    leaf_batch_.Clear();
   }
 
   /// Budget accounting for a subtree group's member collection buffer.
@@ -276,26 +183,12 @@ class JoinDriver {
     TouchA(n);
     if (Compact() && options_.early_stop &&
         tree_a_.MaxDiameter(n) <= eps_) {
-      if (batch_enabled_) {
-        leaf_batch_.PushGroup(LeafKeyA(n));
-        AfterEnqueue();
-      } else {
-        EmitSubtreeGroup(tree_a_, n, tree_a_, kInvalidNode);
-      }
+      EmitSubtreeGroup(tree_a_, n, tree_a_, kInvalidNode);
       return;
     }
     if (tree_a_.IsLeaf(n)) {
-      decltype(auto) entries = TreeEntries(tree_a_, n, &run_ctx_);
-      if (!ChargeLeafScratch(entries.size())) return;
-      if (batch_enabled_) {
-        leaf_batch_.PushSelf(leaf_batch_.TileSlot(
-            LeafKeyA(n), [&](LeafTile<D>& t) { t.Load(entries); }));
-        AfterEnqueue();
-        return;
-      }
-      AddKernelWork(SelfJoinKernel(
-          kernel_scratch_, entries, eps_squared_, options_.leaf_kernel,
-          [this](const Entry<D>& a, const Entry<D>& b) { EmitLink(a, b); }));
+      leaf_stage_.Self(LeafKeyA(n),
+                       [&] { return TreeEntries(tree_a_, n, &run_ctx_); });
       return;
     }
     const auto children = TreeChildren(tree_a_, n, &run_ctx_);
@@ -322,35 +215,15 @@ class JoinDriver {
     TouchB(b);
     if (Compact() && options_.early_stop &&
         UnionDiameterBound(tree_a_.Shape(a), tree_b_.Shape(b)) <= eps_) {
-      if (batch_enabled_) {
-        leaf_batch_.PushGroupPair(a, b);
-        AfterEnqueue();
-      } else {
-        EmitSubtreeGroup(tree_a_, a, tree_b_, b);
-      }
+      EmitSubtreeGroup(tree_a_, a, tree_b_, b);
       return;
     }
     const bool leaf_a = tree_a_.IsLeaf(a);
     const bool leaf_b = tree_b_.IsLeaf(b);
     if (leaf_a && leaf_b) {
-      decltype(auto) entries_a = TreeEntries(tree_a_, a, &run_ctx_);
-      decltype(auto) entries_b = TreeEntries(tree_b_, b, &run_ctx_);
-      if (!ChargeLeafScratch(entries_a.size() + entries_b.size())) return;
-      if (batch_enabled_) {
-        const uint32_t slot_a = leaf_batch_.TileSlot(
-            LeafKeyA(a), [&](LeafTile<D>& t) { t.Load(entries_a); });
-        const uint32_t slot_b = leaf_batch_.TileSlot(
-            LeafKeyB(b), [&](LeafTile<D>& t) { t.Load(entries_b); });
-        leaf_batch_.PushPair(slot_a, slot_b);
-        AfterEnqueue();
-        return;
-      }
-      AddKernelWork(BlockJoinKernel(
-          kernel_scratch_, entries_a, entries_b, eps_squared_,
-          options_.leaf_kernel,
-          [this](const Entry<D>& ea, const Entry<D>& eb) {
-            EmitLink(ea, eb);
-          }));
+      leaf_stage_.Pair(
+          LeafKeyA(a), [&] { return TreeEntries(tree_a_, a, &run_ctx_); },
+          LeafKeyB(b), [&] { return TreeEntries(tree_b_, b, &run_ctx_); });
       return;
     }
     if (leaf_a) {
@@ -373,10 +246,6 @@ class JoinDriver {
   }
 
   // --- Emission ---------------------------------------------------------------
-
-  void EmitLink(const Entry<D>& e1, const Entry<D>& e2) {
-    window_.Link(e1.id, e1.point, e2.id, e2.point);
-  }
 
   /// Early-stopping rule: every point below n1 (in tree t1) and below n2
   /// (in tree t2, unless kInvalidNode) becomes one group.
@@ -408,24 +277,14 @@ class JoinDriver {
   JoinAlgorithm algorithm_;
   const JoinOptions& options_;
   double eps_;
-  double eps_squared_;
   JoinSink* sink_ = nullptr;  ///< the current task's sink
   JoinStats stats_;
   StopwatchAccumulator write_timer_;
   /// Governance context, chained under options.exec. Declared before
-  /// window_, which captures a pointer to it.
+  /// window_ and leaf_stage_, which capture pointers to it.
   ExecContext run_ctx_;
   GroupWindow<BoxShape<D>> window_;
-  /// Leaf-kernel scratch (SoA tiles + hit buffer), reused across leaf visits.
-  LeafJoinScratch<D> kernel_scratch_;
-  /// Deferred leaf/group events + per-batch tile cache (core/leaf_batch.h).
-  LeafBatch<D> leaf_batch_;
-  bool batch_enabled_ = false;
-  /// High-water-mark budget reservations for the scratch buffers above.
-  ScopedCharge kernel_scratch_charge_;
-  ScopedCharge batch_charge_;
-  size_t charged_leaf_entries_ = 0;
-  uint64_t charged_batch_bytes_ = 0;
+  LeafStage<D> leaf_stage_;
 };
 
 /// The task-list size every tree join targets. On the MG road network it

@@ -52,18 +52,17 @@
 /// order the naive double loop produces (a counting sort over the tile-sized
 /// index ranges keeps that replay cheap even when most pairs hit). The naive
 /// kernel emits directly — it already enumerates canonically, and skipping
-/// the tile transpose and hit buffer keeps it an honest pre-PR baseline.
+/// the tile transpose and hit buffer keeps it an honest baseline.
 /// All kernels are therefore *output-identical* — not just multiset-equal —
 /// which matters for CSJ(g), whose group window is order-sensitive.
 /// Benchmarks can ablate kernels (and ISAs) without changing results.
 ///
 /// The kernels come in two flavors per join shape: span-based
-/// (SelfJoinKernel / BlockJoinKernel, which load driver scratch tiles and
-/// delegate) and tile-based (SelfJoinTileKernel / BlockJoinTileKernel,
-/// operating on pre-loaded tiles). The tile flavor is what the batched leaf
-/// pipeline (core/leaf_batch.h) drains through: tiles shared by several
-/// deferred leaf-pair tasks are transposed once per batch, not once per
-/// task.
+/// (SelfJoinKernel / BlockJoinKernel, which load scratch tiles and delegate)
+/// and tile-based (SelfJoinTileKernel / BlockJoinTileKernel, operating on
+/// pre-loaded tiles). The join drivers' leaf stage (core/leaf_stage.h) runs
+/// the tile flavor on cached tiles, so a leaf shared by several leaf pairs
+/// is transposed once, and the span flavor only under kNaive.
 ///
 /// **Accounting.** Instead of a per-pair ++stats counter, each kernel call
 /// returns bulk KernelCounters (candidate pairs, distances actually
@@ -344,14 +343,13 @@ inline void SortHitsCanonical(std::vector<KernelHit>& hits,
 /// Joins a pre-loaded tile against itself: every unordered pair of distinct
 /// entries within epsilon is passed to `emit(e1, e2)`, where e1 precedes e2
 /// in the tile's original entry order — the exact pairs, in the exact order,
-/// the scalar `for i < j` loop produces. This is the tile-major entry point
-/// the batched leaf pipeline drains through; `tile` may be driver scratch or
-/// a batch-cached tile shared by several deferred tasks. The tile's sort
-/// state on entry does not matter: SortByDim is memoized, window bounds and
-/// prune decisions depend only on coordinate values, and hits are replayed
-/// canonically. kNaive is executed as kSweep here (the transpose has already
-/// been paid; output is identical) — drivers keep the naive baseline honest
-/// by never routing it through tiles.
+/// the scalar `for i < j` loop produces. This is the entry point the leaf
+/// stage runs; `tile` may be scratch or a cached tile shared by several leaf
+/// pairs. The tile's sort state on entry does not matter: SortByDim is
+/// memoized, window bounds and prune decisions depend only on coordinate
+/// values, and hits are replayed canonically. kNaive is executed as kSweep
+/// here (the transpose has already been paid; output is identical) — drivers
+/// keep the naive baseline honest by never routing it through tiles.
 template <int D, typename Emit>
 KernelCounters SelfJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& tile,
                                   double eps2, LeafKernel mode, Emit&& emit) {

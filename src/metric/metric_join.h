@@ -26,8 +26,8 @@
 /// and the same lossless expansion contract, written by the same GroupWindow.
 ///
 /// The recursion stays apart from JoinDriver (core/similarity_join.h): that
-/// driver's leaf tiles, kernels and leaf batch need coordinates, so folding
-/// this one in would make it branch on point vs metric leaves.
+/// driver's leaf tiles and kernels need coordinates, so folding this one in
+/// would make it branch on point vs metric leaves.
 
 namespace csj {
 

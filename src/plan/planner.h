@@ -32,7 +32,7 @@
 ///
 /// `DeriveJoinOptions` / `DeriveEgoOptions` are the *only* spec-to-options
 /// mapping in the system: a 1:1 field copy onto the option defaults (sweep
-/// leaf kernel, batched, index-order child pairs), so explicitly specified
+/// leaf kernel, cached tiles, index-order child pairs), so explicitly specified
 /// configurations execute byte-identically to the historical flag plumbing.
 
 namespace csj::plan {

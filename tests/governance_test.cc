@@ -216,6 +216,26 @@ TEST(GovernanceTest, EgoJoinHonorsBudget) {
   EXPECT_EQ(budget.used(), 0u);
 }
 
+TEST(GovernanceTest, EgoLeafStageChargesTheBudget) {
+  // The budget holds the EGO order array but not one leaf tile: the leaf
+  // stage's charge is denied before any range is joined.
+  const auto entries = UniformEntries(500);
+  MemoryBudget budget(entries.size() * sizeof(ego_internal::EgoEntry<2>) +
+                      64);
+  ExecContext exec;
+  exec.SetMemoryBudget(&budget);
+  EgoOptions options;
+  options.epsilon = 0.05;
+  options.exec = &exec;
+  MemorySink sink(3);
+  const JoinStats stats = EgoSimilarityJoin(entries, options, &sink);
+  EXPECT_EQ(stats.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(stats.status.message().find("leaf-tile cache"), std::string::npos)
+      << stats.status.ToString();
+  EXPECT_EQ(sink.num_links(), 0u);
+  EXPECT_EQ(budget.used(), 0u);
+}
+
 // ----------------------------------------------------------------- metric --
 
 TEST(GovernanceTest, MetricJoinHonorsCancel) {

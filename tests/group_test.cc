@@ -38,7 +38,7 @@ TEST(GroupTest, TryAddLinkCommitsWhenWithinEps) {
   BoxGroup group(1, 2, LinkBox(Point2{{0.0, 0.0}}, Point2{{0.02, 0.0}}));
   const BoxShape<2> shape(0.1);
   EXPECT_TRUE(group.TryAddLink(shape, 2, Point2{{0.02, 0.0}}, 3,
-                               Point2{{0.04, 0.0}}));
+                               Point2{{0.04, 0.0}}, nullptr));
   EXPECT_EQ(group.size(), 3u);  // id 2 deduplicated
   EXPECT_EQ(group.members(), (std::vector<PointId>{1, 2, 3}));
 }
@@ -48,7 +48,7 @@ TEST(GroupTest, TryAddLinkRollsBackOnFailure) {
   const Box<2> before = group.bound();
   // Extending to (0.2, 0) would blow the diagonal past eps.
   EXPECT_FALSE(group.TryAddLink(BoxShape<2>(0.05), 2, Point2{{0.02, 0.0}}, 9,
-                                Point2{{0.2, 0.0}}));
+                                Point2{{0.2, 0.0}}, nullptr));
   EXPECT_EQ(group.size(), 2u);
   EXPECT_EQ(group.bound(), before);  // MBR extension undone
 }
@@ -66,7 +66,7 @@ TEST(GroupTest, DedupAcrossManyMerges) {
   for (int round = 0; round < 5; ++round) {
     for (PointId id = 0; id < 8; ++id) {
       group.TryAddLink(shape, 0, Point2{{0.0, 0.0}}, id,
-                       Point2{{0.001 * id, 0.0}});
+                       Point2{{0.001 * id, 0.0}}, nullptr);
     }
   }
   EXPECT_EQ(group.size(), 8u);
@@ -253,8 +253,10 @@ TEST(BallWindowTest, LinksMergeWithinHalfEpsOfTheCentre) {
   ASSERT_EQ(w.sink.groups().size(), 2u);
   EXPECT_EQ(w.sink.groups()[0], (std::vector<PointId>{0, 1, 2}));
   EXPECT_EQ(w.sink.groups()[1], (std::vector<PointId>{1, 3}));
-  // Each founding costs one distance; merge trials are counted as attempts.
-  EXPECT_EQ(w.stats.distance_computations, 2u);
+  // Each founding costs one distance, each merge trial one or two: the
+  // merge tests 0.4 and -0.5 (2), the failed trial 0.4 and 0.8 (2), and
+  // the two foundings 1 each.
+  EXPECT_EQ(w.stats.distance_computations, 6u);
   EXPECT_EQ(w.stats.merge_attempts, 2u);
 }
 

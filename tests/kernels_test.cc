@@ -2,19 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/ego.h"
-#include "core/leaf_batch.h"
+#include "core/group.h"
+#include "core/leaf_stage.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "data/generators.h"
 #include "geom/dispatch.h"
 #include "index/bulk_load.h"
+#include "index/paged_tree.h"
 #include "index/rstar_tree.h"
+#include "util/exec_context.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 /// Tests of the vectorized leaf-join kernel layer. The load-bearing claims:
@@ -315,51 +323,166 @@ TEST(KernelsTest, SelfJoinDriversIdenticalAcrossKernels) {
   }
 }
 
-/// The batched leaf-tile pipeline is a pure scheduling change: with the
-/// batch filling and draining many times mid-traversal, every batched mode
-/// must reproduce the undeferred kNaive output byte for byte, links *and*
-/// groups, for both the tree and EGO drivers.
-TEST(KernelsTest, LeafBatchIsOutputInvariant) {
-  const auto points = GenerateGaussianClusters<2>(2000, 6, 0.02, 43);
+/// Times a driver's leaf-tile cache has been cleared, process-wide.
+uint64_t TileCacheClears() {
+  for (const auto& [name, value] : metrics::Snapshot().counters) {
+    if (name == "kernel.tile_cache_clears") return value;
+  }
+  return 0;
+}
+
+/// Runs `join(sink)` under kNaive, then under every tile mode, and expects
+/// identical links and groups. Under metrics, each tile run must clear its
+/// leaf-tile cache at least three times mid-run, so that tiles are both
+/// reused and reloaded after a clear.
+template <typename Join>
+void ExpectCacheInvariant(const char* input, size_t id_space,
+                          LeafKernel* mode, Join&& join) {
+  SCOPED_TRACE(input);
+  *mode = LeafKernel::kNaive;
+  MemorySink baseline(IdWidthFor(id_space));
+  join(&baseline);
+  ForEachKernelMode(false, [&](LeafKernel tile_mode, const char* label) {
+    *mode = tile_mode;
+    MemorySink sink(IdWidthFor(id_space));
+    const uint64_t clears = TileCacheClears();
+    join(&sink);
+    EXPECT_EQ(sink.links(), baseline.links()) << "mode=" << label;
+    EXPECT_EQ(sink.groups(), baseline.groups()) << "mode=" << label;
+#ifndef CSJ_NO_METRICS
+    EXPECT_GE(TileCacheClears() - clears, 3u) << "mode=" << label;
+#else
+    (void)clears;
+#endif
+  });
+}
+
+/// The leaf-tile cache only spreads transposes: with the cache filling and
+/// clearing many times mid-run, every tile mode must reproduce the uncached
+/// kNaive output byte for byte, links *and* groups, for self, dual, paged
+/// and EGO inputs.
+TEST(KernelsTest, LeafTileCacheIsOutputInvariant) {
+  const auto points = GenerateGaussianClusters<2>(3000, 6, 0.02, 43);
   std::vector<Entry<2>> entries(points.size());
+  std::vector<Entry<2>> evens, odds;
   for (size_t i = 0; i < points.size(); ++i) {
     entries[i] = Entry<2>{static_cast<PointId>(i), points[i]};
+    (i % 2 == 0 ? evens : odds).push_back(entries[i]);
   }
   const auto tree = SmallFanoutTree(entries);
-  // Every leaf contributes at least one event, so this many leaves fill
-  // the batch at least three times before the end-of-run drain.
-  ASSERT_GE(tree.Stats().num_leaves, 3 * LeafBatch<2>::kCapacity);
+  // SSJ joins every leaf with itself, so this many leaves clear the cache
+  // at least three times in a self-join.
+  ASSERT_GT(tree.Stats().num_leaves, 3 * LeafStage<2>::kCacheTiles);
+  const auto tree_a = SmallFanoutTree(evens);
+  const auto tree_b = SmallFanoutTree(odds);
+  // A 2-block pool evicts almost every leaf between visits, so a cache miss
+  // reads its leaf from disk, and a hit must not need it.
+  const std::string path = ::testing::TempDir() + "/kernels_cache_" +
+                           std::to_string(::getpid()) + ".csjp";
+  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  PagedTreeOptions paged_options;
+  paged_options.cache_blocks = 2;
+  auto paged = PagedTree<2>::Open(path, paged_options);
+  ASSERT_TRUE(paged.ok());
 
+  JoinOptions options;
+  options.epsilon = 0.02;
   for (auto algo : {JoinAlgorithm::kSSJ, JoinAlgorithm::kCSJ}) {
-    JoinOptions options;
-    options.epsilon = 0.02;
-    options.leaf_kernel = LeafKernel::kNaive;
-    MemorySink baseline(IdWidthFor(entries.size()));
-    RunSelfJoin(algo, tree, options, &baseline);
-    ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
-      options.leaf_kernel = mode;
-      MemorySink sink(IdWidthFor(entries.size()));
-      RunSelfJoin(algo, tree, options, &sink);
-      EXPECT_EQ(sink.links(), baseline.links())
-          << JoinAlgorithmName(algo) << " mode=" << label;
-      EXPECT_EQ(sink.groups(), baseline.groups());
-    });
+    SCOPED_TRACE(JoinAlgorithmName(algo));
+    ExpectCacheInvariant("self", entries.size(), &options.leaf_kernel,
+                         [&](JoinSink* sink) {
+                           RunSelfJoin(algo, tree, options, sink);
+                         });
+    ExpectCacheInvariant("dual", entries.size(), &options.leaf_kernel,
+                         [&](JoinSink* sink) {
+                           internal::RunJoin(tree_a, tree_b, false, algo,
+                                             options, sink);
+                         });
+    ExpectCacheInvariant("paged", entries.size(), &options.leaf_kernel,
+                         [&](JoinSink* sink) {
+                           EXPECT_TRUE(RunSelfJoin(algo, *paged, options, sink)
+                                           .status.ok());
+                         });
   }
+  std::remove(path.c_str());
 
-  // Ranges of at most 8 of the 2000 entries: at least 250 leaf ranges.
+  // Ranges of at most 8 of the 3000 entries: at least 375 leaf ranges.
   EgoOptions ego;
   ego.epsilon = 0.02;
   ego.leaf_size = 8;
-  ego.leaf_kernel = LeafKernel::kNaive;
-  MemorySink ego_baseline(IdWidthFor(entries.size()));
-  CompactEgoJoin(entries, ego, &ego_baseline);
-  ForEachKernelMode(false, [&](LeafKernel mode, const char* label) {
-    ego.leaf_kernel = mode;
-    MemorySink sink(IdWidthFor(entries.size()));
-    CompactEgoJoin(entries, ego, &sink);
-    EXPECT_EQ(sink.links(), ego_baseline.links()) << "mode=" << label;
-    EXPECT_EQ(sink.groups(), ego_baseline.groups());
+  ExpectCacheInvariant("EGO", entries.size(), &ego.leaf_kernel,
+                       [&](JoinSink* sink) {
+                         EgoSimilarityJoin(entries, ego, sink);
+                       });
+  ExpectCacheInvariant("compact EGO", entries.size(), &ego.leaf_kernel,
+                       [&](JoinSink* sink) {
+                         CompactEgoJoin(entries, ego, sink);
+                       });
+}
+
+/// The cache loads a tile only on a miss, makes room for both tiles of a
+/// pair before loading either, and a load that trips the context leaves
+/// nothing cached.
+TEST(KernelsTest, LeafStageCachesOnMissAndForgetsOnTrip) {
+  using Stage = LeafStage<2>;
+  const auto entries = RandomEntries(16, 5, /*with_duplicates=*/false);
+  const std::vector<Entry<2>> leaf(entries.begin(), entries.begin() + 8);
+  const std::vector<Entry<2>> other(entries.begin() + 8, entries.end());
+  JoinStats stats;
+  MemorySink sink(IdWidthFor(entries.size()));
+  GroupWindow<BoxShape<2>> window(BoxShape<2>(0.3), JoinAlgorithm::kSSJ, 1,
+                                  /*promote_on_merge=*/false, &sink, &stats,
+                                  /*write_timer=*/nullptr);
+  ExecContext exec;
+  Stage stage(LeafKernel::kSweep, 0.3, &window, &stats, &exec);
+  int fetches = 0;
+  auto fetch = [&] {
+    ++fetches;
+    return std::span<const Entry<2>>(leaf);
+  };
+  auto fetch_other = [&] {
+    ++fetches;
+    return std::span<const Entry<2>>(other);
+  };
+  for (uint64_t key = 0; key + 1 < Stage::kCacheTiles; ++key) {
+    stage.Self(key, fetch);
+  }
+  stage.Self(0, fetch);  // a hit: no fetch
+  EXPECT_EQ(fetches, static_cast<int>(Stage::kCacheTiles) - 1);
+  EXPECT_EQ(stage.cached_tiles(), Stage::kCacheTiles - 1);
+  // One slot is free but the pair needs two: the cache clears first, so
+  // loading B cannot evict A, and the pair joins both leaves in full.
+  const size_t before = sink.links().size();
+  stage.Pair(1000, fetch, 1001, fetch_other);
+  EXPECT_EQ(stage.cached_tiles(), 2u);
+  const LinkVec pair_links(sink.links().begin() + before, sink.links().end());
+  EXPECT_FALSE(pair_links.empty());
+  EXPECT_EQ(pair_links, BruteBlockPairs(leaf, other, 0.09));
+
+  // A fetch that trips the context, as a PagedTree read fault does...
+  stage.Self(2000, [&] {
+    exec.Trip(Status::IoError("injected read fault"));
+    return std::span<const Entry<2>>();
   });
+  EXPECT_EQ(stage.cached_tiles(), 0u);
+
+  // ...and a budget too small for one tile both leave nothing cached.
+  MemoryBudget budget(16);
+  ExecContext governed;
+  governed.SetMemoryBudget(&budget);
+  Stage small(LeafKernel::kSweep, 0.3, &window, &stats, &governed);
+  small.Self(0, fetch);
+  EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(small.cached_tiles(), 0u);
+  EXPECT_EQ(budget.used(), 0u);
+
+  // kNaive fetches at every visit and caches nothing.
+  Stage naive(LeafKernel::kNaive, 0.3, &window, &stats, &exec);
+  fetches = 0;
+  naive.Self(0, fetch);
+  naive.Self(0, fetch);
+  EXPECT_EQ(fetches, 2);
+  EXPECT_EQ(naive.cached_tiles(), 0u);
 }
 
 TEST(KernelsTest, SpatialJoinDriversIdenticalAcrossKernels) {

@@ -294,9 +294,13 @@ TEST(MTreeTest, TreeShapesAndJoinOutputArePinned) {
     const JoinStats stats = MetricCompactJoin(tree, options, &csj);
     EXPECT_EQ(OutputOf(ncsj), (JoinOutput{112764, 6, 1128125}));
     EXPECT_EQ(OutputOf(csj), (JoinOutput{61560, 2281, 719820}));
-    EXPECT_EQ(stats.distance_computations, 806259u);
+    EXPECT_EQ(stats.distance_computations, 1733705u);
     EXPECT_EQ(stats.merge_attempts, 745157u);
     EXPECT_EQ(stats.merges, 48929u);
+    // Each merge attempt evaluates one or two distances on top of the
+    // 806,259 counted before merges were.
+    EXPECT_GE(stats.distance_computations, 806259u + stats.merge_attempts);
+    EXPECT_LE(stats.distance_computations, 806259u + 2 * stats.merge_attempts);
   }
   {
     // That CSJ output is lossless and the same at four threads.
@@ -343,9 +347,11 @@ TEST(MTreeTest, TreeShapesAndJoinOutputArePinned) {
   EXPECT_EQ(OutputOf(ssj), (JoinOutput{5143, 0, 41144}));
   EXPECT_EQ(OutputOf(ncsj), (JoinOutput{5141, 2, 41144}));
   EXPECT_EQ(OutputOf(csj), (JoinOutput{4185, 233, 37188}));
-  EXPECT_EQ(stats.distance_computations, 323900u);
+  EXPECT_EQ(stats.distance_computations, 374143u);
   EXPECT_EQ(stats.merge_attempts, 46437u);
   EXPECT_EQ(stats.merges, 725u);
+  EXPECT_GE(stats.distance_computations, 323900u + stats.merge_attempts);
+  EXPECT_LE(stats.distance_computations, 323900u + 2 * stats.merge_attempts);
 }
 
 }  // namespace

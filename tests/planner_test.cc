@@ -132,7 +132,7 @@ TEST(PlannerTest, DeriveJoinOptionsIsAFieldCopy) {
   EXPECT_DOUBLE_EQ(options.epsilon, 0.125);
   EXPECT_EQ(options.window_size, 24);
   EXPECT_EQ(options.deadline_ms, 777u);
-  // Every query runs the defaults: sweep, batched, creation-order window.
+  // Every query runs the defaults: sweep, cached tiles, creation-order window.
   EXPECT_EQ(options.leaf_kernel, LeafKernel::kSweep);
   EXPECT_FALSE(options.promote_on_merge);
 }

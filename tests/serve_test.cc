@@ -1144,6 +1144,78 @@ TEST_F(ServeTest, ReloadFailureLeavesOldEpochServing) {
   ::unlink(index2.c_str());
 }
 
+TEST_F(ServeTest, BackToBackReloadsFailNoConcurrentQuery) {
+  // Ten back-to-back reloads while a client keeps querying on a keep-alive
+  // session: every reload succeeds, at least one query succeeds, and none
+  // fails, since each query finishes on the epoch it pinned. A query on a
+  // session the server rotated is retried once on a fresh connection; only
+  // a query that fails there too counts as failed.
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Load({.name = "pts", .path = *index_path_}).ok());
+  std::unique_ptr<Server> server;
+  const std::string socket_path = StartServer(&registry, {}, &server);
+  const std::string request = JoinRequest("csj", 0.01, 10);
+  const std::string ref =
+      OneShotPayload(JoinAlgorithm::kCSJ, 0.01, 10, OutputFormat::kText);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> ok_queries{0};
+  std::atomic<int> failed_queries{0};
+  std::thread client([&] {
+    int fd = -1;
+    std::unique_ptr<LineReader> reader;
+    // One query on the current session; true iff it answered `ref`.
+    auto on_session = [&]() {
+      if (fd < 0) {
+        fd = ConnectTo(socket_path);
+        reader = std::make_unique<LineReader>(fd, /*timeout_ms=*/30000);
+      }
+      std::string header, payload, trailer;
+      return WriteAll(fd, request + "\n").ok() &&
+             reader->ReadLine(&header).ok() &&
+             header.find("\"ok\":true") != std::string::npos &&
+             ReadFramedPayload(reader.get(), OutputFormat::kText, &payload,
+                               &trailer)
+                 .ok() &&
+             trailer.find("\"code\":\"OK\"") != std::string::npos &&
+             payload == ref;
+    };
+    do {
+      if (on_session()) {
+        ++ok_queries;
+        continue;
+      }
+      ::close(fd);
+      fd = -1;
+      const Response retry = RoundTrip(socket_path, request);
+      if (retry.transport.ok() && retry.code == "OK" && retry.payload == ref) {
+        ++ok_queries;
+      } else {
+        ++failed_queries;
+      }
+    } while (!stop.load());
+    if (fd >= 0) ::close(fd);
+  });
+
+  const std::string reload_request = StrFormat(
+      "{\"op\":\"reload\",\"dataset\":\"pts\",\"path\":\"%s\"}",
+      index_path_->c_str());
+  int reloads_ok = 0;
+  for (int r = 0; r < 10; ++r) {
+    const Response reload = RoundTrip(socket_path, reload_request);
+    if (reload.transport.ok() &&
+        reload.first_line.find("\"ok\":true") != std::string::npos) {
+      ++reloads_ok;
+    }
+  }
+  stop.store(true);
+  client.join();
+  EXPECT_EQ(reloads_ok, 10);
+  EXPECT_GE(ok_queries.load(), 1);
+  EXPECT_EQ(failed_queries.load(), 0);
+  server->Shutdown();
+}
+
 TEST_F(ServeTest, ControlWriteFaultClosesSessionAndCounts) {
   DatasetRegistry registry;
   ASSERT_TRUE(registry.Load({.name = "pts", .path = *index_path_}).ok());
