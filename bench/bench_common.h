@@ -129,9 +129,9 @@ class BenchRecorder {
   /// Labels subsequent records, e.g. with the current dataset name.
   void SetContext(std::string context) { context_ = std::move(context); }
 
-  /// Adds an entry to the report's config block — environment facts a reader
-  /// needs to interpret the numbers, e.g. which kernel ISA the `simd` rows
-  /// dispatched to on this host. Last write per key wins.
+  /// Adds an entry to the report's config block — facts a reader needs to
+  /// interpret the numbers, e.g. the planner bench's summary. Last write per
+  /// key wins.
   void AddConfig(const std::string& key, json::Value value) {
     extra_config_[key] = std::move(value);
   }

@@ -1,7 +1,7 @@
 /// \file
-/// Leaf-kernel microbenchmark: naive vs sweep vs simd (geom/kernels.h) over
-/// varying leaf sizes, densities and dimensions, for both the self-join and
-/// the block (leaf-pair) kernel. This is the ablation harness for the
+/// Leaf-kernel microbenchmark: naive vs sweep (geom/kernels.h) over varying
+/// leaf sizes, densities and dimensions, for both the self-join and the
+/// block (leaf-pair) kernel. This is the ablation harness for the
 /// JoinOptions::leaf_kernel modes: it isolates the leaf–leaf inner loop from
 /// tree traversal so kernel changes show up undiluted.
 ///
@@ -12,59 +12,41 @@
 /// the naive loop on the same scenario; each cell also lands in
 /// BENCH_bench_kernels.json (context "self|block dim=D k=K eps=E
 /// kernel=MODE") so the bench trajectory tracks kernel performance over
-/// time. In addition to the three modes, one `simd` row per *available*
-/// explicit ISA backend (avx2, avx512), forced through CSJ_KERNEL_ISA,
-/// isolates the per-ISA cost, and the config block records which ISA the
-/// `simd` rows dispatched to on this host.
+/// time.
 /// `--smoke` shrinks sizes and repetitions to CI scale and additionally
-/// asserts the dispatched SIMD backend is no slower than `sweep` on the
-/// dense-leaf cells (exit 1 on regression; skipped when dispatch resolves
-/// to scalar, e.g. under -DCSJ_SIMD=OFF).
+/// asserts that `sweep` is at least 2x faster than `naive` summed over the
+/// selective cells (k = 256, eps = 0.02 * diagonal, self and block) — the
+/// regime every join runs in (exit 1 on regression).
 
 #include <cstdio>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "data/generators.h"
-#include "geom/dispatch.h"
 #include "geom/kernels.h"
 #include "util/random.h"
 
 namespace csj::bench {
 namespace {
 
-/// One benchmark row: a kernel mode and its label. The per-ISA rows run
-/// kSimd with CSJ_KERNEL_ISA forced to the label.
+/// The benchmarked modes and their row labels.
 struct BenchMode {
   LeafKernel kernel;
   const char* label;
-  bool forced_isa = false;
 };
+constexpr BenchMode kBenchModes[] = {{LeafKernel::kNaive, "naive"},
+                                     {LeafKernel::kSweep, "sweep"}};
 
-/// The three modes plus every explicit ISA backend this host can run. (An
-/// unavailable ISA would fall back to best-available — a row labeled
-/// "avx2" timing another backend is worse than no row.)
-std::vector<BenchMode> BenchModes() {
-  std::vector<BenchMode> modes = {{LeafKernel::kNaive, "naive"},
-                                  {LeafKernel::kSweep, "sweep"},
-                                  {LeafKernel::kSimd, "simd"}};
-  for (KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-    if (KernelIsaAvailable(isa)) {
-      modes.push_back({LeafKernel::kSimd, KernelIsaName(isa), true});
-    }
-  }
-  return modes;
-}
-
-/// Accumulated dense-leaf (largest epsilon fraction) per-call times, the
-/// basis of the --smoke regression gate.
+/// Accumulated selective-cell (k = kGateLeafSize, smallest epsilon fraction)
+/// per-call times, the basis of the --smoke regression gate.
 struct SmokeTotals {
+  double naive_seconds = 0.0;
   double sweep_seconds = 0.0;
-  double simd_seconds = 0.0;
 };
+constexpr size_t kGateLeafSize = 256;
+constexpr double kGateFraction = 0.02;
 
 template <int D>
 std::vector<Entry<D>> LeafPoints(size_t k, uint64_t seed) {
@@ -128,7 +110,7 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
   // on one axis, so the fraction directly controls how much it prunes.
   const double diagonal = std::sqrt(static_cast<double>(D));
   for (size_t k : sizes) {
-    for (double frac : {0.02, 0.1, 0.4}) {
+    for (double frac : {kGateFraction, 0.1, 0.4}) {
       const double eps = frac * diagonal;
       const double eps2 = eps * eps;
       const auto entries = LeafPoints<D>(k, 1000 + k + D);
@@ -142,12 +124,14 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
           1, (args.smoke ? 2'000'000 : 20'000'000) / std::max<uint64_t>(
                                                           1, pair_space)));
 
+      // --smoke keeps the best of three runs per cell, so one descheduled
+      // run cannot trip the gate.
+      const int runs = args.smoke ? std::max(args.runs, 3) : args.runs;
+
       LeafJoinScratch<D> scratch;
       double naive_self = 0.0;
       double naive_block = 0.0;
-      for (const BenchMode& bench_mode : BenchModes()) {
-        std::optional<dispatch_internal::ScopedKernelIsaOverride> forced;
-        if (bench_mode.forced_isa) forced.emplace(bench_mode.label);
+      for (const BenchMode& bench_mode : kBenchModes) {
         const LeafKernel mode = bench_mode.kernel;
         const Cell self = TimeKernel(
             [&](uint64_t* hits) {
@@ -155,7 +139,7 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
                   scratch, std::span<const Entry<D>>(entries), eps2, mode,
                   [hits](const Entry<D>&, const Entry<D>&) { ++*hits; });
             },
-            calls, args.runs);
+            calls, runs);
         const Cell block = TimeKernel(
             [&](uint64_t* hits) {
               return BlockJoinKernel(
@@ -163,21 +147,17 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
                   std::span<const Entry<D>>(half_b), eps2, mode,
                   [hits](const Entry<D>&, const Entry<D>&) { ++*hits; });
             },
-            calls, args.runs);
+            calls, runs);
         if (mode == LeafKernel::kNaive) {
           naive_self = self.seconds_per_call;
           naive_block = block.seconds_per_call;
         }
-        // Dense-leaf cells (widest epsilon fraction) feed the --smoke gate:
-        // that is the regime the SIMD backend exists for.
-        if (frac == 0.4) {
-          if (mode == LeafKernel::kSweep) {
-            smoke->sweep_seconds += self.seconds_per_call +
-                                    block.seconds_per_call;
-          } else if (mode == LeafKernel::kSimd && !bench_mode.forced_isa) {
-            smoke->simd_seconds += self.seconds_per_call +
-                                   block.seconds_per_call;
-          }
+        // Selective cells feed the --smoke gate: the narrow sweep window
+        // every join's leaves see.
+        if (k == kGateLeafSize && frac == kGateFraction) {
+          double& total = mode == LeafKernel::kNaive ? smoke->naive_seconds
+                                                     : smoke->sweep_seconds;
+          total += self.seconds_per_call + block.seconds_per_call;
         }
         const auto row = [&](const char* shape, const Cell& cell,
                              double naive_seconds) {
@@ -210,14 +190,6 @@ void BenchDim(const BenchArgs& args, Table* table, SmokeTotals* smoke) {
 bool g_smoke_failed = false;
 
 void Main(const BenchArgs& args) {
-  const KernelIsa dispatched = DispatchedKernelIsa();
-  BenchRecorder::Get().AddConfig("kernel_isa", KernelIsaName(dispatched));
-  BenchRecorder::Get().AddConfig("kernel_isa_avx2_available",
-                                 KernelIsaAvailable(KernelIsa::kAvx2));
-  BenchRecorder::Get().AddConfig("kernel_isa_avx512_available",
-                                 KernelIsaAvailable(KernelIsa::kAvx512));
-  std::printf("simd dispatches to: %s\n\n", KernelIsaName(dispatched));
-
   Table table("Leaf-join kernels — pair enumeration throughput",
               {"dim", "shape", "k", "eps", "kernel", "t/call", "Mpairs/s",
                "computed", "hits", "speedup"});
@@ -228,24 +200,18 @@ void Main(const BenchArgs& args) {
   EmitTable(table, args, "kernels");
 
   if (args.smoke) {
-    // CI regression gate: on the dense-leaf cells the dispatched SIMD
-    // backend must be at least as fast as the portable sweep (10% noise
-    // allowance). Meaningless when dispatch resolves to scalar — then simd
-    // *is* sweep-with-function-pointers and only correctness matters.
-    if (dispatched == KernelIsa::kScalar) {
-      std::printf("smoke gate: skipped (dispatched ISA is scalar)\n");
-    } else {
-      const double ratio = smoke.simd_seconds /
-                           std::max(smoke.sweep_seconds, 1e-12);
-      std::printf("smoke gate: dense-leaf simd/sweep time ratio %.3f "
-                  "(dispatched %s, limit 1.10)\n",
-                  ratio, KernelIsaName(dispatched));
-      if (ratio > 1.10) {
-        std::fprintf(stderr,
-                     "FAIL: dispatched SIMD backend slower than sweep on "
-                     "dense leaves (ratio %.3f > 1.10)\n", ratio);
-        g_smoke_failed = true;
-      }
+    // CI regression gate: on the selective cells the sweep must stay at
+    // least 2x faster than the naive loop.
+    const double speedup =
+        smoke.naive_seconds / std::max(smoke.sweep_seconds, 1e-12);
+    std::printf("smoke gate: selective-cell naive/sweep time ratio %.2f "
+                "(k=%zu, eps=%.2f*diagonal, minimum 2.00)\n",
+                speedup, kGateLeafSize, kGateFraction);
+    if (speedup < 2.0) {
+      std::fprintf(stderr,
+                   "FAIL: sweep less than 2x faster than naive on selective "
+                   "leaves (ratio %.2f < 2.00)\n", speedup);
+      g_smoke_failed = true;
     }
   }
 }

@@ -6,8 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <array>
+#include <utility>
 #include <vector>
 
 #include "core/group.h"
@@ -15,7 +14,6 @@
 #include "core/sink.h"
 #include "data/dataset.h"
 #include "data/generators.h"
-#include "geom/dispatch.h"
 #include "index/bulk_load.h"
 #include "index/mtree.h"
 #include "index/rstar_tree.h"
@@ -141,76 +139,6 @@ void BM_ChaosGame3D(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChaosGame3D)->Arg(100000);
-
-// --- Per-ISA kernel backends -------------------------------------------------
-//
-// The two dispatchable primitives behind LeafKernel::kSimd (geom/dispatch.h),
-// timed per backend over the same SoA data so the scalar/avx2/avx512 rows are
-// directly comparable. Arg(i) is the KernelIsa value; benchmarks for ISAs
-// this host cannot run are skipped with an error label rather than silently
-// timing the scalar fallback.
-
-constexpr size_t kIsaWindow = 1024;
-
-/// SoA coordinate arrays + a center chosen so roughly half the window hits.
-struct IsaFixture {
-  std::vector<double> x, y;
-  std::array<const double*, 2> dims;
-  std::array<double, 2> center;
-  double eps2;
-
-  IsaFixture() : x(kIsaWindow), y(kIsaWindow) {
-    Rng rng(8);
-    for (size_t i = 0; i < kIsaWindow; ++i) {
-      x[i] = rng.UniformDouble();
-      y[i] = rng.UniformDouble();
-    }
-    dims = {x.data(), y.data()};
-    center = {0.5, 0.5};
-    eps2 = 0.4 * 0.4;
-  }
-};
-
-void BM_IsaWindowHits(benchmark::State& state) {
-  const KernelIsa isa = static_cast<KernelIsa>(state.range(0));
-  if (!KernelIsaAvailable(isa)) {
-    state.SkipWithError("ISA unavailable on this host/build");
-    return;
-  }
-  static const IsaFixture& fx = *new IsaFixture();
-  const KernelBackend& be = GetKernelBackend(isa);
-  std::vector<uint32_t> hits(kIsaWindow);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(be.window_hits(fx.dims.data(), 2,
-                                            fx.center.data(), 0, kIsaWindow,
-                                            fx.eps2, hits.data()));
-  }
-  state.SetItemsProcessed(state.iterations() * kIsaWindow);
-  state.SetLabel(KernelIsaName(isa));
-}
-BENCHMARK(BM_IsaWindowHits)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_IsaSweepBound(benchmark::State& state) {
-  const KernelIsa isa = static_cast<KernelIsa>(state.range(0));
-  if (!KernelIsaAvailable(isa)) {
-    state.SkipWithError("ISA unavailable on this host/build");
-    return;
-  }
-  static const IsaFixture& fx = *new IsaFixture();
-  const KernelBackend& be = GetKernelBackend(isa);
-  std::vector<double> sorted = fx.x;
-  std::sort(sorted.begin(), sorted.end());
-  const double eps2 = 0.05 * 0.05;  // short windows: the common join regime
-  size_t i = 0;
-  for (auto _ : state) {
-    const size_t begin = i & (kIsaWindow - 1);
-    benchmark::DoNotOptimize(be.sweep_bound(sorted.data(), begin, kIsaWindow,
-                                            sorted[begin], eps2));
-    ++i;
-  }
-  state.SetLabel(KernelIsaName(isa));
-}
-BENCHMARK(BM_IsaSweepBound)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SinkByteAccounting(benchmark::State& state) {
   auto sink = MakeSinkOrDie(OutputSpec::Counting(10'000'000));  // 7-digit ids

@@ -50,8 +50,8 @@ struct EgoOptions {
   /// Enable the early termination-as-a-group case (compact variant only).
   bool early_stop = true;
   /// Leaf-range pair enumeration strategy (geom/kernels.h), same knob as
-  /// JoinOptions::leaf_kernel. All modes produce identical output; every
-  /// mode but kNaive joins ranges through cached tiles (core/leaf_stage.h).
+  /// JoinOptions::leaf_kernel: both modes produce identical output; kSweep
+  /// joins ranges through cached tiles (core/leaf_stage.h).
   LeafKernel leaf_kernel = LeafKernel::kSweep;
 
   /// Wall-clock budget in milliseconds; 0 = unlimited. The recursion stops
@@ -300,11 +300,6 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
   }
   window.Flush();
 
-  if (options.leaf_kernel == LeafKernel::kSimd) {
-    const KernelIsa isa = DispatchedKernelIsa();
-    stats.kernel_isa = KernelIsaName(isa);
-    RecordKernelBackendMetric(isa);
-  }
   stats.status = sink->error();
   if (stats.status.ok()) stats.status = run_ctx.status();
   stats.elapsed_seconds = timer.ElapsedSeconds();

@@ -178,6 +178,48 @@ class Group {
   std::unordered_set<PointId> member_set_;
 };
 
+/// The member ids of an early-stopped subtree group, collected in the one
+/// walk of the subtree. The buffer's capacity is charged to the context's
+/// memory budget before each growth; a denial trips the context with
+/// kResourceExhausted, and every later Add is refused.
+class SubtreeMembers {
+ public:
+  explicit SubtreeMembers(const ExecContext* ctx) : ctx_(ctx) {}
+
+  /// Appends `id`, unless the budget has denied a growth.
+  void Add(PointId id) {
+    if (ids_.size() == ids_.capacity() && !Grow()) return;
+    ids_.push_back(id);
+  }
+
+  /// False once the budget has denied a growth.
+  bool ok() const { return !denied_; }
+
+  /// The collected ids; the charge is held until this object is destroyed.
+  std::vector<PointId> Take() { return std::move(ids_); }
+
+ private:
+  bool Grow() {
+    if (denied_) return false;
+    const size_t capacity = std::max<size_t>(16, 2 * ids_.capacity());
+    if (!charge_.Acquire(ctx_->memory_budget(), capacity * sizeof(PointId))) {
+      denied_ = true;
+      ctx_->Trip(Status::ResourceExhausted(StrFormat(
+          "memory budget exhausted collecting a subtree group of over %zu "
+          "members",
+          ids_.size())));
+      return false;
+    }
+    ids_.reserve(capacity);
+    return true;
+  }
+
+  const ExecContext* ctx_;
+  ScopedCharge charge_;
+  std::vector<PointId> ids_;
+  bool denied_ = false;
+};
+
 /// The CSJ(g) merge window and output writer (see the file comment): holds
 /// the g most recently created groups; older groups are written as they are
 /// evicted, and Flush() writes the remainder at the end of the join.

@@ -56,15 +56,12 @@ struct JoinOptions {
   /// ball groups alike; a library option only (no flag or request sets it).
   bool promote_on_merge = false;
 
-  /// Leaf-level pair enumeration strategy (geom/kernels.h): the scalar
-  /// baseline double loop (the reference the kernel tests compare against),
-  /// the plane-sweep pruned loop, or plane-sweep plus the dispatched
-  /// explicit-SIMD distance backend (geom/dispatch.h). All three produce
-  /// byte-identical output (the kernels replay hits in the naive loop's
-  /// order and the SIMD backends are decision-identical by the dispatch
-  /// contract); they differ only in speed and in how many distances they
-  /// actually compute. Every mode but kNaive joins cached SoA tiles
-  /// (core/leaf_stage.h).
+  /// Leaf-level pair enumeration strategy (geom/kernels.h): the plane-sweep
+  /// pruned loop over cached SoA tiles (core/leaf_stage.h), or the scalar
+  /// baseline double loop, the reference the kernel tests compare against.
+  /// Both produce byte-identical output (the sweep replays hits in the naive
+  /// loop's order); they differ only in speed and in how many distances
+  /// they actually compute.
   LeafKernel leaf_kernel = LeafKernel::kSweep;
 
   /// When true, time spent inside the sink is accumulated separately

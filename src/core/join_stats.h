@@ -32,7 +32,9 @@ struct JoinStats {
   uint64_t links = 0;               ///< individually emitted links
   uint64_t groups = 0;              ///< emitted groups
   uint64_t group_member_total = 0;  ///< sum of group sizes
-  uint64_t output_bytes = 0;        ///< exact bytes of the text format
+  /// Exact bytes of the output in the sink's accounting format (text or
+  /// CSJ2; see JoinSink::bytes()).
+  uint64_t output_bytes = 0;
 
   // Work counters.
   uint64_t distance_computations = 0;
@@ -49,13 +51,6 @@ struct JoinStats {
   uint64_t early_stops = 0;     ///< subtree groups from the stopping rule
   uint64_t merge_attempts = 0;  ///< link-into-group trials (CSJ)
   uint64_t merges = 0;          ///< successful merges (CSJ)
-
-  /// KernelIsaName of the SIMD backend the leaf kernels actually ran
-  /// ("scalar", "avx2", "avx512"); empty when the run's leaf_kernel mode
-  /// never consults a backend (naive, sweep). Recomputed per run — resume
-  /// does not persist it, since a resumed run may land on different
-  /// hardware.
-  std::string kernel_isa;
 
   // Timing.
   double elapsed_seconds = 0.0;  ///< total join wall time (includes writes)
@@ -123,7 +118,6 @@ struct JoinStats {
     v["early_stops"] = early_stops;
     v["merge_attempts"] = merge_attempts;
     v["merges"] = merges;
-    if (!kernel_isa.empty()) v["kernel_isa"] = kernel_isa;
     v["elapsed_seconds"] = elapsed_seconds;
     v["write_seconds"] = write_seconds;
     v["implied_links"] = implied_links_;

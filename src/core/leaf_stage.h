@@ -20,13 +20,13 @@
 /// leaves, the moment the traversal reaches them, as the paper's Figure 3
 /// does, and writes every qualifying link to the driver's CSJ(g) window.
 ///
-/// Under `sweep` and `simd` the kernels run on SoA tiles (geom/kernels.h)
-/// from a per-driver cache keyed by a driver-chosen 64-bit leaf key, so a
-/// leaf that pairs with many neighbours is transposed once, not once per
-/// pair. The cache holds at most kCacheTiles tiles and is cleared whole when
-/// a visit needs room; a pair visit makes room for both of its tiles before
-/// loading either. A leaf's entries are fetched only on a miss, so a hit on
-/// a PagedTree skips the block fetch as well. Reusing a tile cannot change
+/// Under `sweep` the kernels run on SoA tiles (geom/kernels.h) from a
+/// per-driver cache keyed by a driver-chosen 64-bit leaf key, so a leaf that
+/// pairs with many neighbours is transposed once, not once per pair. The
+/// cache holds at most kCacheTiles tiles and is cleared whole when a visit
+/// needs room; a pair visit makes room for both of its tiles before loading
+/// either. A leaf's entries are fetched only on a miss, so a hit on a
+/// PagedTree skips the block fetch as well. Reusing a tile cannot change
 /// the output: sweep bounds and prune decisions depend only on coordinate
 /// values, whatever sort state an earlier kernel call left behind, and the
 /// kernels replay hits in canonical order. `naive` is the uncached
@@ -72,7 +72,7 @@ class LeafStage {
     MakeRoom(key, key);
     LeafTile<D>* tile = Lookup(key, fetch, proj);
     if (tile == nullptr || !Charge(tile->size())) return;
-    AddWork(SelfJoinTileKernel(scratch_, *tile, eps2_, mode_, Emitter()));
+    AddWork(SelfJoinTileKernel(scratch_, *tile, eps2_, Emitter()));
   }
 
   /// Joins two distinct leaves: their cross pairs, each written with the
@@ -92,7 +92,7 @@ class LeafStage {
     LeafTile<D>* a = Lookup(key_a, fetch_a, proj);
     LeafTile<D>* b = a != nullptr ? Lookup(key_b, fetch_b, proj) : nullptr;
     if (b == nullptr || !Charge(a->size() + b->size())) return;
-    AddWork(BlockJoinTileKernel(scratch_, *a, *b, eps2_, mode_, Emitter()));
+    AddWork(BlockJoinTileKernel(scratch_, *a, *b, eps2_, Emitter()));
   }
 
   /// Tiles cached right now.

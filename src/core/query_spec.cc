@@ -1,5 +1,6 @@
 #include "core/query_spec.h"
 
+#include <cmath>
 #include <utility>
 
 namespace csj {
@@ -42,7 +43,9 @@ bool ParseQueryAlgo(const std::string& name, QueryAlgo* algo) {
 }
 
 Status QuerySpec::Validate() const {
-  if (eps <= 0.0) return Status::InvalidArgument("eps must be positive");
+  if (!std::isfinite(eps) || eps <= 0.0) {
+    return Status::InvalidArgument("eps must be finite and positive");
+  }
   if (window < 1) return Status::InvalidArgument("g must be at least 1");
   if (threads < 0) {
     return Status::InvalidArgument("threads must be non-negative");

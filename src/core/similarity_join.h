@@ -164,17 +164,6 @@ class JoinDriver {
                       : static_cast<uint64_t>(n) | (uint64_t{1} << 63);
   }
 
-  /// Budget accounting for a subtree group's member collection buffer.
-  bool ChargeMembers(ScopedCharge& charge, size_t count) {
-    MemoryBudget* budget = run_ctx_.memory_budget();
-    if (budget == nullptr) return true;
-    if (charge.Acquire(budget, count * sizeof(PointId))) return true;
-    run_ctx_.Trip(Status::ResourceExhausted(StrFormat(
-        "memory budget exhausted collecting a %zu-member subtree group",
-        count)));
-    return false;
-  }
-
   // --- Single-node recursion (Figure 3, simJoin(n)) -------------------------
 
   void SelfJoin(NodeId n) {
@@ -248,27 +237,22 @@ class JoinDriver {
   // --- Emission ---------------------------------------------------------------
 
   /// Early-stopping rule: every point below n1 (in tree t1) and below n2
-  /// (in tree t2, unless kInvalidNode) becomes one group.
+  /// (in tree t2, unless kInvalidNode) becomes one group, collected in one
+  /// walk of each subtree.
   template <typename T1, typename T2>
   void EmitSubtreeGroup(const T1& t1, NodeId n1, const T2& t2, NodeId n2) {
     ++stats_.early_stops;
-    const size_t count =
-        CountEntriesInSubtree(t1, n1, &run_ctx_) +
-        (n2 == kInvalidNode ? 0 : CountEntriesInSubtree(t2, n2, &run_ctx_));
-    ScopedCharge charge;
-    if (!ChargeMembers(charge, count)) return;
-    std::vector<PointId> members;
-    members.reserve(count);
+    SubtreeMembers members(&run_ctx_);
     Box<D> box;
     auto collect = [&](const Entry<D>& e) {
-      members.push_back(e.id);
+      members.Add(e.id);
       box.Extend(e.point);
     };
     ForEachEntryInSubtree(t1, n1, options_.tracker, collect, &run_ctx_);
     if (n2 != kInvalidNode) {
       ForEachEntryInSubtree(t2, n2, options_.tracker, collect, &run_ctx_);
     }
-    window_.SubtreeGroup(std::move(members), box);
+    if (members.ok()) window_.SubtreeGroup(members.Take(), box);
   }
 
   const TreeA& tree_a_;
@@ -533,9 +517,6 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
   session.epsilon = options.epsilon;
   session.window_size =
       algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
-  if (options.leaf_kernel == LeafKernel::kSimd) {
-    session.kernel_isa = KernelIsaName(DispatchedKernelIsa());
-  }
   session.status = CheckThreads<TreeA, TreeB>(threads, options);
   if (!session.status.ok()) return session;
 
@@ -544,9 +525,6 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
     CSJ_METRIC_COUNT("join.runs", 1);
     CSJ_METRIC_COUNT("parallel.joins", 1);
     CSJ_METRIC_COUNT("parallel.tasks_total", tasks.size());
-    if (options.leaf_kernel == LeafKernel::kSimd) {
-      RecordKernelBackendMetric(DispatchedKernelIsa());
-    }
   }
   CSJ_METRIC_COUNT("parallel.workers", static_cast<uint64_t>(threads));
   if (options.tracker != nullptr) options.tracker->Reset();

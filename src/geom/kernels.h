@@ -8,7 +8,6 @@
 #include <iterator>
 #include <vector>
 
-#include "geom/dispatch.h"
 #include "geom/point.h"
 #include "util/metrics.h"
 
@@ -20,7 +19,7 @@
 /// The hot loop of every similarity join in this repo decides, for each pair
 /// of points in a leaf (or pair of leaves), whether their distance is within
 /// epsilon. The baseline is a scalar O(k^2) double loop over array-of-structs
-/// Entry<D> records. This layer replaces it with three ingredients:
+/// Entry<D> records. This layer replaces it with two ingredients:
 ///
 ///  1. **SoA tiles** (LeafTile): a leaf's entries are transposed into
 ///     per-dimension contiguous coordinate arrays. Distance evaluation then
@@ -39,23 +38,15 @@
 ///     dimensions only add non-negative terms, and IEEE rounding is
 ///     monotone). Ties exactly at epsilon are therefore preserved bit-for-bit.
 ///
-///  3. **Explicit-SIMD backends** (LeafKernel::kSimd): within the sweep
-///     window, squared distances are evaluated by an ISA-specific backend
-///     (geom/dispatch.h) — hand-written AVX2 / AVX-512 intrinsic loops or a
-///     blocked scalar fallback — selected once at startup by CPUID. The
-///     CSJ_KERNEL_ISA env var is the one way to force a backend. Every
-///     backend follows the determinism contract in geom/dispatch.h, so
-///     accept/reject decisions are bit-identical across ISAs.
-///
 /// **Output discipline.** The sweep kernels buffer qualifying pairs as
 /// original-index hits and replay them through the callback in exactly the
 /// order the naive double loop produces (a counting sort over the tile-sized
 /// index ranges keeps that replay cheap even when most pairs hit). The naive
 /// kernel emits directly — it already enumerates canonically, and skipping
 /// the tile transpose and hit buffer keeps it an honest baseline.
-/// All kernels are therefore *output-identical* — not just multiset-equal —
+/// Both kernels are therefore *output-identical* — not just multiset-equal —
 /// which matters for CSJ(g), whose group window is order-sensitive.
-/// Benchmarks can ablate kernels (and ISAs) without changing results.
+/// Benchmarks can ablate kernels without changing results.
 ///
 /// The kernels come in two flavors per join shape: span-based
 /// (SelfJoinKernel / BlockJoinKernel, which load scratch tiles and delegate)
@@ -70,7 +61,7 @@
 /// through the CSJ_METRIC_* layer. `computed` is what drivers add to
 /// JoinStats::distance_computations: under kNaive it equals the full pair
 /// count (matching the historical per-pair increments exactly); under
-/// kSweep/kSimd it counts only the pairs that survived the 1-D prune.
+/// kSweep it counts only the pairs that survived the 1-D prune.
 
 namespace csj {
 
@@ -78,8 +69,13 @@ namespace csj {
 enum class LeafKernel {
   kNaive,  ///< scalar double loop in entry order (the pre-kernel baseline)
   kSweep,  ///< sort by widest dimension + 1-D gap break
-  kSimd,   ///< sweep window + the dispatched explicit-SIMD backend
 };
+
+/// The instruction set the leaf kernels run on: one portable kernel, so
+/// always "scalar". Kept for the benchmark's provenance record.
+enum class KernelIsa { kScalar };
+inline KernelIsa DispatchedKernelIsa() { return KernelIsa::kScalar; }
+inline const char* KernelIsaName(KernelIsa) { return "scalar"; }
 
 /// Bulk work accounting for one kernel invocation (or a running total).
 struct KernelCounters {
@@ -277,7 +273,6 @@ struct LeafJoinScratch {
   std::vector<KernelHit> hits;
   std::vector<KernelHit> hits_tmp;
   std::vector<uint32_t> hit_slots;
-  std::vector<uint32_t> isa_hits;  ///< per-window buffer for the backends
   KernelCounters totals;
 };
 
@@ -347,12 +342,11 @@ inline void SortHitsCanonical(std::vector<KernelHit>& hits,
 /// stage runs; `tile` may be scratch or a cached tile shared by several leaf
 /// pairs. The tile's sort state on entry does not matter: SortByDim is
 /// memoized, window bounds and prune decisions depend only on coordinate
-/// values, and hits are replayed canonically. kNaive is executed as kSweep
-/// here (the transpose has already been paid; output is identical) — drivers
-/// keep the naive baseline honest by never routing it through tiles.
+/// values, and hits are replayed canonically. Tiles always run the sweep;
+/// drivers keep the naive baseline honest by never routing it through tiles.
 template <int D, typename Emit>
 KernelCounters SelfJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& tile,
-                                  double eps2, LeafKernel mode, Emit&& emit) {
+                                  double eps2, Emit&& emit) {
   KernelCounters c;
   c.invocations = 1;
   const size_t n = tile.size();
@@ -375,34 +369,20 @@ KernelCounters SelfJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& tile,
     // vector storage after every hit push.
     std::array<const double*, D> dims;
     for (int d = 0; d < D; ++d) dims[d] = tile.Dim(d);
-    if (mode != LeafKernel::kSimd) {
-      for (size_t i = 0; i < n; ++i) {
-        const double xi = x[i];
-        std::array<double, D> center;
-        for (int d = 0; d < D; ++d) center[d] = dims[d][i];
-        for (size_t j = i + 1; j < n; ++j) {
-          const double gap = x[j] - xi;
-          if (gap * gap > eps2) break;
-          ++c.computed;
-          double acc = 0.0;
-          for (int d = 0; d < D; ++d) {
-            const double diff = dims[d][j] - center[d];
-            acc += diff * diff;
-          }
-          if (acc <= eps2) record(i, j);
-        }
-      }
-    } else {
-      const KernelBackend& be = GetKernelBackend(DispatchedKernelIsa());
-      s.isa_hits.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double xi = x[i];
       std::array<double, D> center;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t bound = be.sweep_bound(x, i + 1, n, x[i], eps2);
-        c.computed += bound - (i + 1);
-        for (int d = 0; d < D; ++d) center[d] = dims[d][i];
-        const size_t nh = be.window_hits(dims.data(), D, center.data(), i + 1,
-                                         bound, eps2, s.isa_hits.data());
-        for (size_t k = 0; k < nh; ++k) record(i, s.isa_hits[k]);
+      for (int d = 0; d < D; ++d) center[d] = dims[d][i];
+      for (size_t j = i + 1; j < n; ++j) {
+        const double gap = x[j] - xi;
+        if (gap * gap > eps2) break;
+        ++c.computed;
+        double acc = 0.0;
+        for (int d = 0; d < D; ++d) {
+          const double diff = dims[d][j] - center[d];
+          acc += diff * diff;
+        }
+        if (acc <= eps2) record(i, j);
       }
     }
     c.pruned = c.candidates - c.computed;
@@ -421,7 +401,7 @@ KernelCounters SelfJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& tile,
 /// scratch tile s.a and delegates to SelfJoinTileKernel — except under
 /// kNaive, which runs the pre-kernel baseline byte for byte (AoS double loop
 /// in entry order, direct emission, no tile transpose, no hit buffering —
-/// the honest ablation floor the other modes are measured against). Returns
+/// the honest ablation floor the sweep is measured against). Returns
 /// this call's work counters (also accumulated into `s.totals` and the
 /// process metrics).
 template <int D, typename Span,
@@ -452,19 +432,17 @@ KernelCounters SelfJoinKernel(LeafJoinScratch<D>& s, const Span& entries,
     return c;
   }
   s.a.Load(entries, proj);
-  return SelfJoinTileKernel(s, s.a, eps2, mode,
-                            static_cast<Emit&&>(emit));
+  return SelfJoinTileKernel(s, s.a, eps2, static_cast<Emit&&>(emit));
 }
 
 /// Joins two distinct pre-loaded tiles: every cross pair within epsilon is
 /// passed to `emit(ea, eb)` with ea always drawn from tile A, in the order
 /// of the scalar `for a { for b }` loop. Tile-major analog of
-/// SelfJoinTileKernel, with the same caveats (sort state irrelevant, kNaive
-/// executed as kSweep).
+/// SelfJoinTileKernel, with the same caveats (sort state irrelevant, always
+/// the sweep).
 template <int D, typename Emit>
 KernelCounters BlockJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& ta,
-                                   LeafTile<D>& tb, double eps2,
-                                   LeafKernel mode, Emit&& emit) {
+                                   LeafTile<D>& tb, double eps2, Emit&& emit) {
   KernelCounters c;
   c.invocations = 1;
   const size_t na = ta.size();
@@ -478,82 +456,53 @@ KernelCounters BlockJoinTileKernel(LeafJoinScratch<D>& s, LeafTile<D>& ta,
                                  static_cast<uint32_t>(j)});
     };
 
-    {
-      // Sort both tiles on the widest dimension of their union so one sweep
-      // axis serves both sides.
-      int dim = 0;
-      double best_spread = -1.0;
-      for (int d = 0; d < D; ++d) {
-        const double spread = std::max(ta.hi(d), tb.hi(d)) -
-                              std::min(ta.lo(d), tb.lo(d));
-        if (spread > best_spread) {
-          best_spread = spread;
-          dim = d;
-        }
+    // Sort both tiles on the widest dimension of their union so one sweep
+    // axis serves both sides.
+    int dim = 0;
+    double best_spread = -1.0;
+    for (int d = 0; d < D; ++d) {
+      const double spread = std::max(ta.hi(d), tb.hi(d)) -
+                            std::min(ta.lo(d), tb.lo(d));
+      if (spread > best_spread) {
+        best_spread = spread;
+        dim = d;
       }
-      ta.SortByDim(dim);
-      tb.SortByDim(dim);
-      const double* xa = ta.Dim(dim);
-      const double* xb = tb.Dim(dim);
-      std::array<const double*, D> dims_a;
-      std::array<const double*, D> dims_b;
-      for (int d = 0; d < D; ++d) {
-        dims_a[d] = ta.Dim(d);
-        dims_b[d] = tb.Dim(d);
-      }
-      // Classic merge sweep: for ascending a-slots, the window of b-slots
-      // within the 1-D bound only moves right.
-      if (mode != LeafKernel::kSimd) {
-        size_t start = 0;
-        for (size_t i = 0; i < na; ++i) {
-          const double xi = xa[i];
-          while (start < nb && xb[start] < xi) {
-            const double gap = xi - xb[start];
-            if (gap * gap <= eps2) break;
-            ++start;
-          }
-          std::array<double, D> center;
-          for (int d = 0; d < D; ++d) center[d] = dims_a[d][i];
-          for (size_t j = start; j < nb; ++j) {
-            const double gap = xb[j] - xi;
-            if (gap > 0.0 && gap * gap > eps2) break;
-            ++c.computed;
-            double acc = 0.0;
-            for (int d = 0; d < D; ++d) {
-              const double diff = dims_b[d][j] - center[d];
-              acc += diff * diff;
-            }
-            if (acc <= eps2) record(i, j);
-          }
-        }
-      } else {
-        // Each window [start, nb) satisfies the backend's monotonicity
-        // precondition: every b-slot in it with xb[j] < xi is already
-        // within the 1-D bound (the start advance established that), so
-        // fl((xb[j]-xi)^2) > eps2 flips false -> true exactly once going
-        // right.
-        const KernelBackend& be = GetKernelBackend(DispatchedKernelIsa());
-        s.isa_hits.resize(nb);
-        std::array<double, D> center;
-        size_t start = 0;
-        for (size_t i = 0; i < na; ++i) {
-          const double xi = xa[i];
-          while (start < nb && xb[start] < xi) {
-            const double gap = xi - xb[start];
-            if (gap * gap <= eps2) break;
-            ++start;
-          }
-          const size_t bound = be.sweep_bound(xb, start, nb, xi, eps2);
-          c.computed += bound - start;
-          for (int d = 0; d < D; ++d) center[d] = dims_a[d][i];
-          const size_t nh =
-              be.window_hits(dims_b.data(), D, center.data(), start, bound,
-                             eps2, s.isa_hits.data());
-          for (size_t k = 0; k < nh; ++k) record(i, s.isa_hits[k]);
-        }
-      }
-      c.pruned = c.candidates - c.computed;
     }
+    ta.SortByDim(dim);
+    tb.SortByDim(dim);
+    const double* xa = ta.Dim(dim);
+    const double* xb = tb.Dim(dim);
+    std::array<const double*, D> dims_a;
+    std::array<const double*, D> dims_b;
+    for (int d = 0; d < D; ++d) {
+      dims_a[d] = ta.Dim(d);
+      dims_b[d] = tb.Dim(d);
+    }
+    // Classic merge sweep: for ascending a-slots, the window of b-slots
+    // within the 1-D bound only moves right.
+    size_t start = 0;
+    for (size_t i = 0; i < na; ++i) {
+      const double xi = xa[i];
+      while (start < nb && xb[start] < xi) {
+        const double gap = xi - xb[start];
+        if (gap * gap <= eps2) break;
+        ++start;
+      }
+      std::array<double, D> center;
+      for (int d = 0; d < D; ++d) center[d] = dims_a[d][i];
+      for (size_t j = start; j < nb; ++j) {
+        const double gap = xb[j] - xi;
+        if (gap > 0.0 && gap * gap > eps2) break;
+        ++c.computed;
+        double acc = 0.0;
+        for (int d = 0; d < D; ++d) {
+          const double diff = dims_b[d][j] - center[d];
+          acc += diff * diff;
+        }
+        if (acc <= eps2) record(i, j);
+      }
+    }
+    c.pruned = c.candidates - c.computed;
 
     c.hits = s.hits.size();
     kernel_internal::SortHitsCanonical(s.hits, s.hits_tmp, s.hit_slots, na,
@@ -599,8 +548,7 @@ KernelCounters BlockJoinKernel(LeafJoinScratch<D>& s, const SpanA& entries_a,
   }
   s.a.Load(entries_a, proj);
   s.b.Load(entries_b, proj);
-  return BlockJoinTileKernel(s, s.a, s.b, eps2, mode,
-                             static_cast<Emit&&>(emit));
+  return BlockJoinTileKernel(s, s.a, s.b, eps2, static_cast<Emit&&>(emit));
 }
 
 }  // namespace csj

@@ -99,18 +99,6 @@ void ForEachEntryInSubtree(const Tree& tree, NodeId node, Tracker* tracker,
   }
 }
 
-/// Counts entries under `node` without touching the tracker.
-template <typename Tree>
-uint64_t CountEntriesInSubtree(const Tree& tree, NodeId node,
-                               const ExecContext* exec = nullptr) {
-  if (tree.IsLeaf(node)) return TreeEntries(tree, node, exec).size();
-  uint64_t total = 0;
-  for (NodeId child : TreeChildren(tree, node, exec)) {
-    total += CountEntriesInSubtree(tree, child, exec);
-  }
-  return total;
-}
-
 }  // namespace csj
 
 #endif  // CSJ_INDEX_SPATIAL_INDEX_H_

@@ -158,35 +158,22 @@ class MetricJoinDriver {
   }
 
   /// Early stop: all items under n1 (and n2, if given) form one group,
-  /// proven by the ball bound at creation. The member collection is charged
-  /// to the budget before it is built, as in the vector-space driver.
+  /// proven by the ball bound at creation. The members are collected in one
+  /// walk and charged to the budget as in the vector-space driver.
   void EmitSubtree(NodeId n1, NodeId n2) {
     ++stats_.early_stops;
-    size_t count = CountEntriesInSubtree(tree_, n1);
-    if (n2 != kInvalidNode) count += CountEntriesInSubtree(tree_, n2);
-    ScopedCharge charge;
-    if (!charge.Acquire(run_ctx_.memory_budget(), count * sizeof(PointId))) {
-      run_ctx_.Trip(Status::ResourceExhausted(StrFormat(
-          "memory budget exhausted collecting a %zu-member subtree group",
-          count)));
-      return;
+    SubtreeMembers members(&run_ctx_);
+    auto collect = [&](const EntryT& e) { members.Add(e.id); };
+    NodeAccessTracker* const no_tracker = nullptr;
+    ForEachEntryInSubtree(tree_, n1, no_tracker, collect);
+    if (n2 != kInvalidNode) {
+      ForEachEntryInSubtree(tree_, n2, no_tracker, collect);
     }
-    std::vector<PointId> members;
-    members.reserve(count);
-    CollectMembers(n1, &members);
-    if (n2 != kInvalidNode) CollectMembers(n2, &members);
+    if (!members.ok()) return;
     window_.SubtreeGroup(
-        std::move(members),
+        members.Take(),
         window_.shape().Subtree(tree_.NodeCenter(n1), tree_.NodeRadius(n1),
                                 /*one_node=*/n2 == kInvalidNode));
-  }
-
-  void CollectMembers(NodeId n, std::vector<PointId>* members) {
-    if (tree_.IsLeaf(n)) {
-      for (const auto& e : tree_.Entries(n)) members->push_back(e.id);
-      return;
-    }
-    for (NodeId child : tree_.Children(n)) CollectMembers(child, members);
   }
 
   const Tree& tree_;

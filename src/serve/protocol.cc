@@ -103,8 +103,7 @@ Result<Request> ParseRequest(const std::string& line) {
   }
   if (req.op == "join" || req.op == "range") {
     if (req.spec.dataset.empty()) return FieldError("dataset", "required");
-    if (req.spec.eps <= 0.0) return FieldError("eps", "must be positive");
-    if (req.spec.window < 1) return FieldError("g", "must be at least 1");
+    CSJ_RETURN_IF_ERROR(req.spec.Validate());
   }
   if (req.op == "range") {
     if (req.center.empty()) return FieldError("center", "required");

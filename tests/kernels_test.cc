@@ -17,7 +17,6 @@
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "data/generators.h"
-#include "geom/dispatch.h"
 #include "index/bulk_load.h"
 #include "index/paged_tree.h"
 #include "index/rstar_tree.h"
@@ -27,10 +26,9 @@
 
 /// Tests of the vectorized leaf-join kernel layer. The load-bearing claims:
 ///
-///  * every LeafKernel mode — kSimd under every ISA this host can run —
-///    emits the exact pairs of the scalar baseline loop, in the exact same
-///    order (CSJ's group window is order-sensitive, so multiset equality is
-///    not enough);
+///  * the sweep kernel emits the exact pairs of the scalar baseline loop,
+///    in the exact same order (CSJ's group window is order-sensitive, so
+///    multiset equality is not enough), through every driver;
 ///  * epsilon-boundary ties and duplicate coordinates survive the
 ///    plane-sweep pruning bit-for-bit;
 ///  * the bulk counters reproduce the old per-pair distance accounting under
@@ -88,36 +86,41 @@ LinkVec BruteBlockPairs(const std::vector<Entry<2>>& a,
   return out;
 }
 
-/// Runs `body(mode, label)` for kNaive, kSweep and kSimd, and once more for
-/// kSimd under each ISA backend this host can run, forced through
-/// CSJ_KERNEL_ISA. With `include_naive` false the baseline is skipped, for
-/// the driver-level tests that compare against it.
+/// Randomized points laced with the cases where a pruning or rounding slip
+/// would first show: exact duplicates (distance 0), runs of equal sweep
+/// keys, and grid points whose neighbour distances are *exactly* `eps` (use
+/// a binary-exact eps such as 0.25, so fl((x-y)^2) == eps^2 with no
+/// rounding slack).
+std::vector<Entry<2>> TieHeavyEntries(size_t n, uint64_t seed, double eps) {
+  Rng rng(seed);
+  std::vector<Entry<2>> entries;
+  entries.reserve(n + n / 2 + 36);
+  PointId id = 0;
+  for (size_t i = 0; i < n; ++i) {
+    entries.push_back(Entry<2>{
+        id++, Point2{{rng.UniformDouble(), rng.UniformDouble()}}});
+  }
+  for (size_t i = 0; i < n / 4; ++i) {
+    entries.push_back(Entry<2>{id++, entries[i].point});  // exact duplicate
+    Point2 p = entries[i].point;
+    p[1] = rng.UniformDouble();  // duplicated sweep-axis coordinate
+    entries.push_back(Entry<2>{id++, p});
+  }
+  for (int gx = 0; gx < 6; ++gx) {
+    for (int gy = 0; gy < 6; ++gy) {
+      entries.push_back(Entry<2>{id++, Point2{{gx * eps, gy * eps}}});
+    }
+  }
+  return entries;
+}
+
+/// Runs `body(mode, label)` for kNaive and kSweep. With `include_naive`
+/// false the baseline is skipped, for the driver-level tests that compare
+/// against it.
 template <typename Body>
 void ForEachKernelMode(bool include_naive, Body&& body) {
   if (include_naive) body(LeafKernel::kNaive, "naive");
   body(LeafKernel::kSweep, "sweep");
-  body(LeafKernel::kSimd, "simd");
-  for (KernelIsa isa :
-       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-    if (!KernelIsaAvailable(isa)) continue;
-    dispatch_internal::ScopedKernelIsaOverride forced(KernelIsaName(isa));
-    body(LeafKernel::kSimd, KernelIsaName(isa));
-  }
-}
-
-TEST(KernelsTest, ParseAndNameRoundTrip) {
-  // The backend a `simd` run uses is named, and forced, through
-  // CSJ_KERNEL_ISA: every ISA name parses back to its ISA.
-  for (KernelIsa isa :
-       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-    KernelIsa parsed;
-    ASSERT_TRUE(ParseKernelIsa(KernelIsaName(isa), &parsed));
-    EXPECT_EQ(parsed, isa);
-  }
-  KernelIsa unused = KernelIsa::kScalar;
-  EXPECT_FALSE(ParseKernelIsa("sse2", &unused));
-  EXPECT_FALSE(ParseKernelIsa("", &unused));
-  EXPECT_EQ(unused, KernelIsa::kScalar);
 }
 
 TEST(KernelsTest, TileLoadSortAndReconstruct) {
@@ -260,15 +263,13 @@ TEST(KernelsTest, ScratchAccumulatesTotals) {
       scratch, std::span<const Entry<2>>(entries), 0.01, LeafKernel::kSweep,
       ignore);
   const KernelCounters b = SelfJoinKernel(
-      scratch, std::span<const Entry<2>>(entries), 0.01, LeafKernel::kSimd,
+      scratch, std::span<const Entry<2>>(entries), 0.01, LeafKernel::kNaive,
       ignore);
   EXPECT_EQ(scratch.totals.invocations, 2u);
   EXPECT_EQ(scratch.totals.candidates, a.candidates + b.candidates);
   EXPECT_EQ(scratch.totals.computed, a.computed + b.computed);
+  EXPECT_EQ(scratch.totals.pruned, a.pruned + b.pruned);
   EXPECT_EQ(scratch.totals.hits, a.hits + b.hits);
-  // Sweep and simd share the same 1-D window, so they charge the same
-  // number of distance evaluations.
-  EXPECT_EQ(a.computed, b.computed);
 }
 
 // --- Driver-level equivalence ----------------------------------------------
@@ -282,20 +283,30 @@ RStarTree<2> SmallFanoutTree(const std::vector<Entry<2>>& entries) {
   return tree;
 }
 
-/// All three leaf kernels must produce byte-identical driver output —
-/// links *and* groups, in order — for every algorithm, because CSJ(g)'s
-/// window is order-sensitive and the kernels replay hits canonically.
+std::vector<Entry<2>> ToEntries(const std::vector<Point2>& points) {
+  std::vector<Entry<2>> entries(points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    entries[i] = Entry<2>{static_cast<PointId>(i), points[i]};
+  }
+  return entries;
+}
+
+/// Both leaf kernels must produce byte-identical driver output — links
+/// *and* groups, in order — for every algorithm, because CSJ(g)'s window is
+/// order-sensitive and the kernels replay hits canonically. The tie-heavy
+/// input puts grid neighbours exactly at eps = 0.25.
 TEST(KernelsTest, SelfJoinDriversIdenticalAcrossKernels) {
-  for (int workload = 0; workload < 2; ++workload) {
-    const auto points = workload == 0
-                            ? GenerateUniform<2>(500, 42)
-                            : GenerateGaussianClusters<2>(500, 6, 0.02, 43);
-    std::vector<Entry<2>> entries(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-      entries[i] = Entry<2>{static_cast<PointId>(i), points[i]};
-    }
+  for (int workload = 0; workload < 3; ++workload) {
+    const auto entries =
+        workload == 0 ? ToEntries(GenerateUniform<2>(500, 42))
+        : workload == 1
+            ? ToEntries(GenerateGaussianClusters<2>(500, 6, 0.02, 43))
+            : TieHeavyEntries(300, 7, 0.25);
     const auto tree = SmallFanoutTree(entries);
-    for (double eps : {0.01, 0.05, 0.2}) {
+    const std::vector<double> epsilons =
+        workload == 2 ? std::vector<double>{0.25}
+                      : std::vector<double>{0.01, 0.05, 0.2};
+    for (double eps : epsilons) {
       for (auto algo : {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ,
                         JoinAlgorithm::kCSJ}) {
         JoinOptions options;
@@ -331,10 +342,10 @@ uint64_t TileCacheClears() {
   return 0;
 }
 
-/// Runs `join(sink)` under kNaive, then under every tile mode, and expects
-/// identical links and groups. Under metrics, each tile run must clear its
-/// leaf-tile cache at least three times mid-run, so that tiles are both
-/// reused and reloaded after a clear.
+/// Runs `join(sink)` under kNaive, then under kSweep, and expects identical
+/// links and groups. Under metrics, the sweep run must clear its leaf-tile
+/// cache at least three times mid-run, so that tiles are both reused and
+/// reloaded after a clear.
 template <typename Join>
 void ExpectCacheInvariant(const char* input, size_t id_space,
                           LeafKernel* mode, Join&& join) {
@@ -358,7 +369,7 @@ void ExpectCacheInvariant(const char* input, size_t id_space,
 }
 
 /// The leaf-tile cache only spreads transposes: with the cache filling and
-/// clearing many times mid-run, every tile mode must reproduce the uncached
+/// clearing many times mid-run, the sweep must reproduce the uncached
 /// kNaive output byte for byte, links *and* groups, for self, dual, paged
 /// and EGO inputs.
 TEST(KernelsTest, LeafTileCacheIsOutputInvariant) {
@@ -521,12 +532,13 @@ TEST(KernelsTest, SpatialJoinDriversIdenticalAcrossKernels) {
 }
 
 TEST(KernelsTest, EgoJoinsIdenticalAcrossKernels) {
-  const auto points = GenerateGaussianClusters<2>(600, 5, 0.03, 99);
-  std::vector<Entry<2>> entries(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    entries[i] = Entry<2>{static_cast<PointId>(i), points[i]};
-  }
-  for (double eps : {0.02, 0.08}) {
+  const auto clustered =
+      ToEntries(GenerateGaussianClusters<2>(600, 5, 0.03, 99));
+  const auto ties = TieHeavyEntries(300, 8, 0.25);
+  for (auto [input, eps] : {std::pair{&clustered, 0.02},
+                            std::pair{&clustered, 0.08},
+                            std::pair{&ties, 0.25}}) {
+    const std::vector<Entry<2>>& entries = *input;
     EgoOptions options;
     options.epsilon = eps;
     options.leaf_size = 16;
@@ -550,13 +562,63 @@ TEST(KernelsTest, EgoJoinsIdenticalAcrossKernels) {
   }
 }
 
+/// CSJ(g) through the tree and the EGO driver on tie-heavy data: the sweep
+/// must reproduce kNaive's links and groups byte for byte, and the
+/// provenance shim must name the one portable kernel. These three cases
+/// once forced each explicit-SIMD backend in turn; with one sweep left,
+/// each keeps the data it drew (seed 7 + the old backend index: scalar,
+/// avx2, avx512).
+void ExpectTieHeavyCsjMatchesNaive(uint64_t seed) {
+  const double eps = 0.25;  // binary-exact: grid ties land exactly at eps
+  const auto entries = TieHeavyEntries(300, seed, eps);
+  const auto tree = SmallFanoutTree(entries);
+  EXPECT_STREQ(KernelIsaName(DispatchedKernelIsa()), "scalar");
+
+  JoinOptions options;
+  options.epsilon = eps;
+  options.leaf_kernel = LeafKernel::kNaive;
+  MemorySink baseline(IdWidthFor(entries.size()));
+  RunSelfJoin(JoinAlgorithm::kCSJ, tree, options, &baseline);
+  ASSERT_FALSE(baseline.groups().empty());
+  options.leaf_kernel = LeafKernel::kSweep;
+  MemorySink sink(IdWidthFor(entries.size()));
+  RunSelfJoin(JoinAlgorithm::kCSJ, tree, options, &sink);
+  EXPECT_EQ(sink.links(), baseline.links());
+  EXPECT_EQ(sink.groups(), baseline.groups());
+
+  EgoOptions ego;
+  ego.epsilon = eps;
+  ego.leaf_size = 16;
+  ego.leaf_kernel = LeafKernel::kNaive;
+  MemorySink ego_baseline(IdWidthFor(entries.size()));
+  CompactEgoJoin(entries, ego, &ego_baseline);
+  ASSERT_FALSE(ego_baseline.groups().empty());
+  ego.leaf_kernel = LeafKernel::kSweep;
+  MemorySink ego_sink(IdWidthFor(entries.size()));
+  CompactEgoJoin(entries, ego, &ego_sink);
+  EXPECT_EQ(ego_sink.links(), ego_baseline.links());
+  EXPECT_EQ(ego_sink.groups(), ego_baseline.groups());
+}
+
+TEST(KernelsDispatchTest, CsjOutputIdenticalUnderForcedScalar) {
+  ExpectTieHeavyCsjMatchesNaive(7);
+}
+
+TEST(KernelsDispatchTest, CsjOutputIdenticalUnderForcedAvx2) {
+  ExpectTieHeavyCsjMatchesNaive(8);
+}
+
+TEST(KernelsDispatchTest, CsjOutputIdenticalUnderForcedAvx512) {
+  ExpectTieHeavyCsjMatchesNaive(9);
+}
+
 // --- Bulk distance accounting ----------------------------------------------
 
 /// A single-leaf tree (fanout >= n) reduces the whole join to one kernel
 /// call, so the bulk counters are exactly predictable: kNaive must charge
 /// the full n*(n-1)/2 pair space — the same total the old per-pair
-/// ++distance_computations produced — and the pruned modes must charge
-/// exactly candidates - pruned.
+/// ++distance_computations produced — and the sweep must charge exactly
+/// candidates - pruned.
 TEST(KernelsTest, DistanceAccountingOnSingleLeaf) {
   const size_t n = 40;
   const auto entries = RandomEntries(n, 21, /*with_duplicates=*/true);
@@ -587,14 +649,6 @@ TEST(KernelsTest, DistanceAccountingOnSingleLeaf) {
   EXPECT_LE(sweep.distance_computations, naive.distance_computations);
   EXPECT_GE(sweep.distance_computations, sweep.kernel_hits);
   EXPECT_EQ(sweep.kernel_hits, naive.kernel_hits);
-
-  options.leaf_kernel = LeafKernel::kSimd;
-  CountingSink simd_sink(IdWidthFor(n));
-  const JoinStats simd = StandardSimilarityJoin(tree, options, &simd_sink);
-  // Sweep and simd share the same 1-D candidate window.
-  EXPECT_EQ(simd.distance_computations, sweep.distance_computations);
-  EXPECT_EQ(simd.kernel_pruned, sweep.kernel_pruned);
-  EXPECT_EQ(simd.kernel_hits, sweep.kernel_hits);
 }
 
 }  // namespace

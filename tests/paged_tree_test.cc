@@ -187,6 +187,44 @@ TEST(PagedTreeTest, IoStatsCountAndReset) {
   EXPECT_EQ(paged->io_stats().block_requests, 0u);
 }
 
+TEST(PagedTreeTest, EarlyStoppedGroupReadsEachNodeOnce) {
+  // Every point lies in a 0.01 x 0.01 square, so at eps 0.05 the root stops
+  // early and N-CSJ collects the whole tree as one group: one walk, so each
+  // node is decoded once and the blocks are requested as often as one plain
+  // walk requests them.
+  RStarTree<2> tree;
+  const auto entries = RandomEntries<2>(3000, 23);
+  for (const auto& e : entries) {
+    tree.Insert(e.id, Point<2>{{0.01 * e.point[0], 0.01 * e.point[1]}});
+  }
+  const std::string path = TempPath("paged_early_stop.csjp");
+  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  auto paged = PagedTree<2>::Open(path);
+  ASSERT_TRUE(paged.ok());
+  ASSERT_FALSE(paged->IsLeaf(paged->Root()));
+
+  size_t walked = 0;
+  ForEachEntryInSubtree(*paged, paged->Root(),
+                        static_cast<NodeAccessTracker*>(nullptr),
+                        [&](const Entry<2>&) { ++walked; });
+  ASSERT_EQ(walked, entries.size());
+  const PagedIoStats walk = paged->io_stats();
+  EXPECT_EQ(walk.node_decodes, paged->NodeCount());
+  paged->ResetIoStats();
+
+  JoinOptions options;
+  options.epsilon = 0.05;
+  MemorySink sink(IdWidthFor(entries.size()));
+  const JoinStats stats = NaiveCompactJoin(*paged, options, &sink);
+  ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+  EXPECT_EQ(stats.early_stops, 1u);
+  ASSERT_EQ(sink.groups().size(), 1u);
+  EXPECT_EQ(sink.groups()[0].size(), entries.size());
+  const PagedIoStats join = paged->io_stats();
+  EXPECT_EQ(join.node_decodes, paged->NodeCount()) << join.ToString();
+  EXPECT_EQ(join.block_requests, walk.block_requests) << join.ToString();
+}
+
 TEST(PagedTreeTest, LargeLeafPayloadSpanningBlocks) {
   // A node payload bigger than one block must still read correctly.
   RStarOptions big_fanout;

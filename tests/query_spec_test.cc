@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/query_spec.h"
 #include "util/json.h"
 
@@ -58,6 +60,15 @@ TEST(QuerySpecTest, ValidateRejectsBadRanges) {
   spec = ValidSpec();
   spec.eps = -1.0;
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+  // NaN compares false with everything, so `eps <= 0` alone lets it
+  // through; a served "eps":1e999 parses to +inf.
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    spec = ValidSpec();
+    spec.eps = eps;
+    EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument) << eps;
+  }
   spec = ValidSpec();
   spec.window = 0;
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);

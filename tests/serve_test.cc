@@ -295,12 +295,14 @@ TEST_F(ServeTest, PingListAndErrors) {
                 .code,
             "InvalidArgument");
 
-  // Malformed integer fields are answered with an error line; none of them
-  // may take the server down, so a fresh connection is still served.
+  // Malformed integer fields, and an eps that parses to +inf, are answered
+  // with an error line; none of them may take the server down, so a fresh
+  // connection is still served.
   for (const char* line :
        {R"({"op":"ping","deadline_ms":-1})", R"({"op":"ping","mem_budget":-7})",
         R"({"op":"ping","g":2.5})", R"({"op":"ping","g":18446744073709551615})",
-        R"({"op":"ping","g":4294967297})"}) {
+        R"({"op":"ping","g":4294967297})",
+        R"({"op":"join","dataset":"pts","algo":"csj","eps":1e999})"}) {
     const Response bad = RoundTrip(socket_path, line);
     ASSERT_TRUE(bad.transport.ok()) << line;
     EXPECT_EQ(bad.code, "InvalidArgument") << line;

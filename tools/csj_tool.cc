@@ -50,6 +50,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -457,7 +458,9 @@ int CmdVerify(Flags& flags) {
   const std::string points_path = flags.Require("points");
   const std::string result_path = flags.Require("result");
   const double eps = flags.GetDouble("eps", 0.0);
-  if (eps <= 0.0) Flags::Die("--eps must be positive");
+  if (!std::isfinite(eps) || eps <= 0.0) {
+    Flags::Die("--eps must be finite and positive");
+  }
   flags.CheckAllUsed();
 
   auto entries = LoadEntries(points_path);
