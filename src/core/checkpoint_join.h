@@ -294,7 +294,8 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
   if (stats.status.ok()) {
     stats.status = sink->Finish();
     if (stats.status.ok()) std::remove(ckpt.manifest_path.c_str());
-    internal::ReadOutputCounters(*sink, &stats);
+    // A healthy sink had lost nothing before Finish; its last append may.
+    stats.DeductImpliedLinks(sink->lost_implied_links());
   }
   return stats;
 }

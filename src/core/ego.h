@@ -307,6 +307,7 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
   stats.groups = sink->num_groups();
   stats.group_member_total = sink->group_member_total();
   stats.output_bytes = sink->bytes();
+  stats.DeductImpliedLinks(sink->lost_implied_links());
   CountJoinWork(stats);
   return stats;
 }

@@ -77,6 +77,9 @@ struct JoinStats {
   /// Bulk restore for checkpoint/resume (storage/checkpoint.h): a resumed
   /// run re-seeds the counter with the manifest's cumulative value.
   void AddImpliedLinks(uint64_t n) { implied_links_ += n; }
+  /// Drops the links implied by records a sink accepted but then lost
+  /// (JoinSink::lost_implied_links).
+  void DeductImpliedLinks(uint64_t n) { implied_links_ -= n; }
 
   std::string ToString() const {
     std::string text = StrFormat(

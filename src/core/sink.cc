@@ -27,37 +27,11 @@ bool ParseOutputFormat(const std::string& name, OutputFormat* format) {
   return true;
 }
 
-FileSink::FileSink(int id_width, std::string path, const Options& options)
-    : JoinSink(id_width), path_(std::move(path)), options_(options) {
-  OutputFile::Options file_options;
-  // Checkpointable output streams straight to the destination and survives
-  // errors/kills: the bytes up to the last checkpoint are the resume state.
-  file_options.atomic =
-      options.atomic && !options.checkpointable && options.fd < 0;
-  file_options.sync_on_close = options.sync_on_close;
-  file_options.preserve_on_error = options.checkpointable;
-  open_status_ = options.fd >= 0 ? file_.OpenFd(options.fd, file_options)
-                                 : file_.Open(path_, file_options);
-  SetError(open_status_);
-  scratch_.reserve(256);
-}
+namespace {
 
-FileSink::FileSink(int id_width, std::string path, const Options& options,
-                   const checkpoint::SinkState& resume)
-    : JoinSink(id_width), path_(std::move(path)), options_(options) {
-  CSJ_CHECK(options.checkpointable)
-      << "resuming requires a checkpointable sink: " << path_;
-  OutputFile::Options file_options;
-  file_options.sync_on_close = options.sync_on_close;
-  open_status_ =
-      file_.OpenForResume(path_, resume.committed_bytes, file_options);
-  SetError(open_status_);
-  if (open_status_.ok()) RestoreAccounting(resume);
-  scratch_.reserve(256);
-}
-
-void FileSink::AppendId(PointId id, char terminator) {
-  // Zero-padded fixed-width decimal, hand-rolled to avoid per-id allocation.
+/// Appends `id` zero-padded to `width` digits (a wider id in full), then
+/// `terminator`.
+void AppendTextId(std::string* out, PointId id, int width, char terminator) {
   char buf[24];
   int pos = 24;
   uint64_t v = id;
@@ -65,299 +39,283 @@ void FileSink::AppendId(PointId id, char terminator) {
     buf[--pos] = static_cast<char>('0' + v % 10);
     v /= 10;
   } while (v != 0);
-  int digits = 24 - pos;
-  for (int i = digits; i < id_width(); ++i) scratch_.push_back('0');
-  scratch_.append(buf + pos, buf + 24);
-  scratch_.push_back(terminator);
+  const int digits = 24 - pos;
+  if (digits < width) out->append(static_cast<size_t>(width - digits), '0');
+  out->append(buf + pos, static_cast<size_t>(digits));
+  out->push_back(terminator);
 }
 
-bool FileSink::ShouldWrite(size_t ids) {
-  if (options_.cap_bytes == 0) return true;
-  if (file_.bytes_written() + ids * static_cast<uint64_t>(id_width() + 1) >
-      options_.cap_bytes) {
+/// Links implied by the complete text lines in [data, data + size): a line
+/// of k ids implies k(k-1)/2.
+uint64_t ImpliedByTextLines(const char* data, size_t size) {
+  uint64_t implied = 0;
+  uint64_t ids = 1;
+  for (size_t i = 0; i < size; ++i) {
+    if (data[i] == ' ') {
+      ++ids;
+    } else if (data[i] == '\n') {
+      implied += ids * (ids - 1) / 2;
+      ids = 1;
+    }
+  }
+  return implied;
+}
+
+/// Links implied by the CSJ2 records in [data, data + size): a link, or a
+/// group of k ids implying k(k-1)/2.
+uint64_t ImpliedByCsj2Records(const char* data, size_t size) {
+  uint64_t implied = 0;
+  size_t pos = 0;
+  auto next = [&](uint64_t* value) {
+    const size_t n = binfmt::ParseVarint(data + pos, size - pos, value);
+    pos += n;
+    return n > 0;
+  };
+  uint64_t tag = 0;
+  uint64_t id = 0;
+  while (pos < size && next(&tag)) {
+    const uint64_t k = tag == 0 ? 2 : tag;
+    implied += k * (k - 1) / 2;
+    for (uint64_t i = 0; i < k; ++i) {
+      if (!next(&id)) return implied;
+    }
+  }
+  return implied;
+}
+
+}  // namespace
+
+FileSink::FileSink(const OutputSpec& spec,
+                   const checkpoint::SinkState* resume,
+                   size_t block_payload_bytes)
+    : JoinSink(spec.id_width, spec.format, block_payload_bytes),
+      binary_(spec.format == OutputFormat::kBinary),
+      header_bytes_(binary_ ? binfmt::kBlockHeaderBytes : 0),
+      block_payload_bytes_(block_payload_bytes),
+      cap_bytes_(spec.cap_bytes),
+      checkpointable_(spec.checkpointable),
+      path_(spec.path) {
+  OutputFile::Options file_options;
+  // A path commits by rename unless checkpointed: checkpointable output
+  // streams straight to the destination and survives errors and kills, its
+  // bytes up to the last checkpoint being the resume state.
+  file_options.atomic = !spec.checkpointable && spec.fd < 0;
+  file_options.sync_on_close = spec.sync_on_close;
+  file_options.preserve_on_error = spec.checkpointable;
+  if (resume != nullptr) {
+    CSJ_CHECK(spec.checkpointable)
+        << "resuming requires a checkpointable sink: " << path_;
+    CSJ_CHECK(!binary_ ||
+              resume->model_fill == resume->partial_payload.size())
+        << "manifest sink state inconsistent: model fill "
+        << resume->model_fill << " vs " << resume->partial_payload.size()
+        << " partial payload bytes";
+    open_status_ =
+        file_.OpenForResume(path_, resume->committed_bytes, file_options);
+  } else if (spec.fd >= 0) {
+    open_status_ = file_.OpenFd(spec.fd, file_options);
+  } else {
+    open_status_ = file_.Open(path_, file_options);
+  }
+  const uint64_t block_bytes = header_bytes_ + block_payload_bytes;
+  if (open_status_.ok() && spec.budget != nullptr &&
+      !block_charge_.Acquire(spec.budget, block_bytes)) {
+    open_status_ = Status::ResourceExhausted(StrFormat(
+        "memory budget exhausted reserving the %llu-byte output block for %s",
+        static_cast<unsigned long long>(block_bytes), path_.c_str()));
+  }
+  SetError(open_status_);
+  if (!open_status_.ok()) return;
+  block_.reserve(block_bytes);
+  block_.assign(header_bytes_, '\0');  // header slot, patched on seal
+  if (resume != nullptr) {
+    // The committed prefix holds the file header and every appended block;
+    // only the open block needs reconstructing.
+    RestoreAccounting(*resume);
+    block_ += resume->partial_payload;
+    record_count_ = static_cast<uint32_t>(resume->partial_records);
+    id_total_ = resume->id_total;
+  } else if (binary_) {
+    std::string header;
+    binfmt::AppendFileHeader(&header, id_width());
+    Write(header);
+  }
+}
+
+FileSink::FileSink(int id_width, std::string path, OutputFormat format,
+                   size_t block_payload_bytes)
+    : FileSink(OutputSpec{.format = format,
+                          .path = std::move(path),
+                          .id_width = id_width},
+               nullptr, block_payload_bytes) {}
+
+FileSink::~FileSink() {
+  if (!finished_ && checkpointable_ && error().ok() && PayloadFill() > 0) {
+    SealBlock();
+  }
+}
+
+void FileSink::Write(const std::string& bytes) {
+  SetError(file_.Append(bytes));
+  if (binary_ && error().ok()) {
+    CSJ_METRIC_COUNT("block_writer.flushed_bytes", bytes.size());
+  }
+}
+
+void FileSink::SealBlock() {
+  if (binary_) {
+    binfmt::BlockHeader header;
+    header.payload_bytes = static_cast<uint32_t>(PayloadFill());
+    header.record_count = record_count_;
+    header.crc32 =
+        binfmt::Crc32(block_.data() + header_bytes_, PayloadFill());
+    binfmt::PatchBlockHeader(&block_, 0, header);
+    CSJ_METRIC_COUNT("sink.binary_blocks", 1);
+  }
+  const uint64_t offset = file_.bytes_written();
+  Write(block_);
+  if (!error().ok()) {
+    // The block's records are lost, except whole text lines that landed
+    // before the failure; a torn CSJ2 block holds none.
+    const char* payload = block_.data() + header_bytes_;
+    const size_t landed = static_cast<size_t>(file_.bytes_written() - offset);
+    lost_implied_links_ +=
+        binary_ ? ImpliedByCsj2Records(payload, PayloadFill())
+                : ImpliedByTextLines(payload, PayloadFill()) -
+                      ImpliedByTextLines(payload, landed);
+  }
+  block_.resize(header_bytes_);
+  record_count_ = 0;
+}
+
+bool FileSink::Admit(size_t record_bytes) {
+  if (cap_bytes_ != 0 && materialized_bytes() + record_bytes > cap_bytes_) {
     truncated_ = true;
     return false;
   }
-  return true;
+  if (binfmt::WouldSealBlock(PayloadFill(), record_bytes,
+                             block_payload_bytes_)) {
+    SealBlock();
+  }
+  return error().ok();
 }
 
 void FileSink::DoLink(PointId a, PointId b) {
-  if (!ShouldWrite(2)) return;
-  scratch_.clear();
-  AppendId(a, ' ');
-  AppendId(b, '\n');
-  SetError(file_.Append(scratch_));
+  if (binary_) {
+    if (!Admit(binfmt::EncodedLinkBytes(a, b))) return;
+    binfmt::AppendLinkRecord(&block_, a, b);
+  } else {
+    if (!Admit(2 * static_cast<size_t>(id_width() + 1))) return;
+    AppendTextId(&block_, a, id_width(), ' ');
+    AppendTextId(&block_, b, id_width(), '\n');
+  }
+  ++record_count_;
+  id_total_ += 2;
 }
 
 void FileSink::DoGroup(std::span<const PointId> members) {
-  if (!ShouldWrite(members.size())) return;
-  scratch_.clear();
-  for (size_t i = 0; i < members.size(); ++i) {
-    AppendId(members[i], i + 1 == members.size() ? '\n' : ' ');
+  if (binary_) {
+    if (!Admit(binfmt::EncodedGroupBytes(members))) return;
+    binfmt::AppendGroupRecord(&block_, members);
+  } else {
+    if (!Admit(members.size() * static_cast<size_t>(id_width() + 1))) return;
+    for (size_t i = 0; i < members.size(); ++i) {
+      AppendTextId(&block_, members[i], id_width(),
+                   i + 1 == members.size() ? '\n' : ' ');
+    }
   }
-  SetError(file_.Append(scratch_));
+  ++record_count_;
+  id_total_ += members.size();
 }
 
 Status FileSink::Finish() {
-  if (!error().ok()) {
-    // The OutputFile already cleaned up its partial file when it failed (or
-    // will in its destructor if the error came from elsewhere).
-    return error();
+  CSJ_CHECK(!finished_) << "FileSink::Finish called twice: " << path_;
+  finished_ = true;
+  if (error().ok() && PayloadFill() > 0) SealBlock();
+  if (error().ok() && binary_) {
+    std::string trailer;
+    binfmt::AppendBlockHeader(&trailer, binfmt::BlockHeader{});  // EOF marker
+    binfmt::Footer footer;
+    footer.num_links = num_links();
+    footer.num_groups = num_groups();
+    footer.id_total = id_total_;
+    binfmt::AppendFooter(&trailer, footer);
+    Write(trailer);
   }
+  // On error the OutputFile already removed its partial file (or its
+  // destructor will), unless the sink is checkpointable.
+  if (!error().ok()) return error();
   const Status close_status = file_.Close();
   SetError(close_status);
   return close_status;
 }
 
 Status FileSink::Checkpoint(checkpoint::SinkState* state) {
-  if (!error().ok()) return error();
-  CSJ_CHECK(options_.checkpointable)
+  CSJ_CHECK(checkpointable_)
       << "Checkpoint on a non-checkpointable file sink: " << path_;
-  // Text records are appended whole, so after a sync every counted byte is
-  // durable and bytes_written() is a record-boundary resume point.
+  if (!error().ok()) return error();
+  // After the sync every appended block is durable, so bytes_written() is a
+  // block boundary; the open block rides in the manifest.
   SetError(file_.Sync());
   if (!error().ok()) return error();
   ExportAccounting(state);
-  state->format = static_cast<uint8_t>(OutputFormat::kText);
-  state->committed_bytes = file_.bytes_written();
-  return Status::OK();
-}
-
-BinaryFileSink::BinaryFileSink(int id_width, std::string path,
-                               const Options& options)
-    : JoinSink(id_width, OutputFormat::kBinary, options.block_payload_bytes),
-      path_(std::move(path)),
-      options_(options) {
-  OutputFile::Options file_options;
-  file_options.atomic =
-      options.atomic && !options.checkpointable && options.fd < 0;
-  file_options.sync_on_close = options.sync_on_close;
-  file_options.preserve_on_error = options.checkpointable;
-  open_status_ = options.fd >= 0 ? file_.OpenFd(options.fd, file_options)
-                                 : file_.Open(path_, file_options);
-  SetError(open_status_);
-  if (!open_status_.ok()) return;
-  if (!ChargeBuffers()) return;
-  writer_ = std::make_unique<AsyncBlockWriter>(&file_);
-  std::string header;
-  binfmt::AppendFileHeader(&header, this->id_width());
-  writer_->Submit(std::move(header));
-  StartBlock();
-}
-
-bool BinaryFileSink::ChargeBuffers() {
-  if (options_.budget == nullptr) return true;
-  // Steady-state buffer footprint: the block being filled plus the async
-  // writer's bounded queue and its recycled free buffer.
-  const uint64_t per_block = static_cast<uint64_t>(
-      binfmt::kBlockHeaderBytes + options_.block_payload_bytes);
-  const uint64_t bytes =
-      per_block * (AsyncBlockWriter::Options().max_queued_blocks + 1);
-  if (!buffer_charge_.Acquire(options_.budget, bytes)) {
-    open_status_ = Status::ResourceExhausted(StrFormat(
-        "memory budget exhausted reserving %llu bytes of output block "
-        "buffers for %s",
-        static_cast<unsigned long long>(bytes), path_.c_str()));
-    SetError(open_status_);
-    return false;
-  }
-  return true;
-}
-
-BinaryFileSink::BinaryFileSink(int id_width, std::string path,
-                               const Options& options,
-                               const checkpoint::SinkState& resume)
-    : JoinSink(id_width, OutputFormat::kBinary, options.block_payload_bytes),
-      path_(std::move(path)),
-      options_(options) {
-  CSJ_CHECK(options.checkpointable)
-      << "resuming requires a checkpointable sink: " << path_;
-  CSJ_CHECK(resume.model_fill == resume.partial_payload.size())
-      << "manifest sink state inconsistent: model fill " << resume.model_fill
-      << " vs " << resume.partial_payload.size() << " partial payload bytes";
-  OutputFile::Options file_options;
-  file_options.sync_on_close = options.sync_on_close;
-  open_status_ =
-      file_.OpenForResume(path_, resume.committed_bytes, file_options);
-  SetError(open_status_);
-  if (!open_status_.ok()) return;
-  if (!ChargeBuffers()) return;
-  RestoreAccounting(resume);
-  writer_ = std::make_unique<AsyncBlockWriter>(&file_);
-  // The committed prefix already holds the file header and every sealed
-  // block; only the still-open block needs reconstructing, and from here
-  // the sealing rule produces the exact block layout an uninterrupted run
-  // would have.
-  StartBlock();
-  block_ += resume.partial_payload;
-  record_count_ = static_cast<uint32_t>(resume.partial_records);
-  id_total_ = resume.id_total;
-}
-
-BinaryFileSink::~BinaryFileSink() {
-  // Abandoned without Finish(): stop the writer thread before the OutputFile
-  // member (destroyed after writer_) discards the partial file.
-  if (writer_ != nullptr) (void)writer_->Finish();
-}
-
-void BinaryFileSink::StartBlock() {
-  block_ = writer_->GetBuffer();
-  block_.append(binfmt::kBlockHeaderBytes, '\0');  // header slot, patched on seal
-  record_count_ = 0;
-}
-
-void BinaryFileSink::SealBlock() {
-  binfmt::BlockHeader header;
-  header.payload_bytes = static_cast<uint32_t>(PayloadFill());
-  header.record_count = record_count_;
-  header.crc32 = binfmt::Crc32(block_.data() + binfmt::kBlockHeaderBytes,
-                               PayloadFill());
-  binfmt::PatchBlockHeader(&block_, 0, header);
-  CSJ_METRIC_COUNT("sink.binary_blocks", 1);
-  writer_->Submit(std::move(block_));
-  StartBlock();
-}
-
-void BinaryFileSink::DoLink(PointId a, PointId b) {
-  PollWriter();
-  if (!error().ok()) return;
-  const size_t record = binfmt::EncodedLinkBytes(a, b);
-  if (binfmt::WouldSealBlock(PayloadFill(), record,
-                             options_.block_payload_bytes)) {
-    SealBlock();
-  }
-  binfmt::AppendLinkRecord(&block_, a, b);
-  ++record_count_;
-  id_total_ += 2;
-}
-
-void BinaryFileSink::DoGroup(std::span<const PointId> members) {
-  PollWriter();
-  if (!error().ok()) return;
-  const size_t record = binfmt::EncodedGroupBytes(members);
-  if (binfmt::WouldSealBlock(PayloadFill(), record,
-                             options_.block_payload_bytes)) {
-    SealBlock();
-  }
-  binfmt::AppendGroupRecord(&block_, members);
-  ++record_count_;
-  id_total_ += members.size();
-}
-
-Status BinaryFileSink::Finish() {
-  CSJ_CHECK(!finished_) << "BinaryFileSink::Finish called twice: " << path_;
-  finished_ = true;
-  if (writer_ != nullptr) {
-    PollWriter();
-    if (error().ok()) {
-      if (record_count_ > 0) SealBlock();
-      std::string trailer = std::move(block_);
-      trailer.clear();
-      binfmt::AppendBlockHeader(&trailer, binfmt::BlockHeader{});  // EOF marker
-      binfmt::Footer footer;
-      footer.num_links = num_links();
-      footer.num_groups = num_groups();
-      footer.id_total = id_total_;
-      binfmt::AppendFooter(&trailer, footer);
-      writer_->Submit(std::move(trailer));
-    }
-    SetError(writer_->Finish());
-  }
-  if (!error().ok()) {
-    // The OutputFile cleaned up (or its destructor will); no partial file.
-    return error();
-  }
-  const Status close_status = file_.Close();
-  SetError(close_status);
-  return close_status;
-}
-
-Status BinaryFileSink::Checkpoint(checkpoint::SinkState* state) {
-  CSJ_CHECK(options_.checkpointable)
-      << "Checkpoint on a non-checkpointable binary sink: " << path_;
-  PollWriter();
-  if (!error().ok()) return error();
-  // Wait for every sealed block to reach the OutputFile, then make the
-  // landed prefix durable: bytes_written() is now exactly the file header
-  // plus all sealed blocks — a clean resume boundary.
-  SetError(writer_->Drain());
-  if (!error().ok()) return error();
-  SetError(file_.Sync());
-  if (!error().ok()) return error();
-  ExportAccounting(state);
-  state->format = static_cast<uint8_t>(OutputFormat::kBinary);
+  state->format = static_cast<uint8_t>(binary_ ? OutputFormat::kBinary
+                                               : OutputFormat::kText);
   state->committed_bytes = file_.bytes_written();
   state->id_total = id_total_;
   state->partial_records = record_count_;
-  state->partial_payload.assign(block_.data() + binfmt::kBlockHeaderBytes,
-                                PayloadFill());
-  CSJ_DCHECK(state->model_fill == state->partial_payload.size());
+  state->partial_payload.assign(block_.data() + header_bytes_, PayloadFill());
+  CSJ_DCHECK(!binary_ || state->model_fill == state->partial_payload.size());
   return Status::OK();
 }
+
+namespace {
+
+/// The OutputSpec checks shared by MakeSink and ResumeSink for the
+/// materializing formats.
+Status ValidateFileSpec(const OutputSpec& spec) {
+  if (spec.format != OutputFormat::kText &&
+      spec.format != OutputFormat::kBinary) {
+    return Status::InvalidArgument("unknown output format");
+  }
+  if (spec.path.empty() && spec.fd < 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s output needs OutputSpec.path or OutputSpec.fd",
+                  OutputFormatName(spec.format)));
+  }
+  if (spec.cap_bytes != 0 && spec.format != OutputFormat::kText) {
+    return Status::InvalidArgument(
+        "cap_bytes is only supported for text output");
+  }
+  if (spec.checkpointable && spec.cap_bytes != 0) {
+    return Status::InvalidArgument(
+        "checkpointable output cannot be size-capped");
+  }
+  if (spec.fd >= 0 && (spec.checkpointable || spec.cap_bytes != 0)) {
+    return Status::InvalidArgument(
+        "a streamed (fd) sink cannot be checkpointed or size-capped");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<std::unique_ptr<JoinSink>> MakeSink(const OutputSpec& spec) {
   if (spec.id_width < 1) {
     return Status::InvalidArgument("OutputSpec.id_width must be >= 1");
   }
-  switch (spec.format) {
-    case OutputFormat::kNone: {
-      if (spec.count_model == OutputFormat::kNone) {
-        return Status::InvalidArgument(
-            "OutputSpec.count_model must be text or binary");
-      }
-      return std::unique_ptr<JoinSink>(
-          std::make_unique<CountingSink>(spec.id_width, spec.count_model));
+  if (spec.format == OutputFormat::kNone) {
+    if (spec.count_model == OutputFormat::kNone) {
+      return Status::InvalidArgument(
+          "OutputSpec.count_model must be text or binary");
     }
-    case OutputFormat::kText: {
-      if (spec.path.empty() && spec.fd < 0) {
-        return Status::InvalidArgument(
-            "text output needs OutputSpec.path or OutputSpec.fd");
-      }
-      if (spec.checkpointable && spec.cap_bytes != 0) {
-        return Status::InvalidArgument(
-            "checkpointable output cannot be size-capped");
-      }
-      if (spec.fd >= 0 && (spec.checkpointable || spec.cap_bytes != 0)) {
-        return Status::InvalidArgument(
-            "a streamed (fd) sink cannot be checkpointed or size-capped");
-      }
-      FileSink::Options options;
-      options.atomic = spec.atomic;
-      options.sync_on_close = spec.sync_on_close;
-      options.cap_bytes = spec.cap_bytes;
-      options.checkpointable = spec.checkpointable;
-      options.fd = spec.fd;
-      auto sink =
-          std::make_unique<FileSink>(spec.id_width, spec.path, options);
-      if (!sink->open_status().ok()) return sink->open_status();
-      return std::unique_ptr<JoinSink>(std::move(sink));
-    }
-    case OutputFormat::kBinary: {
-      if (spec.path.empty() && spec.fd < 0) {
-        return Status::InvalidArgument(
-            "binary output needs OutputSpec.path or OutputSpec.fd");
-      }
-      if (spec.cap_bytes != 0) {
-        return Status::InvalidArgument(
-            "cap_bytes is only supported for text output");
-      }
-      if (spec.fd >= 0 && spec.checkpointable) {
-        return Status::InvalidArgument(
-            "a streamed (fd) sink cannot be checkpointed");
-      }
-      BinaryFileSink::Options options;
-      options.atomic = spec.atomic;
-      options.sync_on_close = spec.sync_on_close;
-      options.checkpointable = spec.checkpointable;
-      options.budget = spec.budget;
-      options.fd = spec.fd;
-      auto sink =
-          std::make_unique<BinaryFileSink>(spec.id_width, spec.path, options);
-      if (!sink->open_status().ok()) return sink->open_status();
-      return std::unique_ptr<JoinSink>(std::move(sink));
-    }
+    return std::unique_ptr<JoinSink>(
+        std::make_unique<CountingSink>(spec.id_width, spec.count_model));
   }
-  return Status::InvalidArgument("unknown output format");
+  CSJ_RETURN_IF_ERROR(ValidateFileSpec(spec));
+  auto sink = std::make_unique<FileSink>(spec);
+  if (!sink->open_status().ok()) return sink->open_status();
+  return std::unique_ptr<JoinSink>(std::move(sink));
 }
 
 std::unique_ptr<JoinSink> MakeSinkOrDie(const OutputSpec& spec) {
@@ -385,42 +343,19 @@ Result<std::unique_ptr<JoinSink>> ResumeSink(
                   OutputFormatName(state_format),
                   OutputFormatName(spec.format)));
   }
-  switch (spec.format) {
-    case OutputFormat::kNone: {
-      auto sink =
-          std::make_unique<CountingSink>(spec.id_width, spec.count_model);
-      sink->RestoreAccounting(state);
-      return std::unique_ptr<JoinSink>(std::move(sink));
-    }
-    case OutputFormat::kText: {
-      if (!spec.checkpointable) {
-        return Status::InvalidArgument(
-            "resuming requires a checkpointable OutputSpec");
-      }
-      FileSink::Options options;
-      options.sync_on_close = spec.sync_on_close;
-      options.checkpointable = true;
-      auto sink = std::make_unique<FileSink>(spec.id_width, spec.path,
-                                             options, state);
-      if (!sink->open_status().ok()) return sink->open_status();
-      return std::unique_ptr<JoinSink>(std::move(sink));
-    }
-    case OutputFormat::kBinary: {
-      if (!spec.checkpointable) {
-        return Status::InvalidArgument(
-            "resuming requires a checkpointable OutputSpec");
-      }
-      BinaryFileSink::Options options;
-      options.sync_on_close = spec.sync_on_close;
-      options.checkpointable = true;
-      options.budget = spec.budget;
-      auto sink = std::make_unique<BinaryFileSink>(spec.id_width, spec.path,
-                                                   options, state);
-      if (!sink->open_status().ok()) return sink->open_status();
-      return std::unique_ptr<JoinSink>(std::move(sink));
-    }
+  if (spec.format == OutputFormat::kNone) {
+    auto sink = std::make_unique<CountingSink>(spec.id_width, spec.count_model);
+    sink->RestoreAccounting(state);
+    return std::unique_ptr<JoinSink>(std::move(sink));
   }
-  return Status::InvalidArgument("unknown output format");
+  if (!spec.checkpointable) {
+    return Status::InvalidArgument(
+        "resuming requires a checkpointable OutputSpec");
+  }
+  CSJ_RETURN_IF_ERROR(ValidateFileSpec(spec));
+  auto sink = std::make_unique<FileSink>(spec, &state);
+  if (!sink->open_status().ok()) return sink->open_status();
+  return std::unique_ptr<JoinSink>(std::move(sink));
 }
 
 }  // namespace csj

@@ -10,7 +10,6 @@
 
 #include "geom/point.h"
 #include "storage/binary_format.h"
-#include "storage/block_writer.h"
 #include "storage/checkpoint.h"
 #include "storage/output_file.h"
 #include "util/exec_context.h"
@@ -25,7 +24,10 @@
 ///  * text — the paper's format: every point id zero-padded to a fixed
 ///    width, a link is a line "0001 0002", a group a line "0001 0002 0003".
 ///  * binary — the CSJ2 compact format (storage/binary_format.h): varint +
-///    delta-coded ids in checksummed blocks, written by a background thread.
+///    delta-coded ids in checksummed blocks.
+///
+/// One FileSink writes both: it encodes records into an open 64 KiB block
+/// and appends each full block to its OutputFile on the calling thread.
 ///
 /// Byte accounting is format-aware: bytes() always reports the exact size
 /// the finished output file will have in the sink's format, so a
@@ -126,8 +128,8 @@ class JoinSink {
   /// `state` with the sink's exact mid-stream position (committed byte
   /// offset, open-block payload, counters). The base implementation covers
   /// sinks with no storage (counting/memory): committed_bytes stays 0.
-  /// File sinks must be constructed checkpointable (see their Options) for
-  /// this to define a resumable position.
+  /// File sinks must be built from a checkpointable OutputSpec for this to
+  /// define a resumable position.
   virtual Status Checkpoint(checkpoint::SinkState* state) {
     if (!error_.ok()) return error_;
     ExportAccounting(state);
@@ -168,13 +170,18 @@ class JoinSink {
                : bytes_;
   }
 
-  /// Bytes actually written to storage so far (0 for counting and memory
-  /// sinks; may trail bytes() while a background writer catches up).
+  /// Bytes a file sink has encoded so far: appended to its file plus held
+  /// in its open block (0 for counting and memory sinks).
   virtual uint64_t materialized_bytes() const { return 0; }
 
   /// True if a capped file sink hit its cap and stopped writing (it keeps
-  /// counting; see FileSink::Options::cap_bytes).
+  /// counting; see OutputSpec::cap_bytes).
   virtual bool truncated() const { return false; }
+
+  /// Links implied by records this sink accepted but lost when its file
+  /// failed mid-block (0 for sinks that write nothing). Drivers deduct them,
+  /// so JoinStats::ImpliedLinkUpperBound counts what the output holds.
+  virtual uint64_t lost_implied_links() const { return 0; }
 
  protected:
   virtual void DoLink(PointId a, PointId b) = 0;
@@ -240,167 +247,6 @@ class CountingSink final : public JoinSink {
   void DoGroup(std::span<const PointId>) override {}
 };
 
-/// Writes the paper's text format to a file through a buffered OutputFile.
-///
-/// Robust by default: the file is written atomically (temp + rename in
-/// Finish), every I/O error — including a failed Open — becomes the sink's
-/// sticky error, and a failed or abandoned sink leaves no partial file at
-/// `path` (the destination keeps whatever it held before).
-class FileSink final : public JoinSink {
- public:
-  struct Options {
-    /// Temp-file + rename commit in Finish(). Disable to stream directly to
-    /// `path` (the pre-hardening behavior; partial output is still deleted
-    /// on error).
-    bool atomic = true;
-    /// fsync before the commit rename; for output that must survive crashes.
-    bool sync_on_close = false;
-    /// If nonzero, stop *writing* once the file reaches this many bytes but
-    /// keep counting — truncated() flips true. Lets benchmarks measure real
-    /// write costs on explosive outputs without filling the disk.
-    uint64_t cap_bytes = 0;
-    /// Checkpointed run: stream straight to `path` (no temp + rename) and
-    /// preserve the partial file on error/abandonment so `--resume` can
-    /// truncate it back to the last checkpoint. Overrides `atomic`;
-    /// incompatible with cap_bytes (enforced by MakeSink).
-    bool checkpointable = false;
-    /// >= 0: stream to this already-open descriptor (dup()ed; the caller
-    /// keeps the original) instead of opening `path` — how a server points
-    /// the sink at a client socket. Forces non-atomic; `path` becomes a
-    /// display label only.
-    int fd = -1;
-  };
-
-  FileSink(int id_width, std::string path, const Options& options);
-  FileSink(int id_width, std::string path)
-      : FileSink(id_width, std::move(path), Options()) {}
-  /// Resumes a checkpointable sink mid-stream: truncates `path` to the
-  /// manifest's committed byte offset and restores the counters.
-  FileSink(int id_width, std::string path, const Options& options,
-           const checkpoint::SinkState& resume);
-
-  /// Commits the file. Returns the sink's sticky error if any write failed,
-  /// otherwise the close/rename status.
-  Status Finish() override;
-
-  /// Flush + fsync, then records the durable record-boundary offset.
-  Status Checkpoint(checkpoint::SinkState* state) override;
-
-  const std::string& path() const { return path_; }
-  /// Bytes actually written so far (matches bytes() after Finish() unless
-  /// capped).
-  uint64_t file_bytes() const { return file_.bytes_written(); }
-  uint64_t materialized_bytes() const override {
-    return file_.bytes_written();
-  }
-  bool truncated() const override { return truncated_; }
-  /// Status of the Open performed by the constructor (also sets error()).
-  const Status& open_status() const { return open_status_; }
-
- protected:
-  void DoLink(PointId a, PointId b) override;
-  void DoGroup(std::span<const PointId> members) override;
-
- private:
-  void AppendId(PointId id, char terminator);
-  bool ShouldWrite(size_t ids);
-
-  std::string path_;
-  Options options_;
-  OutputFile file_;
-  Status open_status_;
-  bool truncated_ = false;
-  std::string scratch_;
-};
-
-/// Writes the CSJ2 compact binary format (storage/binary_format.h) through
-/// an asynchronous double-buffered block writer: the join thread encodes
-/// records into a block buffer; sealed blocks (checksummed, length-prefixed)
-/// are flushed by a background thread, overlapping encode with disk I/O.
-///
-/// Same robustness contract as FileSink: atomic temp+rename commit by
-/// default, every I/O error (the background thread's included) becomes the
-/// sink's sticky error so drivers cancel the traversal early, and a failed
-/// or abandoned sink leaves no partial file behind. The `output_file.*`
-/// failpoints fire on the writer thread and surface here.
-class BinaryFileSink final : public JoinSink {
- public:
-  struct Options {
-    /// Temp-file + rename commit in Finish().
-    bool atomic = true;
-    /// fsync before the commit rename.
-    bool sync_on_close = false;
-    /// Sealed-block payload target (records never span blocks).
-    size_t block_payload_bytes = binfmt::kDefaultBlockPayloadBytes;
-    /// Checkpointed run: stream straight to `path` and preserve the partial
-    /// file on error/abandonment for `--resume`. Overrides `atomic`.
-    bool checkpointable = false;
-    /// Charge the sink's block buffers — the open block plus the async
-    /// writer's queue and free list — against this budget at construction.
-    /// Denial becomes the sink's sticky open error (ResourceExhausted), so
-    /// MakeSink fails fast before the join starts. Not owned; may be null.
-    MemoryBudget* budget = nullptr;
-    /// >= 0: stream CSJ2 to this already-open descriptor (dup()ed) instead
-    /// of opening `path`. Forces non-atomic; `path` is a label only.
-    int fd = -1;
-  };
-
-  BinaryFileSink(int id_width, std::string path, const Options& options);
-  BinaryFileSink(int id_width, std::string path)
-      : BinaryFileSink(id_width, std::move(path), Options()) {}
-  /// Resumes a checkpointable sink mid-stream: truncates `path` to the last
-  /// sealed-block boundary and reloads the open block's payload, so block
-  /// sealing continues at exactly the byte positions an uninterrupted run
-  /// would have produced.
-  BinaryFileSink(int id_width, std::string path, const Options& options,
-                 const checkpoint::SinkState& resume);
-  ~BinaryFileSink() override;
-
-  /// Seals the final block, appends the EOF marker + footer, joins the
-  /// writer thread and commits the file.
-  Status Finish() override;
-
-  /// Drains the background writer, fsyncs, and records the durable
-  /// sealed-block offset plus the open block's payload.
-  Status Checkpoint(checkpoint::SinkState* state) override;
-
-  const std::string& path() const { return path_; }
-  uint64_t materialized_bytes() const override {
-    return writer_ != nullptr ? writer_->bytes_submitted() : 0;
-  }
-  /// Status of the Open performed by the constructor (also sets error()).
-  const Status& open_status() const { return open_status_; }
-
- protected:
-  void DoLink(PointId a, PointId b) override;
-  void DoGroup(std::span<const PointId> members) override;
-
- private:
-  /// Reserves the block-buffer footprint against options_.budget (no-op
-  /// without one). On denial sets the sticky ResourceExhausted open error.
-  bool ChargeBuffers();
-  /// Pulls a background write error into the sink's sticky error.
-  void PollWriter() {
-    if (writer_ != nullptr && !writer_->ok()) SetError(writer_->status());
-  }
-  size_t PayloadFill() const {
-    return block_.size() - binfmt::kBlockHeaderBytes;
-  }
-  void StartBlock();
-  void SealBlock();
-
-  std::string path_;
-  Options options_;
-  OutputFile file_;
-  Status open_status_;
-  ScopedCharge buffer_charge_;  ///< block buffers held against the budget
-  std::unique_ptr<AsyncBlockWriter> writer_;
-  std::string block_;  ///< header slot + payload of the block being filled
-  uint32_t record_count_ = 0;
-  uint64_t id_total_ = 0;
-  bool finished_ = false;
-};
-
 /// Retains every link and group in memory, for tests and expansion.
 class MemorySink final : public JoinSink {
  public:
@@ -430,21 +276,20 @@ struct OutputSpec {
   std::string path;
   /// Zero-pad width of the ids; use IdWidthFor(n) (the helpers below do).
   int id_width = 1;
-  /// Temp-file + rename commit (file formats).
-  bool atomic = true;
-  /// fsync before the commit rename (file formats).
+  /// fsync before closing (and, for a path, before the commit rename).
   bool sync_on_close = false;
   /// Nonzero: stop writing at this size but keep counting (text files only).
   uint64_t cap_bytes = 0;
-  /// Checkpointed run: stream straight to `path` and preserve partial output
-  /// for `--resume` (see FileSink/BinaryFileSink options). Overrides
-  /// `atomic`; incompatible with cap_bytes.
+  /// A path output commits by temp-file + rename in Finish(). A checkpointed
+  /// run instead streams straight to `path` and keeps the partial file on
+  /// error or abandonment, so `--resume` can truncate it back to the last
+  /// checkpoint. Incompatible with cap_bytes.
   bool checkpointable = false;
   /// Byte model a kNone (counting) sink reports in.
   OutputFormat count_model = OutputFormat::kText;
-  /// Memory budget the sink's buffers are charged against (binary sinks
-  /// hold several block-sized buffers). Denial fails MakeSink with
-  /// ResourceExhausted instead of letting the join start. Not owned.
+  /// Memory budget a file sink's open block is charged against. Denial
+  /// fails MakeSink with ResourceExhausted instead of letting the join
+  /// start. Not owned.
   MemoryBudget* budget = nullptr;
   /// >= 0: stream to this already-open descriptor (socket, pipe) instead of
   /// opening `path`. The fd is dup()ed — the caller keeps ownership. Only
@@ -460,7 +305,6 @@ struct OutputSpec {
     spec.format = format;
     spec.fd = fd;
     spec.id_width = IdWidthFor(num_points);
-    spec.atomic = false;
     return spec;
   }
 
@@ -483,6 +327,91 @@ struct OutputSpec {
     spec.id_width = IdWidthFor(num_points);
     return spec;
   }
+};
+
+/// Writes the text or CSJ2 format of an OutputSpec to a file or descriptor.
+///
+/// Records are encoded into an open block of `block_payload_bytes` (64 KiB
+/// by default). A record that would overflow the block first seals it (CSJ2
+/// adds the block header and checksum; text adds nothing) and appends it to
+/// the OutputFile on the calling thread. Finish() appends the last block,
+/// plus CSJ2's EOF marker and footer, and commits the file.
+///
+/// Robust by default: a path output is written atomically (temp + rename in
+/// Finish), every I/O error, a failed open included, becomes the sink's
+/// sticky error so drivers stop early, and a failed or abandoned sink
+/// leaves no partial file at the path (the destination keeps whatever it
+/// held before). A checkpointable sink keeps its partial file for
+/// `--resume` instead.
+class FileSink final : public JoinSink {
+ public:
+  /// Opens what `spec` describes (format kText or kBinary; MakeSink
+  /// validates the rest). With `resume`, continues a checkpointed file:
+  /// truncates `spec.path` to the committed offset and reloads the open
+  /// block and the counters, so blocks seal at exactly the byte positions
+  /// an uninterrupted run would have produced.
+  explicit FileSink(
+      const OutputSpec& spec, const checkpoint::SinkState* resume = nullptr,
+      size_t block_payload_bytes = binfmt::kDefaultBlockPayloadBytes);
+  /// A fresh file at `path`, committed by rename in Finish().
+  FileSink(int id_width, std::string path,
+           OutputFormat format = OutputFormat::kText,
+           size_t block_payload_bytes = binfmt::kDefaultBlockPayloadBytes);
+
+  /// An abandoned checkpointable sink keeps its file for `--resume`: it
+  /// appends its open block first, so the file holds every record the sink
+  /// accepted (a resume truncates back to the manifest's offset anyway).
+  ~FileSink() override;
+
+  /// Appends the open block (and CSJ2's EOF marker and footer) and commits
+  /// the file. Returns the sink's sticky error if any write failed,
+  /// otherwise the close/rename status.
+  Status Finish() override;
+
+  /// Flush + fsync, then records the durable offset of the appended blocks
+  /// plus the open block's payload.
+  Status Checkpoint(checkpoint::SinkState* state) override;
+
+  uint64_t materialized_bytes() const override {
+    return file_.bytes_written() + PayloadFill();
+  }
+  bool truncated() const override { return truncated_; }
+  uint64_t lost_implied_links() const override { return lost_implied_links_; }
+  /// Status of the open performed by the constructor (also sets error()).
+  const Status& open_status() const { return open_status_; }
+
+ protected:
+  void DoLink(PointId a, PointId b) override;
+  void DoGroup(std::span<const PointId> members) override;
+
+ private:
+  /// Decides whether a record of `record_bytes` is written: false past the
+  /// cap (the record is still counted) or once the sink is in error. Seals
+  /// the open block first if the record would overflow it.
+  bool Admit(size_t record_bytes);
+  /// Appends the open block to the file (CSJ2: after patching its header)
+  /// and starts an empty one. If the append fails, the block's records
+  /// that did not land whole are lost.
+  void SealBlock();
+  /// Appends `bytes` to the file; an error becomes the sticky error.
+  void Write(const std::string& bytes);
+  size_t PayloadFill() const { return block_.size() - header_bytes_; }
+
+  const bool binary_;
+  const size_t header_bytes_;  ///< block header slot: 12 for CSJ2, 0 for text
+  const size_t block_payload_bytes_;
+  const uint64_t cap_bytes_;
+  const bool checkpointable_;
+  std::string path_;
+  OutputFile file_;
+  Status open_status_;
+  ScopedCharge block_charge_;  ///< the open block, held against the budget
+  std::string block_;  ///< header slot + payload of the block being filled
+  uint32_t record_count_ = 0;
+  uint64_t lost_implied_links_ = 0;
+  uint64_t id_total_ = 0;
+  bool truncated_ = false;
+  bool finished_ = false;
 };
 
 /// Builds the sink an OutputSpec describes. Fails fast: an unopenable file

@@ -54,7 +54,6 @@
 #include "plan/execute.h"
 #include "plan/planner.h"
 #include "storage/binary_format.h"
-#include "storage/block_writer.h"
 #include "storage/buffer_pool.h"
 #include "storage/checkpoint.h"
 #include "storage/output_file.h"

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "storage/output_file.h"
 #include "util/failpoint.h"
 #include "util/format.h"
 
@@ -13,23 +14,28 @@ namespace csj::io_internal {
 
 Status WritePointsText(const std::string& path,
                        const std::vector<std::vector<double>>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
+  // Atomic commit: a failed or killed save leaves the previous file at
+  // `path` untouched.
+  OutputFile file;
+  CSJ_RETURN_IF_ERROR(file.Open(path, OutputFile::Options{.atomic = true}));
+  std::string chunk;
+  std::string line;
+  char number[32];
   for (const auto& row : rows) {
+    line.clear();
     for (size_t d = 0; d < row.size(); ++d) {
-      std::fprintf(f, d + 1 == row.size() ? "%.17g\n" : "%.17g ", row[d]);
+      const int n = std::snprintf(number, sizeof(number), "%.17g%c", row[d],
+                                  d + 1 == row.size() ? '\n' : ' ');
+      line.append(number, static_cast<size_t>(n));
     }
+    if (chunk.size() + line.size() > kAppendChunkBytes) {
+      CSJ_RETURN_IF_ERROR(file.Append(chunk));
+      chunk.clear();
+    }
+    chunk += line;
   }
-  if (std::ferror(f) != 0) {
-    std::fclose(f);
-    std::remove(path.c_str());
-    return Status::IoError("write failed: " + path);
-  }
-  if (std::fclose(f) != 0) {
-    std::remove(path.c_str());
-    return Status::IoError("close failed: " + path);
-  }
-  return Status::OK();
+  if (!chunk.empty()) CSJ_RETURN_IF_ERROR(file.Append(chunk));
+  return file.Close();
 }
 
 Result<std::vector<std::vector<double>>> ReadPointsText(

@@ -19,6 +19,7 @@
 #include "geom/point.h"
 #include "index/spatial_index.h"
 #include "storage/buffer_pool.h"
+#include "storage/output_file.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
 #include "util/format.h"
@@ -234,9 +235,6 @@ namespace paged_internal {
 
 inline constexpr char kMagic[8] = {'C', 'S', 'J', 'P', 'A', 'G', 'E', '1'};
 
-inline bool WriteRaw(std::FILE* f, const void* data, size_t size) {
-  return std::fwrite(data, 1, size, f) == size;
-}
 inline bool ReadRaw(std::FILE* f, void* data, size_t size) {
   return std::fread(data, 1, size, f) == size;
 }
@@ -311,53 +309,50 @@ Status WritePagedTree(const Tree& tree, const std::string& path,
     cursor += payload.size();
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  auto fail = [&] {
-    std::fclose(f);
-    return Status::IoError("short write: " + path);
-  };
-
+  // Header and node table; the payloads already sit in memory and are
+  // appended from there.
+  std::vector<char> head;
   const uint32_t dim = D;
   const uint32_t block_size = options.block_size;
   const uint64_t entries = tree.size();
   const uint32_t node_count = static_cast<uint32_t>(order.size());
   const uint32_t root = 0;  // pre-order: the root is always first
-  if (!pi::WriteRaw(f, pi::kMagic, 8) || !pi::WriteRaw(f, &dim, 4) ||
-      !pi::WriteRaw(f, &block_size, 4) || !pi::WriteRaw(f, &entries, 8) ||
-      !pi::WriteRaw(f, &node_count, 4) || !pi::WriteRaw(f, &root, 4)) {
-    return fail();
-  }
+  head.insert(head.end(), pi::kMagic, pi::kMagic + 8);
+  pi::AppendPod(&head, dim);
+  pi::AppendPod(&head, block_size);
+  pi::AppendPod(&head, entries);
+  pi::AppendPod(&head, node_count);
+  pi::AppendPod(&head, root);
   for (size_t i = 0; i < order.size(); ++i) {
     const NodeId n = order[i];
-    const uint64_t offset = offsets[i];
-    const uint32_t length = static_cast<uint32_t>(payloads[i].size());
-    const uint8_t is_leaf = tree.IsLeaf(n) ? 1 : 0;
     const auto& mbr = tree.NodeBox(n);
-    if (!pi::WriteRaw(f, &offset, 8) || !pi::WriteRaw(f, &length, 4) ||
-        !pi::WriteRaw(f, &is_leaf, 1) ||
-        !pi::WriteRaw(f, mbr.lo.data(), sizeof(double) * D) ||
-        !pi::WriteRaw(f, mbr.hi.data(), sizeof(double) * D)) {
-      return fail();
-    }
+    pi::AppendPod(&head, offsets[i]);
+    pi::AppendPod(&head, static_cast<uint32_t>(payloads[i].size()));
+    pi::AppendPod(&head, static_cast<uint8_t>(tree.IsLeaf(n) ? 1 : 0));
+    for (int d = 0; d < D; ++d) pi::AppendPod(&head, mbr.lo[d]);
+    for (int d = 0; d < D; ++d) pi::AppendPod(&head, mbr.hi[d]);
   }
+
+  // Atomic commit: a failed or killed write leaves the previous image at
+  // `path` untouched.
+  OutputFile file;
+  CSJ_RETURN_IF_ERROR(file.Open(path, OutputFile::Options{.atomic = true}));
+  CSJ_RETURN_IF_ERROR(AppendInChunks(&file, head.data(), head.size()));
   // Blob area, zero-padded to honor the assigned offsets.
-  uint64_t written = 0;
   const std::vector<char> zeros(4096, 0);
+  uint64_t written = 0;
   for (size_t i = 0; i < order.size(); ++i) {
     while (written < offsets[i]) {
       const size_t pad = static_cast<size_t>(
           std::min<uint64_t>(offsets[i] - written, zeros.size()));
-      if (!pi::WriteRaw(f, zeros.data(), pad)) return fail();
+      CSJ_RETURN_IF_ERROR(file.Append(zeros.data(), pad));
       written += pad;
     }
-    if (!pi::WriteRaw(f, payloads[i].data(), payloads[i].size())) {
-      return fail();
-    }
+    CSJ_RETURN_IF_ERROR(
+        AppendInChunks(&file, payloads[i].data(), payloads[i].size()));
     written += payloads[i].size();
   }
-  if (std::fclose(f) != 0) return Status::IoError("close failed: " + path);
-  return Status::OK();
+  return file.Close();
 }
 
 template <int D>

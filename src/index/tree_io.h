@@ -8,6 +8,7 @@
 
 #include "index/box_tree.h"
 #include "storage/binary_format.h"
+#include "storage/output_file.h"
 #include "util/format.h"
 #include "util/status.h"
 
@@ -33,10 +34,6 @@
 namespace csj {
 
 namespace tree_io_internal {
-
-inline bool WriteRaw(std::FILE* f, const void* data, size_t size) {
-  return std::fwrite(data, 1, size, f) == size;
-}
 
 inline bool ReadRaw(std::FILE* f, void* data, size_t size) {
   return std::fread(data, 1, size, f) == size;
@@ -100,15 +97,19 @@ class TreeSerializer {
   static constexpr int D = Tree::kDim;
   using Node = typename Tree::Node;
 
+  /// Writes through OutputFile's atomic commit: a failed or killed save
+  /// leaves the previous file at `path` untouched.
   static Status Save(const Tree& tree, const std::string& path) {
     namespace ti = tree_io_internal;
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-    Status status = SaveTo(tree, f);
-    if (std::fclose(f) != 0 && status.ok()) {
-      status = Status::IoError("close failed: " + path);
-    }
-    return status;
+    const std::vector<char> body = EncodeBody(tree);
+    const uint32_t crc = binfmt::Crc32(body.data(), body.size());
+    std::string header(ti::kMagicV2, sizeof(ti::kMagicV2));
+    header.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    OutputFile file;
+    CSJ_RETURN_IF_ERROR(file.Open(path, OutputFile::Options{.atomic = true}));
+    CSJ_RETURN_IF_ERROR(file.Append(header));
+    CSJ_RETURN_IF_ERROR(AppendInChunks(&file, body.data(), body.size()));
+    return file.Close();
   }
 
   static Status Load(Tree* tree, const std::string& path) {
@@ -120,7 +121,8 @@ class TreeSerializer {
   }
 
  private:
-  static Status SaveTo(const Tree& tree, std::FILE* f) {
+  /// The checksummed body: everything after the magic and the CRC.
+  static std::vector<char> EncodeBody(const Tree& tree) {
     namespace ti = tree_io_internal;
     // Collect live nodes in pre-order and build the id remap.
     std::vector<NodeId> order;
@@ -139,7 +141,7 @@ class TreeSerializer {
       }
     }
 
-    // Serialize the body to memory so the checksum can cover all of it.
+    // Serialize to memory so the checksum can cover all of it.
     std::vector<char> body;
     const uint32_t dim = D;
     const uint32_t max_fanout = static_cast<uint32_t>(tree.max_fanout_);
@@ -173,13 +175,7 @@ class TreeSerializer {
       }
     }
 
-    const uint32_t crc = binfmt::Crc32(body.data(), body.size());
-    if (!ti::WriteRaw(f, ti::kMagicV2, sizeof(ti::kMagicV2)) ||
-        !ti::WriteRaw(f, &crc, 4) ||
-        !ti::WriteRaw(f, body.data(), body.size())) {
-      return Status::IoError("short write");
-    }
-    return Status::OK();
+    return body;
   }
 
   static Status LoadFrom(Tree* tree, std::FILE* f) {

@@ -76,6 +76,7 @@ class MetricJoinDriver {
     stats_.groups = sink_->num_groups();
     stats_.group_member_total = sink_->group_member_total();
     stats_.output_bytes = sink_->bytes();
+    stats_.DeductImpliedLinks(sink_->lost_implied_links());
     CountJoinWork(stats_);
     return stats_;
   }

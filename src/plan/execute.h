@@ -49,7 +49,9 @@ JoinStats RunIntoSink(const OutputSpec& out, Join&& join) {
   }
   JoinStats stats = join(sink->get());
   if (stats.status.ok() || out.fd >= 0) {
+    const uint64_t lost = (*sink)->lost_implied_links();
     const Status finished = (*sink)->Finish();
+    stats.DeductImpliedLinks((*sink)->lost_implied_links() - lost);
     if (stats.status.ok()) stats.status = finished;
   }
   return stats;

@@ -513,7 +513,6 @@ bool Server::HandleRequest(int fd, const Request& req) {
     spec.format = req.spec.output;
     if (req.spec.output != OutputFormat::kNone) spec.fd = fd;
     spec.id_width = id_width;
-    spec.atomic = false;
     spec.budget = &query_budget;
     // The same entry point as `csj_tool join`: "algo":"auto" resolves
     // against the dataset's load-time sketch (dual joins plan against the

@@ -1,6 +1,7 @@
 #ifndef CSJ_STORAGE_OUTPUT_FILE_H_
 #define CSJ_STORAGE_OUTPUT_FILE_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <string>
@@ -9,7 +10,8 @@
 #include "util/status.h"
 
 /// \file
-/// Buffered append-only text file used by the file-backed join sink.
+/// Buffered append-only file behind the join-output sink and the index and
+/// point writers.
 ///
 /// The paper measures output size as "the size in bytes of the resulting
 /// output text file" and includes the write time in the reported runtime, so
@@ -142,6 +144,21 @@ class OutputFile {
   Status status_;
   uint64_t bytes_written_ = 0;
 };
+
+/// Largest single append of the whole-file writers (tree index, paged
+/// image, point file): the size of a join sink's block.
+inline constexpr size_t kAppendChunkBytes = 64 * 1024;
+
+/// Appends `size` bytes to `file` in appends of at most kAppendChunkBytes.
+/// Returns the file's sticky status.
+inline Status AppendInChunks(OutputFile* file, const void* data, size_t size) {
+  const char* bytes = static_cast<const char*>(data);
+  for (size_t done = 0; done < size; done += kAppendChunkBytes) {
+    CSJ_RETURN_IF_ERROR(
+        file->Append(bytes + done, std::min(kAppendChunkBytes, size - done)));
+  }
+  return file->status();
+}
 
 }  // namespace csj
 

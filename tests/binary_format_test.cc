@@ -119,7 +119,7 @@ TEST(FileHeaderTest, RoundTripsAndValidates) {
   EXPECT_FALSE(binfmt::ParseFileHeader(buf.data(), 3, &width).ok());
 }
 
-/// End-to-end: write with BinaryFileSink, read back with a cursor, compare
+/// End-to-end: write with a binary FileSink, read back with a cursor, compare
 /// against what a MemorySink captured from the same emission sequence.
 class BinaryRoundTrip : public ::testing::Test {
  protected:
@@ -129,9 +129,8 @@ class BinaryRoundTrip : public ::testing::Test {
 };
 
 TEST_F(BinaryRoundTrip, PreservesRecordsOrderAndKinds) {
-  BinaryFileSink::Options options;
-  options.block_payload_bytes = 64;  // force many small blocks
-  BinaryFileSink sink(5, path_, options);
+  // 64-byte blocks force many small blocks.
+  FileSink sink(5, path_, OutputFormat::kBinary, /*block_payload_bytes=*/64);
   MemorySink expected(5);
   Rng rng(7);
   std::vector<std::vector<PointId>> emitted;
@@ -181,7 +180,7 @@ TEST_F(BinaryRoundTrip, PreservesRecordsOrderAndKinds) {
 }
 
 TEST_F(BinaryRoundTrip, GroupOfTwoStaysAGroup) {
-  BinaryFileSink sink(3, path_);
+  FileSink sink(3, path_, OutputFormat::kBinary);
   const std::vector<PointId> pair = {4, 9};
   sink.Group(pair);
   sink.Link(1, 2);
@@ -198,7 +197,7 @@ TEST_F(BinaryRoundTrip, GroupOfTwoStaysAGroup) {
 }
 
 TEST_F(BinaryRoundTrip, EmptyResultRoundTrips) {
-  BinaryFileSink sink(2, path_);
+  FileSink sink(2, path_, OutputFormat::kBinary);
   const uint64_t predicted = sink.bytes();
   ASSERT_TRUE(sink.Finish().ok());
   EXPECT_EQ(ReadWholeFile(path_).size(), predicted);
@@ -210,9 +209,7 @@ TEST_F(BinaryRoundTrip, EmptyResultRoundTrips) {
 }
 
 TEST_F(BinaryRoundTrip, TruncationAtEveryOffsetIsDetected) {
-  BinaryFileSink::Options options;
-  options.block_payload_bytes = 32;
-  BinaryFileSink sink(4, path_, options);
+  FileSink sink(4, path_, OutputFormat::kBinary, /*block_payload_bytes=*/32);
   for (PointId i = 0; i < 40; ++i) sink.Link(i * 3, i * 3 + 1);
   const std::vector<PointId> group = {1, 5, 9, 2};
   sink.Group(group);
@@ -237,7 +234,7 @@ TEST_F(BinaryRoundTrip, TruncationAtEveryOffsetIsDetected) {
 }
 
 TEST_F(BinaryRoundTrip, CorruptPayloadFailsChecksum) {
-  BinaryFileSink sink(4, path_);
+  FileSink sink(4, path_, OutputFormat::kBinary);
   for (PointId i = 0; i < 100; ++i) sink.Link(i, i + 1);
   ASSERT_TRUE(sink.Finish().ok());
   std::string whole = ReadWholeFile(path_);
@@ -258,7 +255,7 @@ TEST_F(BinaryRoundTrip, CorruptPayloadFailsChecksum) {
 }
 
 TEST_F(BinaryRoundTrip, CorruptFooterTotalsAreDetected) {
-  BinaryFileSink sink(4, path_);
+  FileSink sink(4, path_, OutputFormat::kBinary);
   sink.Link(1, 2);
   sink.Link(3, 4);
   ASSERT_TRUE(sink.Finish().ok());
@@ -276,7 +273,7 @@ TEST_F(BinaryRoundTrip, CorruptFooterTotalsAreDetected) {
 }
 
 TEST_F(BinaryRoundTrip, TrailingGarbageAfterFooterIsRejected) {
-  BinaryFileSink sink(4, path_);
+  FileSink sink(4, path_, OutputFormat::kBinary);
   sink.Link(1, 2);
   ASSERT_TRUE(sink.Finish().ok());
   std::string whole = ReadWholeFile(path_);

@@ -948,9 +948,11 @@ TEST(ParallelJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
   const RStarTree<2> tree = InsertAll(entries);
   JoinOptions options;
   options.epsilon = 0.05;
-  // The first append is the initial manifest's; later ones are records
-  // (and the periodic manifests).
-  for (const uint64_t nth : {2ull, 8ull, 100ull, 5000ull}) {
+  // The first append is the initial manifest's; later ones are 64 KiB
+  // output blocks and the periodic manifests, 26 appends in all. The 12th
+  // is a periodic manifest (the sink is healthy when the run stops) and
+  // the 26th the last block, appended by Finish.
+  for (const uint64_t nth : {2ull, 12ull, 21ull, 26ull}) {
     failpoint::ScopedFailpoint fp("output_file.append",
                                   failpoint::Spec::EveryNth(nth));
     const TextRun run = RunText(tree, options, 4, "pj_dying.txt");

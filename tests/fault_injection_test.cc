@@ -13,13 +13,16 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "data/point_io.h"
+#include "index/paged_tree.h"
 #include "index/rstar_tree.h"
+#include "index/tree_io.h"
 #include "util/failpoint.h"
 #include "util/format.h"
+#include "util/random.h"
 
 /// \file
 /// End-to-end fault injection: drives failpoints through OutputFile,
-/// FileSink, LoadPoints, the sequential joins and the multi-threaded task
+/// FileSink (text and CSJ2), LoadPoints, the sequential joins and the multi-threaded task
 /// runner, asserting that every injected fault is reported as a Status, that
 /// no partial output file survives a plain run (a checkpointed run keeps its
 /// resume point instead), and that the process never crashes.
@@ -59,6 +62,11 @@ void ExpectNoOutputArtifacts(const std::string& path) {
 
 class FaultInjectionTest : public testing::Test {
  protected:
+  /// Block payload for sinks whose write faults must land mid-join: the
+  /// default 64 KiB block would hold the whole result of the small joins
+  /// below until Finish().
+  static constexpr size_t kSmallBlock = 256;
+
   void TearDown() override { failpoint::DisableAll(); }
 
   /// A clustered workload dense enough that every join writes output.
@@ -86,7 +94,8 @@ TEST_F(FaultInjectionTest, SequentialJoinReportsWriteFaultAndLeavesNoFile) {
   // Let a handful of writes land, then fail: the fault hits mid-join.
   failpoint::ScopedFailpoint fp("output_file.append",
                                 failpoint::Spec::EveryNth(5));
-  FileSink sink(IdWidthFor(entries_.size()), path);
+  FileSink sink(IdWidthFor(entries_.size()), path, OutputFormat::kText,
+                kSmallBlock);
   ASSERT_TRUE(sink.open_status().ok());
   const JoinStats stats = CompactSimilarityJoin(tree, DenseOptions(), &sink);
   EXPECT_FALSE(stats.status.ok());
@@ -101,7 +110,8 @@ TEST_F(FaultInjectionTest, AllThreeAlgorithmsSurviveWriteFaults) {
        {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
     failpoint::Enable("output_file.append", failpoint::Spec::EveryNth(3));
     const std::string path = testing::TempDir() + "/csj_fault_algo.txt";
-    FileSink sink(IdWidthFor(entries_.size()), path);
+    FileSink sink(IdWidthFor(entries_.size()), path, OutputFormat::kText,
+                  kSmallBlock);
     const JoinStats stats = RunSelfJoin(algorithm, tree, DenseOptions(), &sink);
     EXPECT_FALSE(stats.status.ok()) << JoinAlgorithmName(algorithm);
     EXPECT_FALSE(sink.Finish().ok()) << JoinAlgorithmName(algorithm);
@@ -125,7 +135,8 @@ TEST_F(FaultInjectionTest, SequentialJoinAbortsTraversalEarlyOnDeadSink) {
   // Faulty run: the very first write fails, so the traversal should abort
   // long before doing the full join's distance work.
   failpoint::ScopedFailpoint fp("output_file.append", failpoint::Spec::Once());
-  FileSink sink(IdWidthFor(entries_.size()), path);
+  FileSink sink(IdWidthFor(entries_.size()), path, OutputFormat::kText,
+                kSmallBlock);
   const JoinStats aborted =
       StandardSimilarityJoin(tree, DenseOptions(), &sink);
   EXPECT_FALSE(aborted.status.ok());
@@ -217,7 +228,8 @@ TEST_F(FaultInjectionTest, ParallelJoinReportsWriteFaultAndKeepsResumePoint) {
   const auto tree = BuildTree();
   const std::string path = testing::TempDir() + "/csj_fault_par.txt";
   {
-    // The first append commits the initial manifest; the fifth is output.
+    // The first append commits the initial manifest; later ones are 64 KiB
+    // output blocks and periodic manifests, and the fifth fails mid-run.
     failpoint::ScopedFailpoint fp("output_file.append",
                                   failpoint::Spec::EveryNth(5));
     const JoinStats stats = RunParallel(tree, DenseOptions(), path);
@@ -255,20 +267,19 @@ TEST_F(FaultInjectionTest, ParallelJoinWithDeadSinkSkipsTheWork) {
   EXPECT_FALSE(FileExists(path + ".ckpt"));
 }
 
-// --- Binary sink (asynchronous block writer) ---------------------------------
+// --- Binary sink ---------------------------------------------------------------
 
-TEST_F(FaultInjectionTest, BinarySinkReportsWriterThreadFaultAndLeavesNoFile) {
+TEST_F(FaultInjectionTest, BinarySinkReportsWriteFaultAndLeavesNoFile) {
   const auto tree = BuildTree();
   const std::string path = testing::TempDir() + "/csj_fault_bin.bin";
-  // The writer thread appends one block at a time; let the header and a
-  // couple of blocks land, then fail mid-stream. Small blocks guarantee the
-  // dense join produces enough of them to hit the fault while the producer
-  // is still emitting.
+  // The sink appends one block at a time on the join thread; let the header
+  // and a couple of blocks land, then fail mid-stream. Small blocks
+  // guarantee the dense join produces enough of them to hit the fault while
+  // it is still emitting.
   failpoint::ScopedFailpoint fp("output_file.append",
                                 failpoint::Spec::EveryNth(4));
-  BinaryFileSink::Options options;
-  options.block_payload_bytes = 256;
-  BinaryFileSink sink(IdWidthFor(entries_.size()), path, options);
+  FileSink sink(IdWidthFor(entries_.size()), path, OutputFormat::kBinary,
+                kSmallBlock);
   const JoinStats stats = CompactSimilarityJoin(tree, DenseOptions(), &sink);
   EXPECT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kIoError);
@@ -283,9 +294,9 @@ TEST_F(FaultInjectionTest, BinarySinkFaultAtFinishStillCleansUp) {
   // With the default 64 KiB blocks this small result stays in the open
   // block, so the first failing append is the one Finish() triggers.
   failpoint::ScopedFailpoint fp("output_file.flush", failpoint::Spec::Always());
-  BinaryFileSink sink(IdWidthFor(entries_.size()), path);
+  FileSink sink(IdWidthFor(entries_.size()), path, OutputFormat::kBinary);
   const JoinStats stats = CompactSimilarityJoin(tree, DenseOptions(), &sink);
-  EXPECT_TRUE(stats.status.ok());  // blocks queued fine; flush fails later
+  EXPECT_TRUE(stats.status.ok());  // blocks buffered fine; flush fails later
   EXPECT_FALSE(sink.Finish().ok());
   ExpectNoOutputArtifacts(path);
 }
@@ -325,6 +336,77 @@ TEST_F(FaultInjectionTest, BinarySinkDisarmedFailpointsRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// Links implied by the records `path` holds whole: complete text lines, or
+/// the records of the CSJ2 blocks that pass their checksum.
+uint64_t ImpliedHeld(const std::string& path, OutputFormat format) {
+  uint64_t implied = 0;
+  if (format == OutputFormat::kText) {
+    uint64_t ids = 1;
+    for (const char c : ReadWholeFile(path)) {
+      if (c == ' ') ++ids;
+      if (c == '\n') {
+        implied += ids * (ids - 1) / 2;
+        ids = 1;
+      }
+    }
+    return implied;
+  }
+  auto cursor = OpenResultCursor(path, OutputFormat::kBinary);
+  if (!cursor.ok()) return 0;
+  while ((*cursor)->Next()) {
+    const uint64_t k = (*cursor)->record().ids.size();
+    implied += k * (k - 1) / 2;
+  }
+  return implied;
+}
+
+TEST_F(FaultInjectionTest, SinkDeathDeductsTheRecordsItLost) {
+  // A failed block append loses the block's records, except whole text
+  // lines that landed. The links they imply, reported lost, bring the count
+  // of accepted records down to what the file holds. A resumed sink's first
+  // block also carries records of the interrupted session.
+  const std::string path = testing::TempDir() + "/csj_fault_lost";
+  for (const OutputFormat format :
+       {OutputFormat::kText, OutputFormat::kBinary}) {
+    for (const bool resumed : {false, true}) {
+      SCOPED_TRACE(testing::Message() << OutputFormatName(format)
+                                      << (resumed ? " resumed" : " fresh"));
+      OutputSpec spec = OutputSpec::File(path, 100000, format);
+      spec.checkpointable = true;
+      Rng rng(3);
+      uint64_t accepted = 0;  // links implied by the records accepted
+      auto emit = [&](JoinSink* sink) {
+        std::vector<PointId> ids(2 + rng.UniformInt(uint64_t{6}));
+        for (auto& id : ids) id = static_cast<PointId>(rng.UniformInt(99999));
+        sink->Group(ids);
+        if (sink->error().ok()) accepted += ids.size() * (ids.size() - 1) / 2;
+      };
+      checkpoint::SinkState state;
+      if (resumed) {
+        FileSink first(spec, nullptr, kSmallBlock);
+        for (int i = 0; i < 30; ++i) emit(&first);
+        ASSERT_TRUE(first.Checkpoint(&state).ok());
+        ASSERT_FALSE(state.partial_payload.empty());
+      }
+      uint64_t lost = 0;
+      {
+        // Fresh: the file header (CSJ2) and two blocks land, then a block
+        // fails. Resumed: the first block, the reloaded one, fails.
+        failpoint::ScopedFailpoint fp(
+            "output_file.append", resumed ? failpoint::Spec::Once()
+                                          : failpoint::Spec::EveryNth(3));
+        FileSink sink(spec, resumed ? &state : nullptr, kSmallBlock);
+        for (int i = 0; i < 1000 && sink.error().ok(); ++i) emit(&sink);
+        ASSERT_EQ(sink.error().code(), StatusCode::kIoError);
+        lost = sink.lost_implied_links();
+      }
+      EXPECT_GT(lost, 0u);
+      EXPECT_EQ(accepted - lost, ImpliedHeld(path, format));
+      std::remove(path.c_str());
+    }
+  }
+}
+
 // --- LoadPoints --------------------------------------------------------------
 
 TEST_F(FaultInjectionTest, LoadPointsSurfacesInjectedReadFault) {
@@ -342,6 +424,56 @@ TEST_F(FaultInjectionTest, LoadPointsSurfacesInjectedReadFault) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, points);
   std::remove(path.c_str());
+}
+
+// --- Index and point files ---------------------------------------------------
+
+TEST_F(FaultInjectionTest, SaveTreeFaultKeepsPreviousIndex) {
+  const auto tree = BuildTree(500);
+  const std::string path = testing::TempDir() + "/csj_fault_index.csjt";
+  ASSERT_TRUE(SaveTree(tree, path).ok());
+  const std::string previous = ReadWholeFile(path);
+  {
+    const auto other = BuildTree(2000);
+    failpoint::ScopedFailpoint fp("output_file.append",
+                                  failpoint::Spec::Always());
+    EXPECT_EQ(SaveTree(other, path).code(), StatusCode::kIoError);
+  }
+  EXPECT_EQ(ReadWholeFile(path), previous);
+  EXPECT_FALSE(FileExists(TempPathFor(path)));
+  RStarTree<2> loaded;
+  ASSERT_TRUE(LoadTree(&loaded, path).ok());
+  EXPECT_EQ(loaded.size(), tree.size());
+  std::remove(path.c_str());
+}
+
+TEST_F(FaultInjectionTest, PagedImageAndPointFaultsKeepPreviousFiles) {
+  const auto tree = BuildTree(500);
+  const auto points = GenerateUniform<2>(300, 5);
+  const std::string paged_path = testing::TempDir() + "/csj_fault_paged.csjp";
+  const std::string points_path = testing::TempDir() + "/csj_fault_pts.txt";
+  ASSERT_TRUE(WritePagedTree(tree, paged_path).ok());
+  ASSERT_TRUE(SavePoints(points_path, points).ok());
+  const std::string previous_paged = ReadWholeFile(paged_path);
+  {
+    const auto other = BuildTree(2000);
+    failpoint::ScopedFailpoint fp("output_file.append",
+                                  failpoint::Spec::Always());
+    EXPECT_EQ(WritePagedTree(other, paged_path).code(), StatusCode::kIoError);
+    EXPECT_EQ(SavePoints(points_path, GenerateUniform<2>(400, 6)).code(),
+              StatusCode::kIoError);
+  }
+  EXPECT_EQ(ReadWholeFile(paged_path), previous_paged);
+  EXPECT_FALSE(FileExists(TempPathFor(paged_path)));
+  EXPECT_FALSE(FileExists(TempPathFor(points_path)));
+  auto paged = PagedTree<2>::Open(paged_path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  EXPECT_EQ(paged->size(), tree.size());
+  auto loaded = LoadPoints<2>(points_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, points);
+  std::remove(paged_path.c_str());
+  std::remove(points_path.c_str());
 }
 
 // --- No-fault baseline -------------------------------------------------------

@@ -375,12 +375,13 @@ TEST(MetricJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
       {
         failpoint::ScopedFailpoint fp("output_file.append",
                                       failpoint::Spec::EveryNth(nth));
-        // Checkpointable: the partial file survives the failure.
+        // Checkpointable: the partial file survives the failure. One record
+        // per block makes an append per record, so every nth lands mid-join.
         OutputSpec spec = OutputSpec::File(path, tree.size());
         spec.checkpointable = true;
-        auto sink = MakeSink(spec);
-        ASSERT_TRUE(sink.ok()) << sink.status().ToString();
-        stats = run(sink->get());
+        FileSink sink(spec, nullptr, /*block_payload_bytes=*/1);
+        ASSERT_TRUE(sink.open_status().ok()) << sink.open_status().ToString();
+        stats = run(&sink);
       }
       EXPECT_EQ(stats.status.code(), StatusCode::kIoError)
           << stats.status.ToString();

@@ -1246,7 +1246,11 @@ TEST_F(ServeTest, ControlWriteFaultClosesSessionAndCounts) {
     EXPECT_FALSE(reader.ReadLine(&line).ok());
   }
   ::close(fd);
+#ifndef CSJ_NO_METRICS
   EXPECT_EQ(CounterValue("serve.ctrl_write_errors"), errors_before + 1);
+#else
+  (void)errors_before;
+#endif
 
   // The failure was scoped to that session; the server still serves.
   EXPECT_NE(RoundTrip(socket_path, "{\"op\":\"ping\"}")

@@ -64,7 +64,7 @@ TEST(FileSinkTest, FileBytesMatchAccountingForPaddedIds) {
   const std::vector<PointId> group = {10, 20, 30, 40};
   sink.Group(group);
   ASSERT_TRUE(sink.Finish().ok());
-  EXPECT_EQ(sink.file_bytes(), sink.bytes());
+  EXPECT_EQ(sink.materialized_bytes(), sink.bytes());
   EXPECT_EQ(ReadWholeFile(path).size(), sink.bytes());
 }
 
@@ -92,7 +92,7 @@ TEST(FileSinkTest, OpenFailureIsStickyAndShortCircuitsAppends) {
   EXPECT_EQ(sink.num_links(), 0u);
   EXPECT_EQ(sink.num_groups(), 0u);
   EXPECT_EQ(sink.bytes(), 0u);
-  EXPECT_EQ(sink.file_bytes(), 0u);
+  EXPECT_EQ(sink.materialized_bytes(), 0u);
 
   const Status finish = sink.Finish();
   EXPECT_FALSE(finish.ok());
@@ -106,17 +106,6 @@ TEST(FileSinkTest, AtomicCommitHidesFileUntilFinish) {
   sink.Link(1, 2);
   EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr)
       << "destination visible before Finish";
-  ASSERT_TRUE(sink.Finish().ok());
-  EXPECT_EQ(ReadWholeFile(path), "0001 0002\n");
-  std::remove(path.c_str());
-}
-
-TEST(FileSinkTest, NonAtomicModeStreamsDirectly) {
-  const std::string path = testing::TempDir() + "/csj_sink_plain.txt";
-  FileSink::Options options;
-  options.atomic = false;
-  FileSink sink(4, path, options);
-  sink.Link(1, 2);
   ASSERT_TRUE(sink.Finish().ok());
   EXPECT_EQ(ReadWholeFile(path), "0001 0002\n");
   std::remove(path.c_str());
@@ -161,19 +150,35 @@ uint64_t FileSize(const std::string& path) {
   return ReadWholeFile(path).size();
 }
 
-/// Drives the same emission sequence into any sink.
-void EmitSample(JoinSink* sink) {
+/// A fixed sequence of 2000 records: a link is a two-id record with
+/// is_link set, anything else a group.
+struct SampleRecord {
+  bool is_link;
+  std::vector<PointId> ids;
+};
+
+std::vector<SampleRecord> SampleRecords() {
   Rng rng(11);
+  std::vector<SampleRecord> records;
   for (int i = 0; i < 2000; ++i) {
-    if (rng.Bernoulli(0.5)) {
-      sink->Link(static_cast<PointId>(rng.UniformInt(uint64_t{90000})),
-                 static_cast<PointId>(rng.UniformInt(uint64_t{90000})));
+    const bool is_link = rng.Bernoulli(0.5);
+    std::vector<PointId> ids(is_link ? 2 : 2 + rng.UniformInt(uint64_t{12}));
+    for (auto& id : ids) {
+      id = static_cast<PointId>(rng.UniformInt(uint64_t{90000}));
+    }
+    records.push_back({is_link, std::move(ids)});
+  }
+  return records;
+}
+
+/// Drives records [begin, end) of the same sequence into any sink.
+void EmitSample(JoinSink* sink, size_t begin = 0, size_t end = 2000) {
+  const std::vector<SampleRecord> records = SampleRecords();
+  for (size_t i = begin; i < end; ++i) {
+    if (records[i].is_link) {
+      sink->Link(records[i].ids[0], records[i].ids[1]);
     } else {
-      std::vector<PointId> group(2 + rng.UniformInt(uint64_t{12}));
-      for (auto& id : group) {
-        id = static_cast<PointId>(rng.UniformInt(uint64_t{90000}));
-      }
-      sink->Group(group);
+      sink->Group(records[i].ids);
     }
   }
 }
@@ -283,6 +288,38 @@ TEST(MakeSinkTest, RejectsInvalidSpecs) {
                    .ok());
 }
 
+TEST(MakeSinkTest, FileSinksChargeTheirOpenBlock) {
+  // Text and CSJ2 sinks hold one block each: the payload target, plus the
+  // block header slot for CSJ2.
+  for (const OutputFormat format :
+       {OutputFormat::kText, OutputFormat::kBinary}) {
+    const uint64_t block =
+        binfmt::kDefaultBlockPayloadBytes +
+        (format == OutputFormat::kBinary ? binfmt::kBlockHeaderBytes : 0);
+    OutputSpec spec = OutputSpec::File(
+        testing::TempDir() + "/csj_budget." + OutputFormatName(format), 100,
+        format);
+    MemoryBudget tight(block - 1);
+    spec.budget = &tight;
+    auto denied = MakeSink(spec);
+    ASSERT_FALSE(denied.ok());
+    EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(tight.used(), 0u);
+
+    MemoryBudget enough(block);
+    spec.budget = &enough;
+    {
+      auto sink = MakeSink(spec);
+      ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+      EXPECT_EQ(enough.used(), block);
+      (*sink)->Link(1, 2);
+      ASSERT_TRUE((*sink)->Finish().ok());
+    }
+    EXPECT_EQ(enough.used(), 0u);
+    std::remove(spec.path.c_str());
+  }
+}
+
 TEST(FileSinkTest, CapStopsWritingButKeepsCounting) {
   const std::string path = testing::TempDir() + "/csj_sink_capped.txt";
   OutputSpec spec = OutputSpec::File(path, 10000);
@@ -296,6 +333,49 @@ TEST(FileSinkTest, CapStopsWritingButKeepsCounting) {
   ASSERT_TRUE(sink->Finish().ok());
   EXPECT_EQ(FileSize(path), 30u);
   std::remove(path.c_str());
+}
+
+TEST(FileSinkTest, TextResumeContinuesFromEitherManifestShape) {
+  // A text checkpoint carries the open block's payload. A manifest from a
+  // text sink that appended every record has committed every byte and
+  // carries none. Both must resume to the bytes of an uninterrupted run.
+  const std::string dir = testing::TempDir();
+  const std::string ref_path = dir + "/csj_resume_ref.txt";
+  {
+    auto sink = MakeSinkOrDie(OutputSpec::File(ref_path, 90000));
+    EmitSample(sink.get());
+    ASSERT_TRUE(sink->Finish().ok());
+  }
+  const std::string reference = ReadWholeFile(ref_path);
+
+  OutputSpec spec = OutputSpec::File(dir + "/csj_resume_text.txt", 90000);
+  spec.checkpointable = true;
+  checkpoint::SinkState state;
+  {
+    auto sink = MakeSinkOrDie(spec);
+    EmitSample(sink.get(), 0, 1000);
+    ASSERT_TRUE(sink->Checkpoint(&state).ok());
+    ASSERT_TRUE(sink->Finish().ok());  // leaves the whole first half on disk
+  }
+  ASSERT_FALSE(state.partial_payload.empty());
+  checkpoint::SinkState committed_all = state;
+  committed_all.committed_bytes += state.partial_payload.size();
+  committed_all.partial_payload.clear();
+  committed_all.partial_records = 0;
+  committed_all.id_total = 0;
+
+  for (const checkpoint::SinkState& resume : {state, committed_all}) {
+    auto sink = ResumeSink(spec, resume);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+    EmitSample(sink->get(), 1000, 2000);
+    const uint64_t predicted = (*sink)->bytes();
+    ASSERT_TRUE((*sink)->Finish().ok());
+    EXPECT_EQ(ReadWholeFile(spec.path), reference)
+        << "partial payload " << resume.partial_payload.size() << " bytes";
+    EXPECT_EQ(predicted, reference.size());
+  }
+  std::remove(ref_path.c_str());
+  std::remove(spec.path.c_str());
 }
 
 TEST(BinaryFileSinkTest, AbandonedSinkLeavesNoFile) {

@@ -56,20 +56,18 @@
 
 #include <arpa/inet.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/sink.h"
+#include "flags.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
@@ -80,74 +78,11 @@
 namespace csj::serve_tool {
 namespace {
 
-/// csj_tool's governance exit codes, verbatim.
-constexpr int kExitInterrupted = 3;
-constexpr int kExitDeadline = 4;
-constexpr int kExitResourceExhausted = 5;
-
-std::atomic<bool> g_shutdown_requested{false};
-
-void HandleTerminationSignal(int) {
-  g_shutdown_requested.store(true, std::memory_order_relaxed);
-}
-
-/// Minimal --flag value parser, mirroring csj_tool's.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        Die(StrFormat("expected a --flag, got '%s'", argv[i]));
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
-    if ((argc - first) % 2 != 0) {
-      Die(StrFormat("flag '%s' is missing its value", argv[argc - 1]));
-    }
-  }
-
-  std::string GetOr(const std::string& key, const std::string& fallback) {
-    seen_.insert(key);
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::string Require(const std::string& key) {
-    seen_.insert(key);
-    auto it = values_.find(key);
-    if (it == values_.end()) Die("missing required flag --" + key);
-    return it->second;
-  }
-
-  double GetDouble(const std::string& key, double fallback) {
-    const std::string v = GetOr(key, "");
-    return v.empty() ? fallback : std::atof(v.c_str());
-  }
-
-  long GetInt(const std::string& key, long fallback) {
-    const std::string v = GetOr(key, "");
-    return v.empty() ? fallback : std::atol(v.c_str());
-  }
-
-  void CheckAllUsed() {
-    for (const auto& [key, value] : values_) {
-      if (seen_.find(key) == seen_.end()) Die("unknown flag --" + key);
-    }
-  }
-
-  [[noreturn]] static void Die(const std::string& message) {
-    std::fprintf(stderr, "csj_serve: %s\n", message.c_str());
-    std::exit(2);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> seen_;
-};
-
-void DieOnError(const Status& status) {
-  if (!status.ok()) Flags::Die(status.ToString());
-}
+using cli::DieOnError;
+using cli::Flags;
+using cli::kExitDeadline;
+using cli::kExitInterrupted;
+using cli::kExitResourceExhausted;
 
 std::vector<std::string> SplitOn(const std::string& text, char sep) {
   std::vector<std::string> parts;
@@ -228,9 +163,8 @@ int CmdServe(Flags& flags) {
   }
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleTerminationSignal);
-  std::signal(SIGTERM, HandleTerminationSignal);
-  while (!g_shutdown_requested.load(std::memory_order_relaxed)) {
+  cli::InstallTerminationHandlers();
+  while (!cli::g_termination_requested.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   server.Shutdown();
@@ -338,7 +272,12 @@ int CmdQuery(Flags& flags) {
   if (!center.empty()) {
     json::Value coords = json::Array{};
     for (const std::string& c : SplitOn(center, ',')) {
-      coords.Append(std::atof(c.c_str()));
+      double coord = 0.0;
+      if (!cli::ParseDouble(c, &coord)) {
+        Flags::Die("--center wants comma-separated numbers, got '" + center +
+                   "'");
+      }
+      coords.Append(coord);
     }
     request["center"] = coords;
   }
@@ -550,7 +489,7 @@ int Main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  Flags flags(argc, argv, 2);
+  Flags flags("csj_serve", argc, argv, 2);
   if (command == "serve") return CmdServe(flags);
   if (command == "query") return CmdQuery(flags);
   return Usage();

@@ -48,105 +48,28 @@
 ///
 /// 2-D only (the common GIS case); the C++ API is dimension-generic.
 
-#include <atomic>
-#include <cerrno>
+#include <unistd.h>
+
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "csj.h"
+#include "flags.h"
 
 namespace csj::tool {
 namespace {
 
-/// Exit codes beyond the usual 0/1/2: a join stopped by SIGINT/SIGTERM, one
-/// stopped by an expired --deadline-ms, and one stopped by an exhausted
-/// --mem-budget.
-constexpr int kExitInterrupted = 3;
-constexpr int kExitDeadline = 4;
-constexpr int kExitResourceExhausted = 5;
+using cli::DieOnError;
+using cli::Flags;
+using cli::kExitDeadline;
+using cli::kExitInterrupted;
+using cli::kExitResourceExhausted;
 
-/// Flipped by the signal handler; polled by the checkpoint runner at task
-/// boundaries, which then writes a final checkpoint and unwinds cleanly.
-std::atomic<bool> g_cancel_requested{false};
-
-void HandleTerminationSignal(int) {
-  // async-signal-safe: just raise the flag; all I/O happens on the main
-  // thread once the runner reaches the next task boundary.
-  g_cancel_requested.store(true, std::memory_order_relaxed);
-}
-
-void InstallTerminationHandlers() {
-  std::signal(SIGINT, HandleTerminationSignal);
-  std::signal(SIGTERM, HandleTerminationSignal);
-}
-
-/// Minimal --flag value parser; every flag takes exactly one value.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        Die(StrFormat("expected a --flag, got '%s'", argv[i]));
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
-    if ((argc - first) % 2 != 0) {
-      Die(StrFormat("flag '%s' is missing its value", argv[argc - 1]));
-    }
-  }
-
-  std::string GetOr(const std::string& key, const std::string& fallback) {
-    seen_.insert(key);
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::string Require(const std::string& key) {
-    seen_.insert(key);
-    auto it = values_.find(key);
-    if (it == values_.end()) Die("missing required flag --" + key);
-    return it->second;
-  }
-
-  double GetDouble(const std::string& key, double fallback) {
-    const std::string v = GetOr(key, "");
-    return v.empty() ? fallback : std::atof(v.c_str());
-  }
-
-  long GetInt(const std::string& key, long fallback) {
-    const std::string v = GetOr(key, "");
-    return v.empty() ? fallback : std::atol(v.c_str());
-  }
-
-  /// Rejects typo'd flags once the command has read everything it knows.
-  void CheckAllUsed() {
-    for (const auto& [key, value] : values_) {
-      if (seen_.find(key) == seen_.end()) Die("unknown flag --" + key);
-    }
-  }
-
-  [[noreturn]] static void Die(const std::string& message) {
-    std::fprintf(stderr, "csj_tool: %s\n", message.c_str());
-    std::exit(2);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> seen_;
-};
-
-void DieOnError(const Status& status) {
-  if (!status.ok()) Flags::Die(status.ToString());
-}
-
-/// Maps a governed join's terminal status to the exit codes above; 0 for
+/// Maps a governed join's terminal status to the cli exit codes; 0 for
 /// statuses that are not governance outcomes.
 int GovernanceExitCode(const Status& status) {
   switch (status.code()) {
@@ -325,9 +248,9 @@ int CmdJoin(Flags& flags) {
   // optional memory budget; --deadline-ms rides in the spec.
   MemoryBudget budget(spec.mem_budget);
   ExecContext exec;
-  exec.SetCancelFlag(&g_cancel_requested);
+  exec.SetCancelFlag(&cli::g_termination_requested);
   exec.SetMemoryBudget(&budget);
-  InstallTerminationHandlers();
+  cli::InstallTerminationHandlers();
 
   OutputSpec out_spec;
   out_spec.format = spec.output;
@@ -352,7 +275,7 @@ int CmdJoin(Flags& flags) {
                                    ? uint64_t{32}
                                    : static_cast<uint64_t>(checkpoint_interval);
     ckpt.resume = resume;
-    ckpt.cancel = &g_cancel_requested;
+    ckpt.cancel = &cli::g_termination_requested;
     stats = plan::Execute(spec, *tree, nullptr, nullptr, out_spec, &exec,
                           checkpointed ? &ckpt : nullptr);
   }
@@ -513,41 +436,25 @@ int CmdCat(Flags& flags) {
     }
   }
 
+  // stdout streams through the same text sink as --out.
   auto cursor = OpenCursorOrDie(result_path);
+  OutputSpec spec = out.empty() ? OutputSpec::Stream(STDOUT_FILENO, 0)
+                                : OutputSpec::File(out, 0);
+  spec.id_width = width;
+  auto sink = MakeSink(spec);
+  DieOnError(sink.status());
+  Status status = ReplayResult(cursor.get(), sink->get());
+  if (status.ok()) status = (*sink)->Finish();
+  // `csj_tool cat ... | head`: the consumer closed stdout. SIGPIPE is
+  // ignored process-wide, so the hang-up is the sink's sticky kCancelled —
+  // a consumer decision, not an error.
+  if (out.empty() && status.code() == StatusCode::kCancelled) return 0;
+  DieOnError(status);
   if (!out.empty()) {
-    OutputSpec spec;
-    spec.format = OutputFormat::kText;
-    spec.path = out;
-    spec.id_width = width;
-    auto sink = MakeSink(spec);
-    DieOnError(sink.status());
-    DieOnError(ReplayResult(cursor.get(), sink->get()));
-    DieOnError((*sink)->Finish());
     std::printf("decoded %s records to %s (width %d)\n",
                 WithThousands(cursor->links_read() + cursor->groups_read())
                     .c_str(),
                 out.c_str(), width);
-  } else {
-    bool consumer_gone = false;
-    while (!consumer_gone && cursor->Next()) {
-      const auto ids = cursor->record().ids;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        errno = 0;
-        if (std::printf("%0*u%c", width, ids[i],
-                        i + 1 == ids.size() ? '\n' : ' ') < 0) {
-          // `csj_tool cat ... | head`: the consumer closed stdout. SIGPIPE
-          // is ignored process-wide, so the hangup surfaces here as EPIPE —
-          // a consumer decision, not an error. Anything else still dies.
-          if (errno != EPIPE) {
-            Flags::Die(std::string("write to stdout failed: ") +
-                       std::strerror(errno));
-          }
-          consumer_gone = true;
-          break;
-        }
-      }
-    }
-    DieOnError(cursor->status());
   }
   return 0;
 }
@@ -644,12 +551,12 @@ int Usage() {
 int Main(int argc, char** argv) {
   // A consumer hanging up mid-stream (`csj_tool join ... | head`) must not
   // kill the process with SIGPIPE: ignored, the broken pipe surfaces as
-  // EPIPE, which OutputFile maps to a clean sticky kCancelled (exit 3) and
-  // CmdCat's stdout loop treats as end-of-interest (exit 0).
+  // EPIPE, which OutputFile maps to a clean sticky kCancelled: exit 3 for a
+  // join, end-of-interest (exit 0) for `cat` to stdout.
   std::signal(SIGPIPE, SIG_IGN);
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  Flags flags(argc, argv, 2);
+  Flags flags("csj_tool", argc, argv, 2);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "build") return CmdBuild(flags);
   if (command == "join") return CmdJoin(flags);
