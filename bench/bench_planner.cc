@@ -83,7 +83,7 @@ void Main(const BenchArgs& args) {
     const auto entries = ToEntries(ds.points);
     RStarTree<2> tree;
     PackStr(&tree, entries);
-    const plan::DatasetSketch sketch = plan::BuildSketch(ds.points);
+    const plan::DatasetSketch sketch = plan::SketchTree(tree).value();
     const int id_width = IdWidthFor(entries.size());
 
     Table table(StrFormat("planner regret — %s (%s points)", ds.name.c_str(),

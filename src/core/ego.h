@@ -303,11 +303,7 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
   stats.status = sink->error();
   if (stats.status.ok()) stats.status = run_ctx.status();
   stats.elapsed_seconds = timer.ElapsedSeconds();
-  stats.links = sink->num_links();
-  stats.groups = sink->num_groups();
-  stats.group_member_total = sink->group_member_total();
-  stats.output_bytes = sink->bytes();
-  stats.DeductImpliedLinks(sink->lost_implied_links());
+  ReadOutputCounters(*sink, &stats);
   CountJoinWork(stats);
   return stats;
 }

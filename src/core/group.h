@@ -410,6 +410,16 @@ class GroupWindow {
   std::deque<Slot> window_;
 };
 
+/// Copies a sink's output counters into a run's stats, and deducts the
+/// implied links of records the sink lost. Every join driver ends with it.
+inline void ReadOutputCounters(const JoinSink& sink, JoinStats* stats) {
+  stats->links = sink.num_links();
+  stats->groups = sink.num_groups();
+  stats->group_member_total = sink.group_member_total();
+  stats->output_bytes = sink.bytes();
+  stats->DeductImpliedLinks(sink.lost_implied_links());
+}
+
 }  // namespace csj
 
 #endif  // CSJ_CORE_GROUP_H_

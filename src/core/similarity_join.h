@@ -450,16 +450,6 @@ inline void AddWork(JoinStats* total, const JoinStats& task) {
   total->merges += task.merges;
 }
 
-/// Copies a sink's output counters into a run's stats, and deducts the
-/// implied links of records the sink lost.
-inline void ReadOutputCounters(const JoinSink& sink, JoinStats* stats) {
-  stats->links = sink.num_links();
-  stats->groups = sink.num_groups();
-  stats->group_member_total = sink.group_member_total();
-  stats->output_bytes = sink.bytes();
-  stats->DeductImpliedLinks(sink.lost_implied_links());
-}
-
 /// Rejects thread counts the trees or the options cannot support.
 template <typename TreeA, typename TreeB>
 Status CheckThreads(int threads, const JoinOptions& options) {

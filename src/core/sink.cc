@@ -295,6 +295,11 @@ Status ValidateFileSpec(const OutputSpec& spec) {
     return Status::InvalidArgument(
         "a streamed (fd) sink cannot be checkpointed or size-capped");
   }
+  if (spec.checkpointable && OutputFile::IsNonRegular(spec.path)) {
+    // A resume truncates the output back to its last checkpoint.
+    return Status::InvalidArgument(
+        "checkpointed output needs a regular file: " + spec.path);
+  }
   return Status::OK();
 }
 

@@ -72,11 +72,7 @@ class MetricJoinDriver {
     if (stats_.status.ok()) stats_.status = run_ctx_.status();
     stats_.elapsed_seconds = timer.ElapsedSeconds();
     stats_.write_seconds = write_timer_.TotalSeconds();
-    stats_.links = sink_->num_links();
-    stats_.groups = sink_->num_groups();
-    stats_.group_member_total = sink_->group_member_total();
-    stats_.output_bytes = sink_->bytes();
-    stats_.DeductImpliedLinks(sink_->lost_implied_links());
+    ReadOutputCounters(*sink_, &stats_);
     CountJoinWork(stats_);
     return stats_;
   }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <unordered_map>
-
-#include "util/random.h"
 
 namespace csj::plan {
 
@@ -25,20 +22,6 @@ uint64_t CellKey(int64_t cx, int64_t cy) {
   return key;
 }
 
-/// Same-cell pair count over the sample at grid width `w`.
-uint64_t CollisionPairs(const std::vector<Point2>& sample, double w) {
-  std::unordered_map<uint64_t, uint64_t> cells;
-  cells.reserve(sample.size() * 2);
-  for (const auto& p : sample) {
-    const auto cx = static_cast<int64_t>(std::floor(p[0] / w));
-    const auto cy = static_cast<int64_t>(std::floor(p[1] / w));
-    ++cells[CellKey(cx, cy)];
-  }
-  uint64_t pairs = 0;
-  for (const auto& [key, c] : cells) pairs += c * (c - 1) / 2;
-  return pairs;
-}
-
 /// Average within-eps neighbor count per *sample* point, among the sample
 /// (exact grid probe, every sample point an anchor).
 double SampleAverageNeighbors(const std::vector<Point2>& sample, double eps) {
@@ -47,117 +30,6 @@ double SampleAverageNeighbors(const std::vector<Point2>& sample, double eps) {
 }
 
 }  // namespace
-
-json::Value DatasetSketch::ToJsonValue() const {
-  json::Value v = json::Object{};
-  v["num_points"] = num_points;
-  v["sample_size"] = static_cast<uint64_t>(sample_size);
-  v["sample_fraction"] = sample_fraction;
-  json::Value spread_v = json::Array{};
-  json::Value stddev_v = json::Array{};
-  for (int d = 0; d < 2; ++d) {
-    spread_v.Append(json::Value(spread[d]));
-    stddev_v.Append(json::Value(stddev[d]));
-  }
-  v["spread"] = spread_v;
-  v["stddev"] = stddev_v;
-  json::Value d2_v = json::Object{};
-  d2_v["slope"] = d2.slope;
-  d2_v["intercept"] = d2.intercept;
-  d2_v["r_squared"] = d2.r_squared;
-  d2_v["points"] = static_cast<uint64_t>(d2_points);
-  v["d2"] = d2_v;
-  json::Value ladder = json::Array{};
-  for (const auto& c : collisions) {
-    json::Value rung = json::Object{};
-    rung["width"] = c.width;
-    rung["pairs"] = c.pairs;
-    ladder.Append(std::move(rung));
-  }
-  v["collisions"] = ladder;
-  return v;
-}
-
-DatasetSketch BuildSketchFromSample(std::vector<Point2> sample,
-                                    uint64_t num_points,
-                                    const SketchOptions& options) {
-  DatasetSketch sketch;
-  sketch.num_points = num_points;
-  sketch.sample = std::move(sample);
-  sketch.sample_size = sketch.sample.size();
-  sketch.sample_fraction =
-      num_points == 0 ? 1.0
-                      : static_cast<double>(sketch.sample_size) /
-                            static_cast<double>(num_points);
-  if (sketch.sample.empty()) return sketch;
-
-  // Per-dimension bounds, spread, stddev.
-  for (int d = 0; d < 2; ++d) {
-    double lo = sketch.sample[0][d], hi = sketch.sample[0][d];
-    double sum = 0.0, sum_sq = 0.0;
-    for (const auto& p : sketch.sample) {
-      lo = std::min(lo, p[d]);
-      hi = std::max(hi, p[d]);
-      sum += p[d];
-      sum_sq += p[d] * p[d];
-    }
-    const double n = static_cast<double>(sketch.sample.size());
-    const double mean = sum / n;
-    sketch.min_coord[d] = lo;
-    sketch.max_coord[d] = hi;
-    sketch.spread[d] = hi - lo;
-    sketch.stddev[d] = std::sqrt(std::max(0.0, sum_sq / n - mean * mean));
-  }
-
-  // LSH collision-count ladder + power-law fit over non-empty rungs.
-  std::vector<ScalingPoint> collision_samples;
-  for (int e = options.ladder_min_exp; e <= options.ladder_max_exp; ++e) {
-    const double w = std::ldexp(1.0, e);
-    const uint64_t pairs = CollisionPairs(sketch.sample, w);
-    sketch.collisions.push_back({w, pairs});
-    if (pairs > 0) {
-      collision_samples.push_back(
-          {std::log2(w), std::log2(static_cast<double>(pairs))});
-    }
-  }
-  sketch.collision_points = collision_samples.size();
-  sketch.collision_fit = FitPowerLaw(collision_samples);
-
-  // Correlation dimension D2 over the same width ladder.
-  std::vector<double> epsilons;
-  for (int e = options.ladder_min_exp; e <= options.ladder_max_exp; ++e) {
-    epsilons.push_back(std::ldexp(1.0, e));
-  }
-  const std::vector<ScalingPoint> d2_samples =
-      CorrelationSamples(sketch.sample, epsilons, sketch.sample.size());
-  sketch.d2_points = d2_samples.size();
-  sketch.d2 = FitPowerLaw(d2_samples);
-  return sketch;
-}
-
-DatasetSketch BuildSketch(const std::vector<Point2>& points,
-                          const SketchOptions& options) {
-  std::vector<Point2> sample;
-  if (points.size() <= options.sample_size) {
-    sample = points;
-  } else {
-    // Seeded partial Fisher-Yates: a uniform sample, deterministic in
-    // (points, seed), independent of input order pathologies beyond what
-    // the shuffle erases.
-    std::vector<uint32_t> index(points.size());
-    std::iota(index.begin(), index.end(), 0u);
-    Rng rng(options.seed);
-    sample.reserve(options.sample_size);
-    for (size_t i = 0; i < options.sample_size; ++i) {
-      const size_t j =
-          i + static_cast<size_t>(rng.UniformInt(
-                  static_cast<uint64_t>(points.size() - i)));
-      std::swap(index[i], index[j]);
-      sample.push_back(points[index[i]]);
-    }
-  }
-  return BuildSketchFromSample(std::move(sample), points.size(), options);
-}
 
 json::Value OutputEstimate::ToJsonValue() const {
   json::Value v = json::Object{};
@@ -188,29 +60,16 @@ OutputEstimate EstimateOutput(const DatasetSketch& sketch, double eps,
 
   // Link count: direct probe on the sample, scaled by the sampling
   // fraction (a sample point sees ~f of its true neighbors inside the
-  // sample); power-law fallbacks below the sample's resolution.
+  // sample). Below the sample's resolution, the D2 power law, which models
+  // the same sample-vs-sample neighbor density, scaled the same way.
   auto scaled_avg = [&](double eps_probe) {
     const double avg_sample = SampleAverageNeighbors(sketch.sample, eps_probe);
     const double pairs_sample =
         avg_sample * static_cast<double>(sketch.sample.size()) / 2.0;
-    if (pairs_sample >= kMinProbePairs || f >= 1.0) {
-      return std::make_pair(avg_sample / std::max(f, 1e-12), false);
-    }
-    if (sketch.d2_points >= 2) {
-      // The D2 fit models sample-vs-sample neighbor density; the same
-      // fraction scaling applies.
-      return std::make_pair(sketch.d2.Predict(eps_probe) / std::max(f, 1e-12),
-                            true);
-    }
-    if (sketch.collision_points >= 2) {
-      // Same-cell pairs(w) follow the same scaling law; pairs scale with
-      // f^2 and avg = 2 * pairs / sample_size.
-      const double pairs = sketch.collision_fit.Predict(eps_probe);
-      const double avg =
-          2.0 * pairs / static_cast<double>(sketch.sample.size());
-      return std::make_pair(avg / std::max(f, 1e-12), true);
-    }
-    return std::make_pair(avg_sample / std::max(f, 1e-12), false);
+    const bool extrapolate =
+        pairs_sample < kMinProbePairs && f < 1.0 && sketch.d2_points >= 2;
+    const double avg = extrapolate ? sketch.d2.Predict(eps_probe) : avg_sample;
+    return std::make_pair(avg / std::max(f, 1e-12), extrapolate);
   };
 
   const auto [avg_full, extrapolated] = scaled_avg(eps);

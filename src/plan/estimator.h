@@ -1,61 +1,47 @@
 #ifndef CSJ_PLAN_ESTIMATOR_H_
 #define CSJ_PLAN_ESTIMATOR_H_
 
-#include <array>
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "analysis/fractal.h"
 #include "geom/point.h"
+#include "index/node_access.h"
+#include "index/spatial_index.h"
+#include "util/exec_context.h"
+#include "util/format.h"
 #include "util/json.h"
+#include "util/status.h"
 
 /// \file
 /// Dataset sketches and output-size estimation for the query planner.
 ///
-/// The planner's inputs are cheap, query-independent *sketches* of a
-/// dataset, built once (at index load in csj_serve, per invocation in
-/// csj_tool / bench):
-///
-///  * a deterministic uniform sample of the points (seeded partial
-///    Fisher-Yates), kept in the sketch so eps-specific questions can be
-///    answered later by direct probes;
-///  * per-dimension bounds, spread and standard deviation;
-///  * an LSH collision-count ladder: same-cell pair counts over a ladder of
-///    grid widths (grid cells are the classic L2 LSH buckets), fitted to a
-///    power law — the join-size estimator of Lee/Ng/Shim-style LSH sketches;
-///  * the fractal correlation dimension D2 fitted over the sample
-///    (analysis/fractal.h): links(eps) ~ C * eps^D2 on self-similar data.
+/// The planner's input is a cheap, query-independent *sketch* of a dataset:
+/// a stride sample of its tree, in tree order, and the fractal correlation
+/// dimension D2 fitted over it (analysis/fractal.h): links(eps) ~ C * eps^D2
+/// on self-similar data. `SketchTree` is the one way to build it. csj_serve's
+/// registry runs it once at load, csj_tool and the benches per invocation;
+/// the same tree gives the same sketch, so `auto` resolves the same way in
+/// every tool.
 ///
 /// `EstimateOutput` then predicts, for a concrete (dataset, eps): the link
 /// count, the group structure CSJ can exploit (count / member total /
 /// covered links via an eps/sqrt(2) grid whose cells are guaranteed
 /// mergeable groups), the byte cost of the SSJ and CSJ outputs, the
-/// compression ratio between them, and a leaf-visit work proxy. The primary
-/// link estimator is an exact neighbor probe over the retained sample
-/// (scaled by the sampling fraction); when eps is below the sample's
-/// resolution (too few sampled pairs to trust), it falls back to the D2
-/// power law, and failing that the collision-ladder fit. Predictions are
-/// deterministic for a fixed seed.
+/// compression ratio between them, and a leaf-visit work proxy. The link
+/// estimator is an exact neighbor probe over the sample (scaled by the
+/// sampling fraction); when eps is below the sample's resolution (too few
+/// sampled pairs to trust), it falls back to the D2 power law.
 ///
 /// Everything here is 2-D (Point2), matching csj_tool and csj_serve; the
 /// underlying analysis layer is dimension-generic.
 
 namespace csj::plan {
 
-/// Sketch-building knobs. Defaults are cheap enough for index load time.
-struct SketchOptions {
-  size_t sample_size = 4096;  ///< retained sample cap
-  uint64_t seed = 17;         ///< sampling seed (determinism)
-  int ladder_min_exp = -9;    ///< collision ladder: widths 2^min .. 2^max
-  int ladder_max_exp = -2;
-};
-
-/// One rung of the collision-count ladder: same-cell pairs among the
-/// *sample* at the given grid width.
-struct CollisionPoint {
-  double width = 0.0;
-  uint64_t pairs = 0;
-};
+/// The walk keeps every max(1, n / kSketchSampleTarget)-th point.
+inline constexpr uint64_t kSketchSampleTarget = 4096;
 
 /// Query-independent dataset sketch.
 struct DatasetSketch {
@@ -63,38 +49,58 @@ struct DatasetSketch {
   size_t sample_size = 0;
   double sample_fraction = 1.0;  ///< sample_size / num_points
 
-  std::array<double, 2> min_coord = {0.0, 0.0};
-  std::array<double, 2> max_coord = {0.0, 0.0};
-  std::array<double, 2> spread = {0.0, 0.0};
-  std::array<double, 2> stddev = {0.0, 0.0};
-
   /// Correlation-dimension fit over the sample; valid when d2_points >= 2.
   PowerLawFit d2;
   size_t d2_points = 0;
 
-  /// Collision-count ladder and its power-law fit (over non-empty rungs).
-  std::vector<CollisionPoint> collisions;
-  PowerLawFit collision_fit;
-  size_t collision_points = 0;
-
-  /// The retained sample, for eps-specific probes.
+  /// The sample, in tree order, for eps-specific probes.
   std::vector<Point2> sample;
-
-  /// Everything except the raw sample (for explain output / reports).
-  json::Value ToJsonValue() const;
 };
 
-/// Builds a sketch over an in-memory point set. Deterministic in
-/// (points, options).
-DatasetSketch BuildSketch(const std::vector<Point2>& points,
-                          const SketchOptions& options = {});
-
-/// Builds a sketch from an externally drawn sample of a dataset with
-/// `num_points` total points (csj_serve samples from the paged tree without
-/// materializing the dataset). The sample is assumed uniform.
-DatasetSketch BuildSketchFromSample(std::vector<Point2> sample,
-                                    uint64_t num_points,
-                                    const SketchOptions& options = {});
+/// Sketches a 2-D tree: walks every leaf in tree order, keeping every
+/// max(1, n / kSketchSampleTarget)-th point, then fits D2 over the eps
+/// ladder 2^-9 .. 2^-2. Reads through `exec` (a disk-backed tree's read
+/// fault trips it). Returns the context's status when the walk tripped it,
+/// and DataLoss when the walk visited a different number of points than
+/// `tree.size()`.
+template <SpatialIndex Tree>
+Result<DatasetSketch> SketchTree(const Tree& tree,
+                                 const ExecContext* exec = nullptr) {
+  DatasetSketch sketch;
+  sketch.num_points = tree.size();
+  const uint64_t stride =
+      std::max<uint64_t>(1, sketch.num_points / kSketchSampleTarget);
+  sketch.sample.reserve(sketch.num_points / stride + 1);
+  uint64_t visited = 0;
+  if (tree.Root() != kInvalidNode) {
+    ForEachEntryInSubtree(
+        tree, tree.Root(), static_cast<NodeAccessTracker*>(nullptr),
+        [&](const Entry<2>& e) {
+          if (visited++ % stride == 0) sketch.sample.push_back(e.point);
+        },
+        exec);
+  }
+  if (exec != nullptr && exec->ShouldStopNow()) return exec->status();
+  if (visited != sketch.num_points) {
+    return Status::DataLoss(
+        StrFormat("sketch walk read %llu of %llu points",
+                  static_cast<unsigned long long>(visited),
+                  static_cast<unsigned long long>(sketch.num_points)));
+  }
+  sketch.sample_size = sketch.sample.size();
+  sketch.sample_fraction =
+      sketch.num_points == 0 ? 1.0
+                             : static_cast<double>(sketch.sample_size) /
+                                   static_cast<double>(sketch.num_points);
+  if (sketch.sample.empty()) return sketch;
+  std::vector<double> epsilons;
+  for (int e = -9; e <= -2; ++e) epsilons.push_back(std::ldexp(1.0, e));
+  const std::vector<ScalingPoint> d2_samples =
+      CorrelationSamples(sketch.sample, epsilons, sketch.sample.size());
+  sketch.d2_points = d2_samples.size();
+  sketch.d2 = FitPowerLaw(d2_samples);
+  return sketch;
+}
 
 /// Predicted output shape and work for one (dataset, eps).
 struct OutputEstimate {

@@ -24,17 +24,6 @@
 
 namespace csj::plan {
 
-/// Sketches a 2-D tree's points for the planner, in tree order.
-template <SpatialIndex Tree>
-DatasetSketch SketchTree(const Tree& tree) {
-  std::vector<Point2> points;
-  points.reserve(tree.size());
-  ForEachEntryInSubtree(tree, tree.Root(),
-                        static_cast<NodeAccessTracker*>(nullptr),
-                        [&](const Entry<2>& e) { points.push_back(e.point); });
-  return BuildSketch(points);
-}
-
 /// Makes the sink for `out`, runs `join` into it and finishes it: always
 /// after a complete run, and after a failed one only when it is a stream
 /// (out.fd >= 0), whose partial payload still gets its end marker. A failed
@@ -59,10 +48,10 @@ JoinStats RunIntoSink(const OutputSpec& out, Join&& join) {
 
 /// Runs `spec` (a tree algorithm or auto) as a self-join of `tree`, or a
 /// dual join with `tree_b` when non-null, into a sink made from `out`.
-/// `auto` resolves against `sketch` (SketchTree(tree) when null); `exec`
-/// carries the caller's cancel flag and memory budget. With `ckpt` the
-/// self-join runs under the manifest layer, which makes (or resumes) and
-/// finishes the sink itself.
+/// `auto` resolves against `sketch`, or against SketchTree(tree, exec) when
+/// null; `exec` carries the caller's cancel flag and memory budget. With
+/// `ckpt` the self-join runs under the manifest layer, which makes (or
+/// resumes) and finishes the sink itself.
 template <SpatialIndex Tree>
 JoinStats Execute(QuerySpec spec, const Tree& tree,
                   const std::type_identity_t<Tree>* tree_b,
@@ -71,8 +60,17 @@ JoinStats Execute(QuerySpec spec, const Tree& tree,
                   const CheckpointJoinOptions* ckpt = nullptr) {
   std::optional<QueryPlan> plan;
   if (spec.algo == QueryAlgo::kAuto) {
-    plan = PlanQuery(spec, sketch != nullptr ? *sketch : SketchTree(tree),
-                     out.id_width);
+    Result<DatasetSketch> walked = DatasetSketch{};
+    if (sketch == nullptr) {
+      walked = SketchTree(tree, exec);
+      if (!walked.ok()) {
+        JoinStats stats;
+        stats.status = walked.status();
+        return stats;
+      }
+      sketch = &*walked;
+    }
+    plan = PlanQuery(spec, *sketch, out.id_width);
     spec = plan->resolved;
   }
   JoinOptions options = DeriveJoinOptions(spec);

@@ -8,9 +8,7 @@
 #include "data/dataset.h"
 #include "data/point_io.h"
 #include "index/bulk_load.h"
-#include "index/node_access.h"
 #include "index/rstar_tree.h"
-#include "index/spatial_index.h"
 #include "index/tree_io.h"
 #include "util/failpoint.h"
 #include "util/format.h"
@@ -108,40 +106,16 @@ Result<std::shared_ptr<Dataset>> DatasetRegistry::BuildEpoch(
   dataset->num_points = dataset->tree.size();
   dataset->id_width = IdWidthFor(dataset->num_points);
 
-  // Validation probe + planner sketch in one pass: a governed DFS over
-  // every leaf (one deterministic stride sample retained). Reading every
-  // page through the block cache proves the image is fully readable and
-  // charges the cache against the registry budget *before* the epoch can
-  // be swapped in — a truncated blob area, an injected read fault, or
-  // budget exhaustion all surface here as a clean error while the old
-  // epoch (if any) keeps serving.
+  // Validation probe + planner sketch in one pass: SketchTree's governed
+  // walk over every leaf. Reading every page through the block cache proves
+  // the image is fully readable and charges the cache against the registry
+  // budget *before* the epoch can be swapped in — a truncated blob area, an
+  // injected read fault, or budget exhaustion all surface here as a clean
+  // error while the old epoch (if any) keeps serving.
   ExecContext probe_exec;
   probe_exec.SetMemoryBudget(&budget_);
-  const plan::SketchOptions sketch_options;
-  const size_t stride = std::max<uint64_t>(
-      1, dataset->num_points / sketch_options.sample_size);
-  std::vector<Point2> sample;
-  sample.reserve(sketch_options.sample_size + 1);
-  uint64_t index = 0;
-  if (dataset->tree.Root() != kInvalidNode) {
-    ForEachEntryInSubtree(
-        dataset->tree, dataset->tree.Root(),
-        static_cast<NodeAccessTracker*>(nullptr),
-        [&](const Entry<kServeDim>& e) {
-          if (index++ % stride == 0) sample.push_back(e.point);
-        },
-        &probe_exec);
-  }
-  if (probe_exec.ShouldStopNow()) return probe_exec.status();
-  if (index != dataset->num_points) {
-    return Status::DataLoss(StrFormat(
-        "validation probe read %llu of %llu points in %s",
-        static_cast<unsigned long long>(index),
-        static_cast<unsigned long long>(dataset->num_points),
-        spec.path.c_str()));
-  }
-  dataset->sketch = plan::BuildSketchFromSample(
-      std::move(sample), dataset->num_points, sketch_options);
+  CSJ_ASSIGN_OR_RETURN(dataset->sketch,
+                       plan::SketchTree(dataset->tree, &probe_exec));
 
   dataset->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
   return dataset;

@@ -89,9 +89,9 @@ struct Dataset {
   int id_width = 0;
   PagedTree<kServeDim> tree;
 
-  /// Built once at load time from a deterministic stride sample of the
-  /// tree's leaves; read-only afterwards, so "algo":"auto" queries plan
-  /// concurrently without touching the disk image.
+  /// plan::SketchTree(tree), built once at load time; read-only afterwards,
+  /// so "algo":"auto" queries plan concurrently without touching the disk
+  /// image, and plan as csj_tool does over the same index.
   plan::DatasetSketch sketch;
 
   explicit Dataset(PagedTree<kServeDim> t);

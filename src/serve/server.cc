@@ -22,17 +22,20 @@
 #include "util/failpoint.h"
 #include "util/format.h"
 #include "util/metrics.h"
+#include "util/timer.h"
 
 namespace csj::serve {
 
 namespace {
 
 /// Runs a governed range query (all points within eps of a center) over the
-/// shared tree, streaming fixed-width ids in tree order. Counts land in the
-/// JoinStats `links` / `output_bytes` fields so the trailer shape matches
-/// joins.
+/// shared tree, streaming fixed-width ids in tree order, 64 KiB per append.
+/// Counts land in the JoinStats `links` / `output_bytes` fields, next to
+/// `epsilon` and `elapsed_seconds`, so the trailer shape matches joins.
 Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
                      const ExecContext& exec, JoinStats* stats) {
+  WallTimer timer;
+  stats->epsilon = req.spec.eps;
   if (req.center.size() != static_cast<size_t>(kServeDim)) {
     return Status::InvalidArgument(StrFormat(
         "center has %zu coordinates, the dataset is %d-dimensional",
@@ -46,6 +49,7 @@ Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
 
   const auto& tree = dataset.tree;
   Status result;
+  std::string block;
   std::vector<NodeId> stack;
   if (tree.Root() != kInvalidNode) stack.push_back(tree.Root());
   while (!stack.empty()) {
@@ -59,8 +63,8 @@ Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
       for (const auto& entry : tree.Entries(n, &exec)) {
         if (Distance(center, entry.point) > req.spec.eps) continue;
         ++stats->links;
-        result = out.Append(
-            StrFormat("%0*u\n", dataset.id_width, entry.id));
+        result = AppendToBlock(
+            &out, &block, StrFormat("%0*u\n", dataset.id_width, entry.id));
         if (!result.ok()) break;
       }
       if (!result.ok()) break;
@@ -72,7 +76,11 @@ Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
       }
     }
   }
+  // A stopped query still streams the ids it found.
+  const Status flushed = AppendInChunks(&out, block.data(), block.size());
+  if (result.ok()) result = flushed;
   stats->output_bytes = out.bytes_written();
+  stats->elapsed_seconds = timer.ElapsedSeconds();
   const Status closed = out.Close();
   return result.ok() ? closed : result;
 }

@@ -38,11 +38,24 @@ void OutputFile::RemoveWritePath() {
   if (!options_.preserve_on_error) std::remove(write_path_.c_str());
 }
 
+bool OutputFile::IsNonRegular(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+}
+
 Status OutputFile::Open(const std::string& path, const Options& options) {
   CSJ_CHECK(file_ == nullptr) << "OutputFile already open: " << path_;
   path_ = path;
   options_ = options;
-  write_path_ = options.atomic
+  if (IsNonRegular(path)) {
+    // A FIFO or device is written in place, like a stream: a rename would
+    // replace it with a regular file, an unlink would remove it, and it has
+    // no contents to fsync.
+    options_.atomic = false;
+    options_.sync_on_close = false;
+    options_.preserve_on_error = true;
+  }
+  write_path_ = options_.atomic
                     ? StrFormat("%s.tmp.%d", path.c_str(), getpid())
                     : path;
   status_ = Status::OK();

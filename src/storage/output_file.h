@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/retry.h"
 #include "util/status.h"
@@ -29,6 +30,8 @@
 /// write crash-safe as well. With `Options::sync_on_close`, the file *and
 /// its parent directory* are fsynced, so the committed rename survives power
 /// loss (a file fsync alone does not persist the directory entry).
+/// An existing FIFO or device destination is written in place instead: no
+/// temporary, no rename, no fsync, and it is never removed.
 ///
 /// Transient faults: short writes whose errno is transient (EINTR, EAGAIN,
 /// ...; util/retry.h) are retried with bounded exponential backoff before
@@ -69,7 +72,9 @@ class OutputFile {
   OutputFile& operator=(const OutputFile&) = delete;
 
   /// Opens the file at `path` for writing (truncating it immediately in
-  /// non-atomic mode; on successful Close() in atomic mode).
+  /// non-atomic mode; on successful Close() in atomic mode). An existing
+  /// non-regular `path` (a FIFO, a device) is written in place like a
+  /// stream: never renamed over, fsynced or removed, whatever the options.
   Status Open(const std::string& path, const Options& options);
   Status Open(const std::string& path) { return Open(path, Options()); }
 
@@ -117,6 +122,9 @@ class OutputFile {
   /// second call returns the sticky status of the first.
   Status Close();
 
+  /// True when `path` exists and is not a regular file (a FIFO, a device).
+  static bool IsNonRegular(const std::string& path);
+
   /// fsyncs the directory containing `path`, making a just-created or
   /// just-renamed directory entry durable. Failpoint: `output_file.dirsync`.
   static Status SyncContainingDir(const std::string& path);
@@ -158,6 +166,20 @@ inline Status AppendInChunks(OutputFile* file, const void* data, size_t size) {
         file->Append(bytes + done, std::min(kAppendChunkBytes, size - done)));
   }
   return file->status();
+}
+
+/// Adds `bytes` to the pending `block` and appends each whole
+/// kAppendChunkBytes of it to `file`, so a writer of few-byte records makes
+/// one append per chunk. Append the rest of `block` with AppendInChunks when
+/// done. Returns the file's sticky status.
+inline Status AppendToBlock(OutputFile* file, std::string* block,
+                            std::string_view bytes) {
+  block->append(bytes);
+  const size_t whole = block->size() - block->size() % kAppendChunkBytes;
+  if (whole == 0) return file->status();
+  CSJ_RETURN_IF_ERROR(AppendInChunks(file, block->data(), whole));
+  block->erase(0, whole);
+  return Status::OK();
 }
 
 }  // namespace csj

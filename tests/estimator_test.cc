@@ -5,6 +5,8 @@
 #include "core/brute.h"
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "index/bulk_load.h"
+#include "index/rstar_tree.h"
 #include "plan/estimator.h"
 
 namespace csj::plan {
@@ -15,19 +17,25 @@ uint64_t ExactLinks(const std::vector<Point2>& points, double eps) {
   return BruteForceSelfJoin(ToEntries(points), eps).size();
 }
 
+/// The sketch csj_tool plans `join --points` with: SketchTree over the
+/// STR-packed tree of `points`.
+DatasetSketch SketchOf(const std::vector<Point2>& points) {
+  RStarTree<2> tree;
+  PackStr(&tree, ToEntries(points));
+  auto sketch = SketchTree(tree);
+  EXPECT_TRUE(sketch.ok()) << sketch.status().ToString();
+  return std::move(sketch).value();
+}
+
 TEST(EstimatorTest, SketchIsDeterministic) {
   const auto points = GenerateGaussianClusters<2>(5000, 6, 0.03, 42);
-  const DatasetSketch a = BuildSketch(points);
-  const DatasetSketch b = BuildSketch(points);
+  const DatasetSketch a = SketchOf(points);
+  const DatasetSketch b = SketchOf(points);
   EXPECT_EQ(a.num_points, b.num_points);
   EXPECT_EQ(a.sample_size, b.sample_size);
   EXPECT_EQ(a.sample.size(), b.sample.size());
   for (size_t i = 0; i < a.sample.size(); ++i) {
     EXPECT_EQ(a.sample[i], b.sample[i]) << "sample diverged at " << i;
-  }
-  EXPECT_EQ(a.collisions.size(), b.collisions.size());
-  for (size_t i = 0; i < a.collisions.size(); ++i) {
-    EXPECT_EQ(a.collisions[i].pairs, b.collisions[i].pairs);
   }
   EXPECT_DOUBLE_EQ(a.d2.slope, b.d2.slope);
 
@@ -41,16 +49,12 @@ TEST(EstimatorTest, SketchIsDeterministic) {
 
 TEST(EstimatorTest, SketchBasicShape) {
   const auto points = GenerateUniform<2>(10000, 9);
-  const DatasetSketch sketch = BuildSketch(points);
+  const DatasetSketch sketch = SketchOf(points);
   EXPECT_EQ(sketch.num_points, 10000u);
-  EXPECT_EQ(sketch.sample_size, 4096u);  // capped at SketchOptions default
-  EXPECT_NEAR(sketch.sample_fraction, 4096.0 / 10000.0, 1e-9);
-  for (int d = 0; d < 2; ++d) {
-    EXPECT_GE(sketch.min_coord[d], 0.0);
-    EXPECT_LE(sketch.max_coord[d], 1.0);
-    EXPECT_GT(sketch.spread[d], 0.9);  // uniform fills the unit square
-    EXPECT_GT(sketch.stddev[d], 0.1);
-  }
+  // Every max(1, 10000 / 4096) = 2nd point of the tree-order walk.
+  EXPECT_EQ(sketch.sample_size, 5000u);
+  EXPECT_EQ(sketch.sample.size(), 5000u);
+  EXPECT_NEAR(sketch.sample_fraction, 5000.0 / 10000.0, 1e-9);
   // Uniform 2-D data has correlation dimension ~2.
   ASSERT_GE(sketch.d2_points, 2u);
   EXPECT_NEAR(sketch.d2.slope, 2.0, 0.4);
@@ -58,7 +62,7 @@ TEST(EstimatorTest, SketchBasicShape) {
 
 TEST(EstimatorTest, SmallDatasetsAreSampledWhole) {
   const auto points = GenerateUniform<2>(300, 5);
-  const DatasetSketch sketch = BuildSketch(points);
+  const DatasetSketch sketch = SketchOf(points);
   EXPECT_EQ(sketch.sample_size, 300u);
   EXPECT_DOUBLE_EQ(sketch.sample_fraction, 1.0);
 }
@@ -76,7 +80,7 @@ TEST(EstimatorTest, LinkEstimateWithinTwoXOfExact) {
       {"uniform", GenerateUniform<2>(4000, 11)},
   };
   for (const auto& c : cases) {
-    const DatasetSketch sketch = BuildSketch(c.points);
+    const DatasetSketch sketch = SketchOf(c.points);
     for (double eps : {0.005, 0.01, 0.02}) {
       const uint64_t actual = ExactLinks(c.points, eps);
       const OutputEstimate est = EstimateOutput(sketch, eps, 4);
@@ -93,7 +97,7 @@ TEST(EstimatorTest, LinkEstimateWithinTwoXOfExact) {
 
 TEST(EstimatorTest, EstimatesGrowWithEps) {
   const auto points = GenerateGaussianClusters<2>(4000, 8, 0.02, 7);
-  const DatasetSketch sketch = BuildSketch(points);
+  const DatasetSketch sketch = SketchOf(points);
   uint64_t prev_links = 0;
   double prev_work = 0.0;
   for (double eps : {0.002, 0.005, 0.01, 0.02, 0.05}) {
@@ -110,8 +114,8 @@ TEST(EstimatorTest, CompressionFavorsClusteredData) {
   // clustered data must clearly beat the one on uniform data at the same
   // output scale — this is the signal the planner keys off.
   const DatasetSketch clustered =
-      BuildSketch(GenerateGaussianClusters<2>(6000, 8, 0.01, 7));
-  const DatasetSketch uniform = BuildSketch(GenerateUniform<2>(6000, 11));
+      SketchOf(GenerateGaussianClusters<2>(6000, 8, 0.01, 7));
+  const DatasetSketch uniform = SketchOf(GenerateUniform<2>(6000, 11));
   const OutputEstimate ec = EstimateOutput(clustered, 0.02, 4);
   const OutputEstimate eu = EstimateOutput(uniform, 0.005, 4);
   EXPECT_GT(ec.compression, 1.2);
@@ -125,24 +129,20 @@ TEST(EstimatorTest, TinyEpsFallsBackToPowerLaw) {
   // estimator must fall back to a power-law extrapolation, not report 0.
   // (Uniform data: the clamped-Gaussian generator piles points onto the
   // cube boundary, whose coincident pairs would satisfy the probe at any
-  // eps.)
+  // eps.) The walk keeps every 2nd of 12,000 points.
+  const DatasetSketch sketch = SketchOf(GenerateUniform<2>(12000, 13));
+  ASSERT_LT(sketch.sample_fraction, 1.0);
+  EXPECT_TRUE(EstimateOutput(sketch, 1e-5, 4).from_power_law);
+
+  // Up to 8,191 points the walk keeps them all, and the probe is exact.
   const auto points = GenerateUniform<2>(6000, 13);
-  const DatasetSketch sketch = BuildSketch(points);
-  const OutputEstimate est = EstimateOutput(sketch, 1e-5, 4);
-  EXPECT_TRUE(est.from_power_law);
+  const OutputEstimate exact = EstimateOutput(SketchOf(points), 1e-5, 4);
+  EXPECT_FALSE(exact.from_power_law);
+  EXPECT_EQ(exact.links, ExactLinks(points, 1e-5));
 }
 
 TEST(EstimatorTest, SketchJsonHasTheExplainFields) {
-  const DatasetSketch sketch = BuildSketch(GenerateUniform<2>(2000, 3));
-  const json::Value v = sketch.ToJsonValue();
-  ASSERT_TRUE(v.is_object());
-  const std::string text = json::Write(v);
-  EXPECT_NE(text.find("num_points"), std::string::npos);
-  EXPECT_NE(text.find("d2"), std::string::npos);
-  EXPECT_NE(text.find("sample_size"), std::string::npos);
-  // The raw sample must NOT be serialized (reports would balloon).
-  EXPECT_EQ(text.find("\"sample\""), std::string::npos);
-
+  const DatasetSketch sketch = SketchOf(GenerateUniform<2>(2000, 3));
   const OutputEstimate est = EstimateOutput(sketch, 0.01, 4);
   const std::string est_text = json::Write(est.ToJsonValue());
   EXPECT_NE(est_text.find("links"), std::string::npos);

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "util/failpoint.h"
 #include "util/format.h"
@@ -35,6 +38,51 @@ std::string ReadWholeFile(const std::string& path) {
 std::string TempPathFor(const std::string& path) {
   return StrFormat("%s.tmp.%d", path.c_str(), getpid());
 }
+
+bool IsFifo(const std::string& path) {
+  struct stat st;
+  return ::lstat(path.c_str(), &st) == 0 && S_ISFIFO(st.st_mode);
+}
+
+/// A fresh FIFO in the test's temp dir, removed on destruction.
+class ScopedFifo {
+ public:
+  explicit ScopedFifo(const std::string& name)
+      : path_(StrFormat("%s/%d_%s", testing::TempDir().c_str(), getpid(),
+                        name.c_str())) {
+    std::remove(path_.c_str());
+    EXPECT_EQ(::mkfifo(path_.c_str(), 0600), 0) << path_;
+  }
+  ~ScopedFifo() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Reads a FIFO to EOF on its own thread.
+class FifoReader {
+ public:
+  explicit FifoReader(const std::string& path)
+      : path_(path), thread_([this] { got_ = ReadWholeFile(path_); }) {}
+  ~FifoReader() {
+    if (!thread_.joinable()) return;
+    // Releases a reader still waiting for a writer to open the FIFO.
+    const int fd = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) ::close(fd);
+    thread_.join();
+  }
+  /// Waits for the writer's end of file; returns what arrived.
+  std::string Finish() {
+    thread_.join();
+    return got_;
+  }
+
+ private:
+  std::string path_;
+  std::string got_;
+  std::thread thread_;
+};
 
 class OutputFileTest : public testing::Test {
  protected:
@@ -122,7 +170,52 @@ TEST_F(OutputFileTest, FailedWriteIsStickyAndRemovesPartialFile) {
   EXPECT_EQ(file.Close(), failed);
 }
 
+TEST_F(OutputFileTest, FifoFaultKeepsTheFifo) {
+  ScopedFifo fifo("csj_of_fifo_fault");
+  FifoReader reader(fifo.path());
+  OutputFile file;
+  ASSERT_TRUE(file.Open(fifo.path()).ok());
+  ASSERT_TRUE(file.Append("0123456789").ok());
+  failpoint::ScopedFailpoint fp("output_file.append",
+                                failpoint::Spec::Always());
+  EXPECT_EQ(file.Append("abcdefgh").code(), StatusCode::kIoError);
+  EXPECT_FALSE(file.is_open());
+  // The reader saw the bytes that landed, then the writer's close.
+  EXPECT_EQ(reader.Finish(), "0123456789abcd");
+  EXPECT_TRUE(IsFifo(fifo.path())) << "a failed write removed the FIFO";
+}
+
 #endif  // CSJ_NO_FAILPOINTS
+
+TEST_F(OutputFileTest, FifoIsWrittenInPlace) {
+  ScopedFifo fifo("csj_of_fifo");
+  {
+    // Atomic and durable options do not apply: no temp file, no rename, no
+    // fsync of a pipe.
+    FifoReader reader(fifo.path());
+    OutputFile file;
+    ASSERT_TRUE(file.Open(fifo.path(), OutputFile::Options{
+                                           .atomic = true,
+                                           .sync_on_close = true})
+                    .ok());
+    EXPECT_FALSE(FileExists(TempPathFor(fifo.path())));
+    ASSERT_TRUE(file.Append("hello fifo\n").ok());
+    ASSERT_TRUE(file.Close().ok());
+    EXPECT_EQ(reader.Finish(), "hello fifo\n");
+    EXPECT_TRUE(IsFifo(fifo.path())) << "Close replaced the FIFO";
+  }
+  {
+    // An abandoned writer leaves the FIFO in place too.
+    FifoReader reader(fifo.path());
+    {
+      OutputFile file;
+      ASSERT_TRUE(file.Open(fifo.path()).ok());
+      ASSERT_TRUE(file.Append("partial").ok());
+    }
+    EXPECT_EQ(reader.Finish(), "partial");
+    EXPECT_TRUE(IsFifo(fifo.path())) << "abandonment removed the FIFO";
+  }
+}
 
 TEST_F(OutputFileTest, AtomicCommitOnlyAppearsAfterClose) {
   const std::string path = testing::TempDir() + "/csj_of_atomic.txt";

@@ -33,6 +33,13 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 # At this eps the planner resolves `auto` to csj with threads: 4.
 "$TOOL" join --points pts.txt --algo auto --eps 0.2 --out ref_auto.txt \
   >/dev/null || fail "reference auto join"
+# Both tools plan `auto` against the same tree-order sample. At these eps a
+# differently drawn sample resolves other knobs: ssj vs csj(4) at 0.00085,
+# csj(10) vs csj(16) at 0.0063.
+for EPS in 0.00085 0.0063; do
+  "$TOOL" join --points pts.txt --algo auto --eps "$EPS" \
+    --out "ref_auto_$EPS.txt" >/dev/null || fail "reference auto join $EPS"
+done
 
 # --- Daemon start-up --------------------------------------------------------
 "$SERVE" serve --datasets pts=pts.txt --socket csj.sock --workers 4 \
@@ -71,6 +78,12 @@ query --dataset pts --algo auto --eps 0.2 --out got_auto.txt 2>auto.trailer \
   || fail "served auto query failed"
 grep -q '"threads":4' auto.trailer || fail "served auto plan is not 4 threads"
 cmp -s ref_auto.txt got_auto.txt || fail "served auto differs from one-shot"
+for EPS in 0.00085 0.0063; do
+  query --dataset pts --algo auto --eps "$EPS" --out "got_auto_$EPS.txt" \
+    2>/dev/null || fail "served auto query $EPS failed"
+  cmp -s "ref_auto_$EPS.txt" "got_auto_$EPS.txt" \
+    || fail "served auto differs from one-shot at eps $EPS"
+done
 
 # --- ping / list ------------------------------------------------------------
 query --op ping | grep -q '"ok":true' || fail "ping"

@@ -551,6 +551,47 @@ TEST_F(ServeTest, RangeQueryMatchesBruteForce) {
   server->Shutdown();
 }
 
+TEST_F(ServeTest, RangeReplyAppendsBlocksAndReportsEpsAndTime) {
+  // Every one of 30K points lies within 0.75 of the centre: 180,000 payload
+  // bytes, which leave in 64 KiB appends.
+  const std::string path = TempPath("serve_range_30k.csjt");
+  {
+    RStarTree<2> tree;
+    PackStr(&tree, FixtureEntries(30000, 5));
+    ASSERT_TRUE(SaveTree(tree, path).ok());
+  }
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Load({.name = "big", .path = path}).ok());
+  ::unlink(path.c_str());
+  std::unique_ptr<Server> server;
+  const std::string socket_path = StartServer(&registry, {}, &server);
+
+  const double eps = 0.75;
+  Response response = RoundTrip(
+      socket_path,
+      StrFormat("{\"op\":\"range\",\"dataset\":\"big\",\"eps\":%g,"
+                "\"center\":[0.5,0.5],\"metrics\":true}",
+                eps));
+  ASSERT_TRUE(response.transport.ok()) << response.transport.ToString();
+  EXPECT_EQ(response.code, "OK");
+  const uint64_t bytes = response.payload.size();
+  EXPECT_EQ(bytes, 30000u * 6);
+  auto trailer = json::Parse(response.trailer);
+  ASSERT_TRUE(trailer.ok());
+  const json::Value* stats = trailer->Find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->Find("epsilon")->AsDouble(), eps);
+  EXPECT_GT(stats->Find("elapsed_seconds")->AsDouble(), 0.0);
+  EXPECT_EQ(stats->Find("links")->AsUint(), 30000u);
+#ifndef CSJ_NO_METRICS
+  const json::Value* appends =
+      trailer->Find("metrics")->Find("counters")->Find("output_file.appends");
+  ASSERT_NE(appends, nullptr);
+  EXPECT_LE(appends->AsUint(), (bytes + 65535) / 65536);
+#endif  // CSJ_NO_METRICS
+  server->Shutdown();
+}
+
 TEST_F(ServeTest, ConcurrentMixedQueriesStayIsolated) {
   DatasetRegistry registry;
   ASSERT_TRUE(registry.Load({.name = "pts", .path = *index_path_}).ok());

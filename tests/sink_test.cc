@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -286,6 +289,27 @@ TEST(MakeSinkTest, RejectsInvalidSpecs) {
   EXPECT_FALSE(MakeSink(OutputSpec::File("/nonexistent-dir-xyz/r.bin", 10,
                                          OutputFormat::kBinary))
                    .ok());
+}
+
+TEST(MakeSinkTest, CheckpointedOutputRefusesAFifo) {
+  // A resume truncates its output, which a FIFO cannot take. Both refusals
+  // come before the open, so no reader is needed.
+  const std::string path =
+      StrFormat("%s/%d_csj_sink_fifo", testing::TempDir().c_str(), getpid());
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  OutputSpec spec = OutputSpec::File(path, 100);
+  spec.checkpointable = true;
+  EXPECT_EQ(MakeSink(spec).status().code(), StatusCode::kInvalidArgument);
+  checkpoint::SinkState state;
+  state.id_width = static_cast<uint32_t>(spec.id_width);
+  state.format = static_cast<uint8_t>(OutputFormat::kText);
+  EXPECT_EQ(ResumeSink(spec, state).status().code(),
+            StatusCode::kInvalidArgument);
+  struct stat st;
+  ASSERT_EQ(::lstat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  std::remove(path.c_str());
 }
 
 TEST(MakeSinkTest, FileSinksChargeTheirOpenBlock) {

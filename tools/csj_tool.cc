@@ -327,8 +327,10 @@ int CmdPlan(Flags& flags) {
   // The same tree and sketch `join --algo auto` plans against, so the two
   // resolve the same plan.
   const auto tree = LoadTreeOrDie(index_path, points_path);
-  const auto query_plan = plan::PlanQuery(spec, plan::SketchTree(*tree),
-                                          IdWidthFor(tree->size()));
+  auto sketch = plan::SketchTree(*tree);
+  DieOnError(sketch.status());
+  const auto query_plan =
+      plan::PlanQuery(spec, *sketch, IdWidthFor(tree->size()));
   if (as_json) {
     std::printf("%s\n",
                 json::Write(query_plan.ToJsonValue(), /*pretty=*/true).c_str());
@@ -365,10 +367,14 @@ int CmdExpand(Flags& flags) {
 
   OutputFile file;
   DieOnError(file.Open(out, OutputFile::Options{.atomic = true}));
+  std::string block;
   for (const auto& [a, b] : links) {
     // Errors are sticky; stop at the first one and let Close() report it.
-    if (!file.Append(StrFormat("%u %u\n", a, b)).ok()) break;
+    if (!AppendToBlock(&file, &block, StrFormat("%u %u\n", a, b)).ok()) {
+      break;
+    }
   }
+  (void)AppendInChunks(&file, block.data(), block.size());
   DieOnError(file.Close());
   std::printf("expanded %s links + %s groups into %s distinct links (%s)\n",
               WithThousands(links_seen).c_str(),
