@@ -7,19 +7,49 @@
 /// to disk). Expected: most of the compact algorithms' saving is computation
 /// (the early-stopping rule), with additional savings from smaller writes.
 ///
+/// Part C: the same joins off the disk-resident index — the CSJTREE2 file
+/// SaveTree (and `csj_tool build`) writes, read in place by PagedTree
+/// through a real block cache. Every row must write Part A's output bytes:
+/// the binary exits 1 otherwise.
+///
 /// Part B: simulated page/cache accesses under several page and cache sizes.
 /// Expected (the paper's finding): no significant difference between the
 /// algorithms — the traversal is the same; only the work per node differs.
+///
+/// `--smoke` runs all three parts at eps = 0.01.
 
 #include <cstdio>
+#include <iterator>
+#include <utility>
 
 #include "bench_common.h"
 #include "data/roadnet.h"
 #include "index/bulk_load.h"
 #include "index/paged_tree.h"
+#include "index/tree_io.h"
+#include "storage/binary_format.h"
 
 namespace csj::bench {
 namespace {
+
+/// Set when a disk-resident row's output differs from Part A's; surfaced as
+/// the exit code.
+bool g_bytes_differ = false;
+
+/// Size and CRC-32 of a file's contents, read in 64 KiB chunks.
+std::pair<uint64_t, uint32_t> FileDigest(const std::string& path) {
+  std::pair<uint64_t, uint32_t> digest{0, 0};
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return digest;
+  std::vector<char> chunk(64 * 1024);
+  size_t got;
+  while ((got = std::fread(chunk.data(), 1, chunk.size(), f)) > 0) {
+    digest.first += got;
+    digest.second = binfmt::Crc32(chunk.data(), got, digest.second);
+  }
+  std::fclose(f);
+  return digest;
+}
 
 struct Variant {
   const char* label;
@@ -39,13 +69,14 @@ void Main(const BenchArgs& args) {
   const auto mg = MakeMgCounty();
   RStarTree<2> tree;
   PackStr(&tree, mg.entries);
-  const double eps = 0.1;
+  const double eps = args.smoke ? 0.01 : 0.1;
   const std::string out_dir = "/tmp";
 
   Table division(
       StrFormat("Figure 8 — MG County eps=%.2g: computation vs write time", eps),
       {"algorithm", "total", "compute", "write", "bytes written"});
 
+  std::vector<std::pair<uint64_t, uint32_t>> part_a_digests;
   for (const Variant& v : kVariants) {
     JoinOptions options;
     options.epsilon = eps;
@@ -71,6 +102,7 @@ void Main(const BenchArgs& args) {
         best_write = stats.write_seconds;
       }
       bytes = sink->bytes();
+      if (r == 0) part_a_digests.push_back(FileDigest(path));
       std::remove(path.c_str());
     }
     division.AddRow({v.label, HumanDuration(best_total),
@@ -79,33 +111,42 @@ void Main(const BenchArgs& args) {
   }
   EmitTable(division, args, "fig8_time_division");
 
-  // Part C: the same joins running off a real disk-resident tree (PagedTree
-  // reads 4KB blocks through an LRU cache with actual file IO).
+  // Part C: the same joins running off the saved index, read in place
+  // (4KB blocks through a 256-block LRU cache with actual file IO).
   {
-    const std::string paged_path = out_dir + "/csj_fig8_paged.csjp";
-    const Status written = WritePagedTree(tree, paged_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "paged write failed: %s\n",
-                   written.ToString().c_str());
+    const std::string index_path = out_dir + "/csj_fig8_index.csjt";
+    const Status saved = SaveTree(tree, index_path);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "index save failed: %s\n", saved.ToString().c_str());
+      g_bytes_differ = true;
       return;
     }
     Table disk("Experiment 3 — real disk-resident joins (4KB blocks, "
                "256-block cache)",
                {"algorithm", "time", "block requests", "real disk reads",
-                "hit rate"});
-    for (const Variant& v : kVariants) {
-      auto paged = PagedTree<2>::Open(paged_path);
+                "hit rate", "bytes = Part A"});
+    for (size_t i = 0; i < std::size(kVariants); ++i) {
+      const Variant& v = kVariants[i];
+      auto paged = PagedTree<2>::Open(index_path);
       if (!paged.ok()) {
         std::fprintf(stderr, "open failed: %s\n",
                      paged.status().ToString().c_str());
+        g_bytes_differ = true;
         return;
       }
       JoinOptions options;
       options.epsilon = eps;
       options.window_size = v.window == 0 ? 10 : v.window;
-      auto sink = MakeSinkOrDie(OutputSpec::Counting(mg.entries.size()));
+      const std::string path = out_dir + "/csj_fig8_disk.txt";
+      auto sink = MakeSinkOrDie(OutputSpec::File(path, mg.entries.size()));
       const JoinStats stats =
           RunSelfJoin(v.algorithm, *paged, options, sink.get());
+      const Status finish = sink->Finish();
+      const bool same = stats.status.ok() && finish.ok() &&
+                        i < part_a_digests.size() &&
+                        FileDigest(path) == part_a_digests[i];
+      std::remove(path.c_str());
+      if (!same) g_bytes_differ = true;
       const PagedIoStats& io = paged->io_stats();
       const double hit_rate =
           io.block_requests == 0
@@ -115,10 +156,17 @@ void Main(const BenchArgs& args) {
       disk.AddRow({v.label, HumanDuration(stats.elapsed_seconds),
                    WithThousands(io.block_requests),
                    WithThousands(io.disk_reads),
-                   StrFormat("%.1f%%", hit_rate)});
+                   StrFormat("%.1f%%", hit_rate), same ? "yes" : "NO"});
     }
     EmitTable(disk, args, "exp3_real_disk");
-    std::remove(paged_path.c_str());
+    std::remove(index_path.c_str());
+    if (g_bytes_differ) {
+      std::fprintf(stderr,
+                   "FAIL: a disk-resident join's output differs from Part "
+                   "A's\n");
+    } else {
+      std::printf("check: every disk-resident join wrote Part A's bytes\n");
+    }
   }
 
   // Part B: page and cache accesses under varying page/cache sizes.
@@ -158,5 +206,7 @@ void Main(const BenchArgs& args) {
 }  // namespace csj::bench
 
 int main(int argc, char** argv) {
-  return csj::bench::BenchMain(argc, argv, csj::bench::Main);
+  const int rc = csj::bench::BenchMain(argc, argv, csj::bench::Main);
+  if (rc != 0) return rc;
+  return csj::bench::g_bytes_differ ? 1 : 0;
 }

@@ -240,9 +240,9 @@ class GroupWindow {
   /// \param write_timer if non-null, sink time is accumulated there.
   /// \param exec optional governance context (util/exec_context.h). When it
   ///        carries a memory budget, each admitted group charges an estimate
-  ///        of its member storage; under pressure the window degrades by
-  ///        shedding its oldest groups (still-correct output, fewer merge
-  ///        opportunities) before tripping `kResourceExhausted`.
+  ///        of its member storage, and a denied charge trips
+  ///        `kResourceExhausted`: a budget stops a run, never changes its
+  ///        bytes.
   GroupWindow(Shape shape, JoinAlgorithm algorithm, int capacity,
               bool promote_on_merge, JoinSink* sink, JoinStats* stats,
               StopwatchAccumulator* write_timer,
@@ -330,49 +330,26 @@ class GroupWindow {
     Push(Group<Shape>(id_a, id_b, std::move(*bound)));
   }
 
-  MemoryBudget* Budget() const {
-    return exec_ != nullptr ? exec_->memory_budget() : nullptr;
-  }
-
   void Push(Group<Shape> group) {
-    MemoryBudget* budget = Budget();
+    MemoryBudget* budget = exec_ != nullptr ? exec_->memory_budget() : nullptr;
     ScopedCharge charge;
-    if (budget != nullptr) {
-      // Estimated heap footprint: member ids plus container overhead.
-      // Deliberately approximate (links merged later grow the group
-      // uncharged); the dominant cost — big subtree groups — is captured at
-      // admission, which is when it is decided.
-      const uint64_t bytes =
-          group.size() * sizeof(PointId) + kGroupOverheadBytes;
-      // Graceful degradation: shed the oldest groups (their output is still
-      // correct; only future merge opportunities are lost) until the new
-      // group fits. Only when even an empty window cannot hold it does the
-      // run trip kResourceExhausted.
-      while (!charge.Acquire(budget, bytes)) {
-        if (window_.empty()) {
-          exec_->Trip(Status::ResourceExhausted(StrFormat(
-              "memory budget exhausted admitting a %zu-member group to the "
-              "CSJ(g) window (used %llu of %llu bytes)",
-              group.size(), static_cast<unsigned long long>(budget->used()),
-              static_cast<unsigned long long>(budget->limit()))));
-          return;
-        }
-        CSJ_METRIC_COUNT("resource.window_degradations", 1);
-        EvictOldest();
-      }
+    // Estimated heap footprint: member ids plus container overhead (links
+    // merged later grow the group uncharged; big subtree groups, the
+    // dominant cost, are charged here). A denial stops the run: shedding
+    // groups would make the output depend on how full the budget is.
+    if (budget != nullptr &&
+        !charge.Acquire(budget, group.size() * sizeof(PointId) +
+                                    kGroupOverheadBytes)) {
+      exec_->Trip(Status::ResourceExhausted(StrFormat(
+          "memory budget exhausted admitting a %zu-member group to the "
+          "CSJ(g) window (used %llu of %llu bytes)",
+          group.size(), static_cast<unsigned long long>(budget->used()),
+          static_cast<unsigned long long>(budget->limit()))));
+      return;
     }
     window_.emplace_back(std::move(group), std::move(charge));
-    // Under budget pressure the window proactively halves its capacity —
-    // fewer pending groups, more headroom for the rest of the run.
-    size_t capacity = capacity_;
-    if (budget != nullptr && window_.size() > 1 && budget->UnderPressure()) {
-      capacity = std::max<size_t>(1, capacity_ / 2);
-    }
-    while (window_.size() > capacity) {
+    while (window_.size() > capacity_) {
       CSJ_METRIC_COUNT("window.evictions", 1);
-      if (capacity != capacity_) {
-        CSJ_METRIC_COUNT("resource.window_degradations", 1);
-      }
       EvictOldest();
     }
     CSJ_METRIC_HIST("window.occupancy", window_.size());

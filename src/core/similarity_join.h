@@ -554,6 +554,9 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
                     static_cast<uint64_t>(out.elapsed_seconds * 1e9));
     return out;
   };
+  // A failed read while the task list was built (the root's children) can
+  // empty it, and the loop below polls only when it hands out a task.
+  if (tasks.empty() && run_ctx.ShouldStopNow()) return result(run_ctx.status());
 
   // --- The loop. From here to the thread join, `session`, `failure` and the
   // state below are guarded by mu.

@@ -7,19 +7,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "geom/box.h"
 #include "geom/point.h"
 #include "index/spatial_index.h"
+#include "index/tree_io.h"
 #include "storage/buffer_pool.h"
-#include "storage/output_file.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
 #include "util/format.h"
@@ -31,49 +29,43 @@
 ///
 /// The paper's experiments measure joins over disk-resident R*-trees. The
 /// in-memory trees plus the NodeAccessTracker *simulate* that; PagedTree
-/// makes it real: WritePagedTree lays an R-tree/R*-tree out into fixed-size
-/// blocks in a file, and PagedTree::Open serves the SpatialIndex interface
-/// by reading blocks on demand (pread) through a shared, thread-safe
-/// BufferPool (storage/buffer_pool.h), counting actual reads. All join
-/// algorithms run unmodified on it — Children() and Entries() return by
-/// value so cached blocks may be evicted mid-traversal.
+/// makes it real: Open reads the CSJTREE1/2 file SaveTree (and so
+/// `csj_tool build`) writes once, through WalkTreeFile (index/tree_io.h),
+/// and keeps each node's leaf flag, MBR and payload span in memory —
+/// mirroring how a real R-tree obtains child MBRs from the parent node it
+/// has already read. Payloads are then read in place, on demand, through a
+/// shared, thread-safe BufferPool (storage/buffer_pool.h) that counts actual
+/// reads; block i covers file bytes [i * block_size, (i + 1) * block_size).
+/// All join algorithms run unmodified on it — Children() and Entries()
+/// return by value so cached blocks may be evicted mid-traversal — and, as
+/// node ids and child order are the file's, write the bytes LoadTree's
+/// in-memory tree of the same file writes. The descriptor pins the inode
+/// Open validated, so replacing the file by rename changes nothing an open
+/// tree reads; a payload rewritten in place that no longer decodes is
+/// reported as kDataLoss.
 ///
 /// Concurrency: reads go through `pread` on a plain file descriptor (no
 /// shared seek position) and the pool pins blocks while they are being
 /// decoded, so **concurrent reads are safe** (`kThreadSafeReads = true`) —
 /// one PagedTree may back all workers of a parallel join.
 ///
-/// Error handling: an IO failure (short pread, injected fault) is reported
-/// through the ExecContext the *operation* passes in — the read trips that
-/// context and returns an empty node, so a governed join unwinds with a
-/// clean Status at its next boundary instead of crashing. The context is a
-/// per-call parameter (`Children(n, exec)` / `Entries(n, exec)`), never
-/// tree state: one PagedTree is shared read-only by many concurrent
-/// queries, each with its own deadline and cancel flag, and a tree-level
-/// context would trip one query's governance into a neighbor's reads (or
-/// dangle once that query finishes). Without a context the historical
-/// behavior (CSJ_CHECK abort) is kept, since the SpatialIndex read API has
-/// no error channel.
-///
-/// Directory information (per-node MBR + leaf flag) is kept in memory after
-/// Open, mirroring how a real R-tree obtains child MBRs from the parent
-/// node it has already read; only node payloads (entry coordinates, child
-/// lists) go through the block cache.
-///
-/// File format "CSJPAGE1" (little-endian):
-///   magic | u32 dim | u32 block_size | u64 entries | u32 node_count
-///   | u32 root
-///   node table: per node { u64 offset, u32 length, u8 is_leaf,
-///                          2*D f64 mbr }
-///   blob area: node payloads, each fully contained in as few blocks as
-///   alignment allows; leaf payload = u32 count + count * (u32 id, D f64),
-///   internal payload = u32 count + count * u32 child-index.
+/// Error handling: a read failure (short pread, injected fault) or a payload
+/// that fails to decode is reported through the ExecContext the *operation*
+/// passes in — the read trips that context and returns an empty node, so a
+/// governed join unwinds with a clean Status at its next boundary instead of
+/// crashing. The context is a per-call parameter (`Children(n, exec)` /
+/// `Entries(n, exec)`), never tree state: one PagedTree is shared read-only
+/// by many concurrent queries, each with its own deadline and cancel flag,
+/// and a tree-level context would trip one query's governance into a
+/// neighbor's reads (or dangle once that query finishes). Without a context
+/// the historical behavior (CSJ_CHECK abort) is kept, since the SpatialIndex
+/// read API has no error channel.
 
 namespace csj {
 
 /// Tuning knobs for the paged read path.
 struct PagedTreeOptions {
-  uint32_t block_size = 4096;   ///< write-time layout / read-time IO unit
+  uint32_t block_size = 4096;   ///< read unit, in bytes (at least 256)
   size_t cache_blocks = 256;    ///< capacity of the block cache, in blocks
   /// Optional memory budget cached blocks are charged against (not owned;
   /// thread-safe). Under pressure the pool sheds clean blocks before a read
@@ -98,11 +90,6 @@ struct PagedIoStats {
   }
 };
 
-/// Serializes any box tree (public API only) into the paged layout.
-template <typename Tree>
-Status WritePagedTree(const Tree& tree, const std::string& path,
-                      const PagedTreeOptions& options = PagedTreeOptions());
-
 /// Read-only disk-resident tree satisfying SpatialIndex.
 template <int D>
 class PagedTree {
@@ -115,7 +102,10 @@ class PagedTree {
   using EntryT = Entry<D>;
   using ShapeT = BoxT;
 
-  /// Opens a file written by WritePagedTree.
+  /// Opens a CSJTREE1/2 file in place. The statuses are WalkTreeFile's
+  /// (index/tree_io.h), except that a CSJTREE2 file failing a structure
+  /// check is kDataLoss; a missing file is kNotFound and a block_size below
+  /// 256 is kInvalidArgument.
   static Result<PagedTree> Open(const std::string& path,
                                 const PagedTreeOptions& options =
                                     PagedTreeOptions());
@@ -127,7 +117,6 @@ class PagedTree {
     fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
     options_ = other.options_;
-    blob_start_ = other.blob_start_;
     size_ = other.size_;
     root_ = other.root_;
     directory_ = std::move(other.directory_);
@@ -190,13 +179,11 @@ class PagedTree {
     decode_baseline_ = node_decodes_.load(std::memory_order_relaxed);
   }
 
-  /// The underlying block cache (e.g. to ShedClean between phases).
-  BufferPool& pool() const { return *pool_; }
-
  private:
+  /// A node's leaf flag, MBR and payload span in the file.
   struct DirectoryEntry {
     uint64_t offset = 0;
-    uint32_t length = 0;
+    uint64_t length = 0;
     bool is_leaf = true;
     BoxT mbr;
   };
@@ -209,15 +196,28 @@ class PagedTree {
   /// Reads one block from disk (the pool's loader).
   Status LoadBlock(uint64_t block_index, std::vector<char>* out) const;
 
-  /// Reports a read failure: trips the caller's context when given, else
-  /// aborts.
+  /// Reports a read or decode failure: trips the caller's context when
+  /// given, else aborts.
   void HandleReadError(NodeId n, const Status& status,
                        const ExecContext* exec) const;
+
+  /// The decode failure of node `n`: a count that does not fill its span,
+  /// or a child index past the node count.
+  Status ChangedSinceOpen(NodeId n) const {
+    return Status::DataLoss(StrFormat(
+        "node %u of %s no longer decodes: the file changed since it was "
+        "opened",
+        n, path_.c_str()));
+  }
+
+  /// Fetches node `n`'s payload and item count, checking that `count` items
+  /// of `item_bytes` fill the span Open recorded; false after reporting.
+  bool FetchPayload(NodeId n, size_t item_bytes, const ExecContext* exec,
+                    std::vector<char>* bytes, uint32_t* count) const;
 
   int fd_ = -1;
   std::string path_;
   PagedTreeOptions options_;
-  uint64_t blob_start_ = 0;
   uint64_t size_ = 0;
   NodeId root_ = kInvalidNode;
   std::vector<DirectoryEntry> directory_;
@@ -231,182 +231,41 @@ class PagedTree {
 
 // --- Implementation ---------------------------------------------------------------
 
-namespace paged_internal {
-
-inline constexpr char kMagic[8] = {'C', 'S', 'J', 'P', 'A', 'G', 'E', '1'};
-
-inline bool ReadRaw(std::FILE* f, void* data, size_t size) {
-  return std::fread(data, 1, size, f) == size;
-}
-
-template <typename T>
-void AppendPod(std::vector<char>* out, const T& value) {
-  const char* raw = reinterpret_cast<const char*>(&value);
-  out->insert(out->end(), raw, raw + sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::vector<char>& in, size_t* pos, T* value) {
-  if (*pos + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
-
-}  // namespace paged_internal
-
-template <typename Tree>
-Status WritePagedTree(const Tree& tree, const std::string& path,
-                      const PagedTreeOptions& options) {
-  namespace pi = paged_internal;
-  constexpr int D = Tree::kDim;
-  if (options.block_size < 256) {
-    return Status::InvalidArgument("block_size too small");
-  }
-
-  // Pre-order enumeration via the public API.
-  std::vector<NodeId> order;
-  std::unordered_map<NodeId, uint32_t> remap;
-  if (tree.Root() != kInvalidNode) {
-    std::vector<NodeId> stack = {tree.Root()};
-    while (!stack.empty()) {
-      const NodeId n = stack.back();
-      stack.pop_back();
-      remap[n] = static_cast<uint32_t>(order.size());
-      order.push_back(n);
-      if (!tree.IsLeaf(n)) {
-        for (NodeId c : tree.Children(n)) stack.push_back(c);
-      }
-    }
-  }
-
-  // Encode payloads and assign block-aligned offsets: a payload never spans
-  // a block boundary unless it is bigger than one block.
-  std::vector<std::vector<char>> payloads(order.size());
-  std::vector<uint64_t> offsets(order.size());
-  uint64_t cursor = 0;
-  for (size_t i = 0; i < order.size(); ++i) {
-    std::vector<char>& payload = payloads[i];
-    const NodeId n = order[i];
-    if (tree.IsLeaf(n)) {
-      const auto entries = tree.Entries(n);
-      pi::AppendPod(&payload, static_cast<uint32_t>(entries.size()));
-      for (const auto& e : entries) {
-        pi::AppendPod(&payload, static_cast<uint32_t>(e.id));
-        for (int d = 0; d < D; ++d) pi::AppendPod(&payload, e.point[d]);
-      }
-    } else {
-      const auto children = tree.Children(n);
-      pi::AppendPod(&payload, static_cast<uint32_t>(children.size()));
-      for (NodeId c : children) pi::AppendPod(&payload, remap.at(c));
-    }
-    const uint64_t block = options.block_size;
-    if (cursor / block != (cursor + payload.size() - 1) / block &&
-        payload.size() <= block) {
-      cursor = (cursor / block + 1) * block;  // bump to next block boundary
-    }
-    offsets[i] = cursor;
-    cursor += payload.size();
-  }
-
-  // Header and node table; the payloads already sit in memory and are
-  // appended from there.
-  std::vector<char> head;
-  const uint32_t dim = D;
-  const uint32_t block_size = options.block_size;
-  const uint64_t entries = tree.size();
-  const uint32_t node_count = static_cast<uint32_t>(order.size());
-  const uint32_t root = 0;  // pre-order: the root is always first
-  head.insert(head.end(), pi::kMagic, pi::kMagic + 8);
-  pi::AppendPod(&head, dim);
-  pi::AppendPod(&head, block_size);
-  pi::AppendPod(&head, entries);
-  pi::AppendPod(&head, node_count);
-  pi::AppendPod(&head, root);
-  for (size_t i = 0; i < order.size(); ++i) {
-    const NodeId n = order[i];
-    const auto& mbr = tree.NodeBox(n);
-    pi::AppendPod(&head, offsets[i]);
-    pi::AppendPod(&head, static_cast<uint32_t>(payloads[i].size()));
-    pi::AppendPod(&head, static_cast<uint8_t>(tree.IsLeaf(n) ? 1 : 0));
-    for (int d = 0; d < D; ++d) pi::AppendPod(&head, mbr.lo[d]);
-    for (int d = 0; d < D; ++d) pi::AppendPod(&head, mbr.hi[d]);
-  }
-
-  // Atomic commit: a failed or killed write leaves the previous image at
-  // `path` untouched.
-  OutputFile file;
-  CSJ_RETURN_IF_ERROR(file.Open(path, OutputFile::Options{.atomic = true}));
-  CSJ_RETURN_IF_ERROR(AppendInChunks(&file, head.data(), head.size()));
-  // Blob area, zero-padded to honor the assigned offsets.
-  const std::vector<char> zeros(4096, 0);
-  uint64_t written = 0;
-  for (size_t i = 0; i < order.size(); ++i) {
-    while (written < offsets[i]) {
-      const size_t pad = static_cast<size_t>(
-          std::min<uint64_t>(offsets[i] - written, zeros.size()));
-      CSJ_RETURN_IF_ERROR(file.Append(zeros.data(), pad));
-      written += pad;
-    }
-    CSJ_RETURN_IF_ERROR(
-        AppendInChunks(&file, payloads[i].data(), payloads[i].size()));
-    written += payloads[i].size();
-  }
-  return file.Close();
-}
-
 template <int D>
 Result<PagedTree<D>> PagedTree<D>::Open(const std::string& path,
                                         const PagedTreeOptions& options) {
-  namespace pi = paged_internal;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open: " + path);
-
+  if (options.block_size < 256) {
+    return Status::InvalidArgument("block_size too small");
+  }
   PagedTree tree;
+  // One descriptor serves the validating walk and every later read, so the
+  // tree reads exactly the inode it validated.
+  tree.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (tree.fd_ < 0) return Status::NotFound("cannot open: " + path);
   tree.path_ = path;
   tree.options_ = options;
-
-  char magic[8];
-  uint32_t dim = 0, block_size = 0, node_count = 0, root = 0;
-  uint64_t entries = 0;
-  if (!pi::ReadRaw(f, magic, 8) || std::memcmp(magic, pi::kMagic, 8) != 0) {
-    std::fclose(f);
-    return Status::InvalidArgument("not a CSJPAGE1 file: " + path);
-  }
-  if (!pi::ReadRaw(f, &dim, 4) || !pi::ReadRaw(f, &block_size, 4) ||
-      !pi::ReadRaw(f, &entries, 8) || !pi::ReadRaw(f, &node_count, 4) ||
-      !pi::ReadRaw(f, &root, 4)) {
-    std::fclose(f);
-    return Status::IoError("truncated header: " + path);
-  }
-  if (dim != static_cast<uint32_t>(D)) {
-    std::fclose(f);
-    return Status::InvalidArgument(
-        StrFormat("dimension mismatch: file %u, tree %d", dim, D));
-  }
-  tree.options_.block_size = block_size;
   if (tree.options_.cache_blocks < 1) tree.options_.cache_blocks = 1;
-  tree.size_ = entries;
-  tree.directory_.resize(node_count);
-  for (auto& entry : tree.directory_) {
-    uint8_t is_leaf = 0;
-    if (!pi::ReadRaw(f, &entry.offset, 8) ||
-        !pi::ReadRaw(f, &entry.length, 4) || !pi::ReadRaw(f, &is_leaf, 1) ||
-        !pi::ReadRaw(f, entry.mbr.lo.data(), sizeof(double) * D) ||
-        !pi::ReadRaw(f, entry.mbr.hi.data(), sizeof(double) * D)) {
-      std::fclose(f);
-      return Status::IoError("truncated node table: " + path);
-    }
-    entry.is_leaf = is_leaf != 0;
-  }
-  tree.blob_start_ = static_cast<uint64_t>(std::ftell(f));
-  std::fclose(f);
-  tree.root_ = node_count == 0 ? kInvalidNode : root;
 
-  // Reopen as a plain descriptor: pread has no shared seek position, which
-  // is what makes concurrent reads safe.
-  tree.fd_ = ::open(path.c_str(), O_RDONLY);
-  if (tree.fd_ < 0) return Status::IoError("cannot reopen: " + path);
+  TreeFileInfo info;
+  Status walked = WalkTreeFile<D>(
+      tree.fd_,
+      [&](const TreeFileInfo& header) {
+        info = header;
+        return Status::OK();
+      },
+      [&](const TreeFileNode<D>& node) {
+        tree.directory_.push_back({node.payload_offset, node.payload_bytes,
+                                   node.is_leaf, node.mbr});
+        return Status::OK();
+      });
+  // `info` is set only once the dimension matched, so an InvalidArgument
+  // from a checksummed file here is a failed structure check: damage.
+  if (info.checksummed && walked.code() == StatusCode::kInvalidArgument) {
+    walked = Status::DataLoss(walked.message());
+  }
+  CSJ_RETURN_IF_ERROR(walked);
+  tree.size_ = info.entries;
+  tree.root_ = info.node_count == 0 ? kInvalidNode : info.root_index;
 
   BufferPool::Options pool_options;
   pool_options.capacity_pages = tree.options_.cache_blocks;
@@ -425,8 +284,7 @@ Status PagedTree<D>::LoadBlock(uint64_t block_index,
                   path_.c_str()));
   }
   out->resize(options_.block_size);
-  const uint64_t file_offset =
-      blob_start_ + block_index * options_.block_size;
+  const uint64_t file_offset = block_index * options_.block_size;
   size_t got = 0;
   while (got < out->size()) {
     const ssize_t n =
@@ -477,8 +335,25 @@ void PagedTree<D>::HandleReadError(NodeId n, const Status& status,
     exec->Trip(status);
     return;
   }
-  CSJ_CHECK(false) << "IO error reading node " << n << ": "
-                   << status.ToString();
+  CSJ_CHECK(false) << "cannot read node " << n << ": " << status.ToString();
+}
+
+template <int D>
+bool PagedTree<D>::FetchPayload(NodeId n, size_t item_bytes,
+                                const ExecContext* exec,
+                                std::vector<char>* bytes,
+                                uint32_t* count) const {
+  const Status fetched = FetchNodeBytes(n, bytes);
+  if (!fetched.ok()) {
+    HandleReadError(n, fetched, exec);
+    return false;
+  }
+  std::memcpy(count, bytes->data(), sizeof(*count));
+  if (sizeof(*count) + uint64_t{*count} * item_bytes != bytes->size()) {
+    HandleReadError(n, ChangedSinceOpen(n), exec);
+    return false;
+  }
+  return true;
 }
 
 template <int D>
@@ -486,20 +361,17 @@ std::vector<NodeId> PagedTree<D>::Children(NodeId n,
                                            const ExecContext* exec) const {
   CSJ_DCHECK(!directory_[n].is_leaf);
   std::vector<char> bytes;
-  const Status fetched = FetchNodeBytes(n, &bytes);
-  if (!fetched.ok()) {
-    HandleReadError(n, fetched, exec);
-    return {};
-  }
-  size_t pos = 0;
   uint32_t count = 0;
-  CSJ_CHECK(paged_internal::ReadPod(bytes, &pos, &count));
+  if (!FetchPayload(n, sizeof(uint32_t), exec, &bytes, &count)) return {};
   std::vector<NodeId> children(count);
-  for (auto& child : children) {
-    uint32_t idx = 0;
-    CSJ_CHECK(paged_internal::ReadPod(bytes, &pos, &idx));
-    CSJ_CHECK(idx < directory_.size()) << "corrupt child index";
-    child = idx;
+  const char* cursor = bytes.data() + sizeof(count);
+  for (NodeId& child : children) {
+    std::memcpy(&child, cursor, sizeof(child));
+    cursor += sizeof(child);
+    if (child >= directory_.size()) {
+      HandleReadError(n, ChangedSinceOpen(n), exec);
+      return {};
+    }
   }
   return children;
 }
@@ -508,23 +380,18 @@ template <int D>
 std::vector<Entry<D>> PagedTree<D>::Entries(NodeId n,
                                             const ExecContext* exec) const {
   CSJ_DCHECK(directory_[n].is_leaf);
+  constexpr size_t kCoordBytes = sizeof(double) * D;
   std::vector<char> bytes;
-  const Status fetched = FetchNodeBytes(n, &bytes);
-  if (!fetched.ok()) {
-    HandleReadError(n, fetched, exec);
+  uint32_t count = 0;
+  if (!FetchPayload(n, sizeof(uint32_t) + kCoordBytes, exec, &bytes, &count)) {
     return {};
   }
-  size_t pos = 0;
-  uint32_t count = 0;
-  CSJ_CHECK(paged_internal::ReadPod(bytes, &pos, &count));
   std::vector<EntryT> entries(count);
-  for (auto& e : entries) {
-    uint32_t id = 0;
-    CSJ_CHECK(paged_internal::ReadPod(bytes, &pos, &id));
-    e.id = id;
-    for (int d = 0; d < D; ++d) {
-      CSJ_CHECK(paged_internal::ReadPod(bytes, &pos, &e.point[d]));
-    }
+  const char* cursor = bytes.data() + sizeof(count);
+  for (EntryT& e : entries) {
+    std::memcpy(&e.id, cursor, sizeof(uint32_t));
+    std::memcpy(e.point.coords.data(), cursor + sizeof(uint32_t), kCoordBytes);
+    cursor += sizeof(uint32_t) + kCoordBytes;
   }
   return entries;
 }

@@ -1,11 +1,19 @@
 #ifndef CSJ_INDEX_TREE_IO_H_
 #define CSJ_INDEX_TREE_IO_H_
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "geom/box.h"
+#include "geom/point.h"
 #include "index/box_tree.h"
 #include "storage/binary_format.h"
 #include "storage/output_file.h"
@@ -28,8 +36,12 @@
 ///
 /// The CRC (storage/binary_format.h's reflected CRC-32) covers everything
 /// after the magic, so any truncation or bit flip is reported as a clean
-/// `kDataLoss` before a single node is parsed. Version 1 files ("CSJTREE1",
-/// same body with no checksum) remain readable; Save always writes v2.
+/// `kDataLoss`. Version 1 files ("CSJTREE1", same body with no checksum)
+/// remain readable; Save always writes v2.
+///
+/// WalkTreeFile is the one reader of this layout: LoadTree builds a tree from
+/// its node records, PagedTree::Open (index/paged_tree.h) keeps each node's
+/// MBR and payload span (the fanout field on) and reads payloads in place.
 
 namespace csj {
 
@@ -41,6 +53,14 @@ inline bool ReadRaw(std::FILE* f, void* data, size_t size) {
 
 inline constexpr char kMagicV1[8] = {'C', 'S', 'J', 'T', 'R', 'E', 'E', '1'};
 inline constexpr char kMagicV2[8] = {'C', 'S', 'J', 'T', 'R', 'E', 'E', '2'};
+
+/// Reads an 8-byte magic: true for a tree magic, with `*v2` telling which.
+inline bool ReadTreeMagic(std::FILE* f, bool* v2) {
+  char magic[8];
+  if (!ReadRaw(f, magic, sizeof(magic))) return false;
+  *v2 = std::memcmp(magic, kMagicV2, 8) == 0;
+  return *v2 || std::memcmp(magic, kMagicV1, 8) == 0;
+}
 
 template <typename T>
 void AppendPod(std::vector<char>* out, const T& value) {
@@ -54,41 +74,200 @@ inline void AppendBytes(std::vector<char>* out, const void* data,
   out->insert(out->end(), raw, raw + size);
 }
 
-/// Bounds-checked cursor over an in-memory body.
-class ByteReader {
+/// Reads a descriptor front to back in 64 KiB chunks with pread (no seek
+/// position moves). After StartChecksum() every byte from the read position
+/// on is folded into a CRC-32 as its chunk arrives.
+class ChunkReader {
  public:
-  ByteReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool Read(void* out, size_t size) {
-    if (pos_ + size > size_) return false;
-    std::memcpy(out, data_ + pos_, size);
-    pos_ += size;
-    return true;
+  explicit ChunkReader(int fd) : fd_(fd), chunk_(64 * 1024) {
+    struct stat st;
+    size_ = ::fstat(fd, &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
   }
 
+  /// Copies the next `size` bytes; false at end of file or on a read error.
+  bool Read(void* out, size_t size) {
+    for (char* dst = static_cast<char*>(out); size > 0;) {
+      if (pos_ == end_ && !Refill()) return false;
+      const size_t take = std::min(size, end_ - pos_);
+      std::memcpy(dst, chunk_.data() + pos_, take);
+      pos_ += take;
+      dst += take;
+      size -= take;
+    }
+    return true;
+  }
   template <typename T>
   bool ReadPod(T* out) {
     return Read(out, sizeof(T));
   }
 
+  void StartChecksum() {
+    checksumming_ = true;
+    crc_ = binfmt::Crc32(chunk_.data() + pos_, end_ - pos_);
+  }
+  /// Reads to the end of the file, so the checksum covers every byte.
+  void Drain() {
+    while (Refill()) {
+    }
+  }
+
+  /// File offset of the next unread byte, and the bytes after it.
+  uint64_t offset() const { return read_ - (end_ - pos_); }
+  uint64_t remaining() const { return size_ > offset() ? size_ - offset() : 0; }
+  uint32_t crc() const { return crc_; }
+  bool failed() const { return failed_; }
+
  private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
+  bool Refill() {
+    const ssize_t got =
+        failed_ ? -1
+                : ::pread(fd_, chunk_.data(), chunk_.size(),
+                          static_cast<off_t>(read_));
+    failed_ = got < 0;
+    pos_ = 0;
+    end_ = failed_ ? 0 : static_cast<size_t>(got);
+    read_ += end_;
+    if (checksumming_) crc_ = binfmt::Crc32(chunk_.data(), end_, crc_);
+    return end_ > 0;
+  }
+
+  int fd_;
+  std::vector<char> chunk_;
+  size_t pos_ = 0, end_ = 0;
+  uint64_t read_ = 0, size_ = 0;
+  bool checksumming_ = false, failed_ = false;
+  uint32_t crc_ = 0;
 };
 
-/// Reads the remainder of `f` (from the current position) into `out`.
-inline bool ReadRest(std::FILE* f, std::vector<char>* out) {
-  out->clear();
-  char chunk[16384];
-  size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out->insert(out->end(), chunk, chunk + got);
-  }
-  return std::ferror(f) == 0;
-}
-
 }  // namespace tree_io_internal
+
+/// Header fields of a serialized tree.
+struct TreeFileInfo {
+  uint32_t dim = 0;
+  uint32_t max_fanout = 0;
+  uint32_t min_fanout = 0;
+  uint64_t entries = 0;
+  uint32_t node_count = 0;
+  uint32_t root_index = 0;
+  bool checksummed = false;  ///< CSJTREE2 (CSJTREE1 has no checksum)
+};
+
+/// One node record; `index`, its position in the file's pre-order, is its
+/// node id. The payload spans [payload_offset, +payload_bytes): the u32
+/// fanout, then the child indexes or entries, decoded into `children` or
+/// `entries` (a visitor may move them out).
+template <int D>
+struct TreeFileNode {
+  uint32_t index = 0;
+  bool is_leaf = true;
+  int32_t level = 0;
+  Box<D> mbr;
+  uint64_t payload_offset = 0;
+  uint64_t payload_bytes = 0;
+  std::vector<uint32_t> children;
+  std::vector<Entry<D>> entries;
+};
+
+/// Reads the CSJTREE1/2 file open at `fd` once, front to back: calls
+/// `on_header(const TreeFileInfo&)` once the dimension matched D, then
+/// `on_node(TreeFileNode<D>&)` per node; an error from either ends the walk.
+/// kDataLoss: shorter than the magic, a truncated checksum word, a short v2
+/// body, or a checksum mismatch, which outranks any other verdict (the rest
+/// of the file is read first). kInvalidArgument: a foreign magic, a
+/// dimension mismatch, an index out of range or a fanout above the header's
+/// maximum. kIoError: a short v1 body or a failed read.
+template <int D, typename OnHeader, typename OnNode>
+Status WalkTreeFile(int fd, OnHeader&& on_header, OnNode&& on_node) {
+  namespace ti = tree_io_internal;
+  ti::ChunkReader reader(fd);
+  char magic[8];
+  if (!reader.Read(magic, sizeof(magic))) {
+    return Status::DataLoss("tree file shorter than its magic");
+  }
+  TreeFileInfo info;
+  const bool v2 = info.checksummed = std::memcmp(magic, ti::kMagicV2, 8) == 0;
+  if (!v2 && std::memcmp(magic, ti::kMagicV1, 8) != 0) {
+    return Status::InvalidArgument("not a CSJTREE1/CSJTREE2 file");
+  }
+  uint32_t expected_crc = 0;
+  if (v2) {
+    if (!reader.ReadPod(&expected_crc)) {
+      return Status::DataLoss("truncated CSJTREE2 checksum");
+    }
+    reader.StartChecksum();
+  }
+  auto finish = [&](Status parsed) {
+    if (v2) reader.Drain();
+    if (reader.failed()) return Status::IoError("read failed");
+    if (v2 && reader.crc() != expected_crc) {
+      return Status::DataLoss(StrFormat(
+          "tree file checksum mismatch (stored %08x, computed %08x): the "
+          "file is truncated or corrupt",
+          expected_crc, reader.crc()));
+    }
+    return parsed;
+  };
+  // A short body: for v2 the checksum vouched for the bytes, so this is an
+  // internal inconsistency; for v1 it is the historical truncation.
+  auto malformed = [&] {
+    return finish(v2 ? Status::DataLoss("malformed CSJTREE2 body")
+                     : Status::IoError("truncated tree file"));
+  };
+
+  if (!reader.ReadPod(&info.dim) || !reader.ReadPod(&info.max_fanout) ||
+      !reader.ReadPod(&info.min_fanout) || !reader.ReadPod(&info.entries) ||
+      !reader.ReadPod(&info.node_count) || !reader.ReadPod(&info.root_index)) {
+    return malformed();
+  }
+  if (info.dim != static_cast<uint32_t>(D)) {
+    return finish(Status::InvalidArgument(
+        StrFormat("dimension mismatch: file %u, tree %d", info.dim, D)));
+  }
+  if (Status s = on_header(info); !s.ok()) return finish(s);
+  if (info.node_count == 0) return finish(Status::OK());
+  if (info.root_index >= info.node_count) {
+    return finish(Status::InvalidArgument("root index out of range"));
+  }
+
+  TreeFileNode<D> node;
+  for (node.index = 0; node.index < info.node_count; ++node.index) {
+    uint8_t is_leaf = 0;
+    uint32_t fanout = 0;
+    if (!reader.ReadPod(&is_leaf) || !reader.ReadPod(&node.level) ||
+        !reader.Read(node.mbr.lo.data(), sizeof(double) * D) ||
+        !reader.Read(node.mbr.hi.data(), sizeof(double) * D)) {
+      return malformed();
+    }
+    node.is_leaf = is_leaf != 0;
+    node.payload_offset = reader.offset();
+    if (!reader.ReadPod(&fanout)) return malformed();
+    if (fanout > info.max_fanout) {
+      return finish(Status::InvalidArgument("node fanout exceeds max"));
+    }
+    // The header is not vouched for yet: a fanout the rest of the file
+    // cannot hold is a short body, found before anything is allocated.
+    const uint64_t item_bytes =
+        node.is_leaf ? sizeof(uint32_t) + sizeof(double) * D : sizeof(uint32_t);
+    if (fanout * item_bytes > reader.remaining()) return malformed();
+    node.children.resize(node.is_leaf ? 0 : fanout);
+    node.entries.resize(node.is_leaf ? fanout : 0);
+    for (Entry<D>& e : node.entries) {
+      if (!reader.ReadPod(&e.id) ||
+          !reader.Read(e.point.coords.data(), sizeof(double) * D)) {
+        return malformed();
+      }
+    }
+    for (uint32_t& child : node.children) {
+      if (!reader.ReadPod(&child)) return malformed();
+      if (child >= info.node_count) {
+        return finish(Status::InvalidArgument("child index out of range"));
+      }
+    }
+    node.payload_bytes = reader.offset() - node.payload_offset;
+    if (Status s = on_node(node); !s.ok()) return finish(s);
+  }
+  return finish(Status::OK());
+}
 
 /// Serializer with friend access to the tree internals.
 template <typename Tree>
@@ -113,10 +292,10 @@ class TreeSerializer {
   }
 
   static Status Load(Tree* tree, const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return Status::NotFound("cannot open: " + path);
-    Status status = LoadFrom(tree, f);
-    std::fclose(f);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return Status::NotFound("cannot open: " + path);
+    Status status = LoadFrom(tree, fd);
+    ::close(fd);
     return status;
   }
 
@@ -178,153 +357,76 @@ class TreeSerializer {
     return body;
   }
 
-  static Status LoadFrom(Tree* tree, std::FILE* f) {
-    namespace ti = tree_io_internal;
+  static Status LoadFrom(Tree* tree, int fd) {
     if (!tree->empty()) {
       return Status::FailedPrecondition("Load requires an empty tree");
     }
-
-    char magic[8];
-    if (!ti::ReadRaw(f, magic, 8)) {
-      return Status::DataLoss("tree file shorter than its magic");
-    }
-    const bool v2 = std::memcmp(magic, ti::kMagicV2, 8) == 0;
-    if (!v2 && std::memcmp(magic, ti::kMagicV1, 8) != 0) {
-      return Status::InvalidArgument("not a CSJTREE1/CSJTREE2 file");
-    }
-
-    uint32_t expected_crc = 0;
-    if (v2 && !ti::ReadRaw(f, &expected_crc, 4)) {
-      return Status::DataLoss("truncated CSJTREE2 checksum");
-    }
-    std::vector<char> body;
-    if (!ti::ReadRest(f, &body)) {
-      return Status::IoError("read failed");
-    }
-    if (v2) {
-      const uint32_t actual = binfmt::Crc32(body.data(), body.size());
-      if (actual != expected_crc) {
-        return Status::DataLoss(StrFormat(
-            "tree file checksum mismatch (stored %08x, computed %08x): the "
-            "file is truncated or corrupt",
-            expected_crc, actual));
-      }
-    }
-
-    // From here on every short read means a malformed body. For a v2 file
-    // the checksum already vouched for the bytes, so a parse error can only
-    // be an internal inconsistency; for v1 it is the historical truncation.
-    auto fail = [v2] {
-      return v2 ? Status::DataLoss("malformed CSJTREE2 body")
-                : Status::IoError("truncated tree file");
-    };
-    ti::ByteReader reader(body.data(), body.size());
-
-    uint32_t dim = 0, max_fanout = 0, min_fanout = 0, node_count = 0,
-             root_index = 0;
-    uint64_t entries = 0;
-    if (!reader.ReadPod(&dim) || !reader.ReadPod(&max_fanout) ||
-        !reader.ReadPod(&min_fanout) || !reader.ReadPod(&entries) ||
-        !reader.ReadPod(&node_count) || !reader.ReadPod(&root_index)) {
-      return fail();
-    }
-    if (dim != static_cast<uint32_t>(D)) {
-      return Status::InvalidArgument(
-          StrFormat("dimension mismatch: file %u, tree %d", dim, D));
-    }
-    if (max_fanout != tree->max_fanout_ || min_fanout != tree->min_fanout_) {
-      return Status::InvalidArgument(StrFormat(
-          "fanout mismatch: file (%u, %u), tree (%zu, %zu)", max_fanout,
-          min_fanout, tree->max_fanout_, tree->min_fanout_));
-    }
-    if (node_count == 0) return Status::OK();
-    if (root_index >= node_count) {
-      return Status::InvalidArgument("root index out of range");
-    }
-
-    for (uint32_t i = 0; i < node_count; ++i) {
-      uint8_t is_leaf = 0;
-      int32_t level = 0;
-      const NodeId id = tree->AllocNode(false, 0);
-      Node& nd = tree->arena_[id];
-      if (!reader.ReadPod(&is_leaf) || !reader.ReadPod(&level) ||
-          !reader.Read(nd.mbr.lo.data(), sizeof(double) * D) ||
-          !reader.Read(nd.mbr.hi.data(), sizeof(double) * D)) {
-        return fail();
-      }
-      nd.is_leaf = is_leaf != 0;
-      nd.level = level;
-      uint32_t fanout = 0;
-      if (!reader.ReadPod(&fanout)) return fail();
-      if (fanout > max_fanout) {
-        return Status::InvalidArgument("node fanout exceeds max");
-      }
-      if (nd.is_leaf) {
-        nd.entries.resize(fanout);
-        for (auto& e : nd.entries) {
-          uint32_t id32 = 0;
-          if (!reader.ReadPod(&id32) ||
-              !reader.Read(e.point.coords.data(), sizeof(double) * D)) {
-            return fail();
+    TreeFileInfo info;
+    CSJ_RETURN_IF_ERROR(WalkTreeFile<D>(
+        fd,
+        [&](const TreeFileInfo& header) {
+          info = header;
+          if (header.max_fanout != tree->max_fanout_ ||
+              header.min_fanout != tree->min_fanout_) {
+            return Status::InvalidArgument(StrFormat(
+                "fanout mismatch: file (%u, %u), tree (%zu, %zu)",
+                header.max_fanout, header.min_fanout, tree->max_fanout_,
+                tree->min_fanout_));
           }
-          e.id = id32;
-        }
-      } else {
-        nd.children.resize(fanout);
-        for (auto& child : nd.children) {
-          uint32_t idx = 0;
-          if (!reader.ReadPod(&idx)) return fail();
-          if (idx >= node_count) {
-            return Status::InvalidArgument("child index out of range");
-          }
-          child = idx;
-        }
-      }
-    }
+          return Status::OK();
+        },
+        [&](TreeFileNode<D>& record) {
+          const NodeId id = tree->AllocNode(record.is_leaf, record.level);
+          Node& nd = tree->arena_[id];
+          nd.mbr = record.mbr;
+          nd.children.swap(record.children);
+          nd.entries.swap(record.entries);
+          return Status::OK();
+        }));
+    if (info.node_count == 0) return Status::OK();
 
-    // Wire parents and validate child links.
-    for (uint32_t i = 0; i < node_count; ++i) {
+    // Wire parents.
+    for (uint32_t i = 0; i < info.node_count; ++i) {
       Node& nd = tree->arena_[i];
       if (nd.is_leaf) continue;
       for (NodeId child : nd.children) {
         tree->arena_[child].parent = i;
       }
     }
-    tree->root_ = root_index;
-    tree->arena_[root_index].parent = kInvalidNode;
-    tree->size_ = entries;
+    tree->root_ = info.root_index;
+    tree->arena_[info.root_index].parent = kInvalidNode;
+    tree->size_ = info.entries;
     return Status::OK();
   }
 };
 
-/// Header fields of a serialized tree, readable without loading it (used to
-/// configure a tree object with matching fanout before LoadTree).
-struct TreeFileInfo {
-  uint32_t dim = 0;
-  uint32_t max_fanout = 0;
-  uint32_t min_fanout = 0;
-  uint64_t entries = 0;
-};
-
+/// Reads a tree file's header without loading it (used to configure a tree
+/// object with matching fanout before LoadTree).
 inline Result<TreeFileInfo> PeekTreeFile(const std::string& path) {
   namespace ti = tree_io_internal;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("cannot open: " + path);
-  char magic[8];
   TreeFileInfo info;
-  bool ok = ti::ReadRaw(f, magic, 8);
-  if (ok && std::memcmp(magic, ti::kMagicV2, 8) == 0) {
-    uint32_t crc = 0;  // skipped: Peek reads the header only
-    ok = ti::ReadRaw(f, &crc, 4);
-  } else if (ok) {
-    ok = std::memcmp(magic, ti::kMagicV1, 8) == 0;
-  }
-  ok = ok && ti::ReadRaw(f, &info.dim, 4) &&
-       ti::ReadRaw(f, &info.max_fanout, 4) &&
-       ti::ReadRaw(f, &info.min_fanout, 4) && ti::ReadRaw(f, &info.entries, 8);
+  uint32_t crc = 0;  // skipped: Peek reads the header only
+  const bool ok =
+      ti::ReadTreeMagic(f, &info.checksummed) &&
+      (!info.checksummed || ti::ReadRaw(f, &crc, 4)) &&
+      ti::ReadRaw(f, &info.dim, 4) && ti::ReadRaw(f, &info.max_fanout, 4) &&
+      ti::ReadRaw(f, &info.min_fanout, 4) && ti::ReadRaw(f, &info.entries, 8);
   std::fclose(f);
   if (!ok) return Status::InvalidArgument("not a CSJTREE1/CSJTREE2 file: " + path);
   return info;
+}
+
+/// Whether `path` begins with a CSJTREE1/CSJTREE2 magic; kNotFound when it
+/// cannot be opened.
+inline Result<bool> IsTreeFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::NotFound("cannot open: " + path);
+  bool v2 = false;
+  const bool tree = tree_io_internal::ReadTreeMagic(f, &v2);
+  std::fclose(f);
+  return tree;
 }
 
 /// Saves an MBR tree to `path` (always the checksummed v2 format).

@@ -20,27 +20,24 @@ namespace {
 
 std::atomic<int64_t> g_live_epochs{0};
 
-/// Lays an in-memory tree out as a temporary paged image, opens it, and
-/// unlinks the temporary — on success *and* on failure: the returned
-/// PagedTree's descriptor is the only remaining reference, so the image can
-/// never outlive the process, and a failed conversion leaves no droppings.
-Result<PagedTree<kServeDim>> OpenAsPaged(const RStarTree<kServeDim>& tree,
-                                         const DatasetSpec& spec,
-                                         uint64_t temp_seq,
-                                         MemoryBudget* budget) {
-  PagedTreeOptions options;
-  options.block_size = spec.block_size;
-  options.cache_blocks = spec.cache_blocks;
-  options.budget = budget;
+/// Packs a point file into an R*-tree, saves it as a temporary index next
+/// to the source, opens it, and unlinks the temporary — on success *and* on
+/// failure: the returned PagedTree's descriptor is the only remaining
+/// reference, so the index can never outlive the process, and a failed load
+/// leaves no droppings.
+Result<PagedTree<kServeDim>> OpenPointFile(const std::string& path,
+                                           uint64_t temp_seq,
+                                           const PagedTreeOptions& options) {
+  CSJ_ASSIGN_OR_RETURN(auto points, LoadPoints<kServeDim>(path));
   const std::string temp =
-      StrFormat("%s.paged.tmp.%d.%llu", spec.path.c_str(), getpid(),
+      StrFormat("%s.paged.tmp.%d.%llu", path.c_str(), getpid(),
                 static_cast<unsigned long long>(temp_seq));
-  const Status written = WritePagedTree(tree, temp, options);
-  if (!written.ok()) {
-    ::unlink(temp.c_str());
-    return written;
-  }
-  auto paged = PagedTree<kServeDim>::Open(temp, options);
+  RStarTree<kServeDim> tree;
+  PackStr(&tree, ToEntries(points));
+  const Status saved = SaveTree(tree, temp);
+  Result<PagedTree<kServeDim>> paged =
+      saved.ok() ? PagedTree<kServeDim>::Open(temp, options)
+                 : Result<PagedTree<kServeDim>>(saved);
   ::unlink(temp.c_str());
   return paged;
 }
@@ -69,35 +66,19 @@ Result<std::shared_ptr<Dataset>> DatasetRegistry::BuildEpoch(
   }
 
   PagedTreeOptions options;
-  options.block_size = spec.block_size;
   options.cache_blocks = spec.cache_blocks;
   options.budget = &budget_;
 
-  // Source sniffing, cheapest first: an already-paged image is opened in
-  // place; a serialized tree is loaded and converted; anything else is
-  // treated as a point text file, bulk-loaded and converted. Both the tree
-  // loader (CSJTREE2 CRC) and the paged open (header shape) validate their
-  // input before any epoch exists.
-  const uint64_t temp_seq = temp_seq_.fetch_add(1, std::memory_order_relaxed);
+  // A CSJTREE1/2 index is served in place; a checksum mismatch, truncation
+  // or dimension mismatch is returned as PagedTree::Open reports it. Only a
+  // file that does not begin with a tree magic is parsed as points.
+  CSJ_ASSIGN_OR_RETURN(const bool is_index, IsTreeFile(spec.path));
   Result<PagedTree<kServeDim>> paged =
-      PagedTree<kServeDim>::Open(spec.path, options);
-  if (!paged.ok()) {
-    if (paged.status().code() == StatusCode::kNotFound) return paged.status();
-    auto info = PeekTreeFile(spec.path);
-    if (info.ok()) {
-      RStarOptions tree_options;
-      tree_options.max_fanout = info->max_fanout;
-      tree_options.min_fanout = info->min_fanout;
-      RStarTree<kServeDim> tree(tree_options);
-      CSJ_RETURN_IF_ERROR(LoadTree(&tree, spec.path));
-      paged = OpenAsPaged(tree, spec, temp_seq, &budget_);
-    } else {
-      CSJ_ASSIGN_OR_RETURN(auto points, LoadPoints<kServeDim>(spec.path));
-      RStarTree<kServeDim> tree;
-      PackStr(&tree, ToEntries(points));
-      paged = OpenAsPaged(tree, spec, temp_seq, &budget_);
-    }
-  }
+      is_index ? PagedTree<kServeDim>::Open(spec.path, options)
+               : OpenPointFile(
+                     spec.path,
+                     temp_seq_.fetch_add(1, std::memory_order_relaxed),
+                     options);
   CSJ_RETURN_IF_ERROR(paged.status());
 
   auto dataset = std::make_shared<Dataset>(std::move(paged).value());
@@ -108,10 +89,10 @@ Result<std::shared_ptr<Dataset>> DatasetRegistry::BuildEpoch(
 
   // Validation probe + planner sketch in one pass: SketchTree's governed
   // walk over every leaf. Reading every page through the block cache proves
-  // the image is fully readable and charges the cache against the registry
-  // budget *before* the epoch can be swapped in — a truncated blob area, an
-  // injected read fault, or budget exhaustion all surface here as a clean
-  // error while the old epoch (if any) keeps serving.
+  // the index is fully readable and charges the cache against the registry
+  // budget *before* the epoch can be swapped in — an injected read fault or
+  // budget exhaustion surfaces here as a clean error while the old epoch (if
+  // any) keeps serving.
   ExecContext probe_exec;
   probe_exec.SetMemoryBudget(&budget_);
   CSJ_ASSIGN_OR_RETURN(dataset->sketch,

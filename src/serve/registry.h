@@ -40,13 +40,16 @@
 ///     epoch's memory (block cache charges against the registry budget) is
 ///     released only when the last pin drops.
 ///
-/// Sources that are not already paged — a CSJTREE1/2 index file or a raw
-/// point file — are converted at load time: the tree is materialized in
-/// memory, laid out into a temporary paged image next to the source, opened,
-/// and the temporary is unlinked immediately (also on every failure path),
-/// so the open descriptor is the only reference and nothing can leak.
-/// WritePagedTree preserves child order, which is what keeps a served join's
-/// output byte-identical to a one-shot csj_tool run over the same index.
+/// A CSJTREE1/2 index (what `csj_tool build` writes) is served in place:
+/// PagedTree::Open reads it once to check it and keep its directory, and no
+/// copy is made, so a load needs neither memory for the whole tree nor write
+/// access to the index's directory. Served and one-shot joins read the same
+/// file, node ids and child order, which is why a served join writes the
+/// bytes of `csj_tool join --index` over that file. The epoch's descriptor
+/// pins the inode it opened: replace a served index by rename, then reload.
+/// A point text file is bulk-loaded, saved as a temporary index next to the
+/// source, opened, and the temporary is unlinked at once (also on every
+/// failure path), so the open descriptor is its only reference.
 ///
 /// All block caches charge one registry-wide MemoryBudget, which the server
 /// also parents every per-query budget under — a single ceiling governs the
@@ -66,10 +69,9 @@ inline constexpr int kServeDim = 2;
 /// One dataset to load or reload.
 struct DatasetSpec {
   std::string name;
-  /// A CSJPAGE1 paged image, a CSJTREE1/2 index, or a point text file
-  /// (tried in that order by sniffing the content).
+  /// A CSJTREE1/2 index, or a point text file (anything that does not
+  /// begin with a tree magic).
   std::string path;
-  uint32_t block_size = 4096;   ///< layout block size when converting
   size_t cache_blocks = 1024;   ///< per-dataset block cache capacity
 };
 
@@ -140,8 +142,8 @@ class DatasetRegistry {
   MemoryBudget* budget() { return &budget_; }
 
  private:
-  /// Builds and fully validates one epoch outside the lock. Temp images
-  /// created by conversion never survive this call, success or failure.
+  /// Builds and fully validates one epoch outside the lock. The temporary
+  /// index of a point file never survives this call, success or failure.
   Result<std::shared_ptr<Dataset>> BuildEpoch(const DatasetSpec& spec);
 
   MemoryBudget budget_;

@@ -413,7 +413,6 @@ bool Server::HandleAdminOp(int fd, const Request& req) {
   DatasetSpec spec;
   spec.name = req.spec.dataset;
   spec.path = req.path;
-  spec.block_size = options_.admin_block_size;
   spec.cache_blocks = options_.admin_cache_blocks;
   Status status;
   if (req.op == "load") {

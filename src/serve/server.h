@@ -77,9 +77,8 @@ struct ServerOptions {
   /// Keep-alive: requests served on one connection before it is closed and
   /// the client must reconnect (re-entering admission). 0 = unlimited.
   int max_requests_per_conn = 256;
-  /// Conversion defaults for datasets registered through the load/reload
+  /// Block cache capacity of datasets registered through the load/reload
   /// admin ops (startup loads carry their own DatasetSpec).
-  uint32_t admin_block_size = 4096;
   size_t admin_cache_blocks = 1024;
 };
 

@@ -62,14 +62,6 @@ void MemoryBudget::Release(uint64_t bytes) {
   if (parent_ != nullptr) parent_->Release(bytes);
 }
 
-bool MemoryBudget::UnderPressure(double fraction) const {
-  if (limit_ != 0 &&
-      static_cast<double>(used()) >= fraction * static_cast<double>(limit_)) {
-    return true;
-  }
-  return parent_ != nullptr && parent_->UnderPressure(fraction);
-}
-
 uint64_t MemoryBudget::Available() const {
   const uint64_t local =
       limit_ == 0 ? UINT64_MAX

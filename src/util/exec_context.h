@@ -46,8 +46,8 @@
 ///
 /// Decisions are observable through the `resource.*` metrics: peak bytes
 /// (`resource.peak_bytes`), reservation denials (`resource.denials`), and
-/// graceful degradations (`resource.window_degradations`,
-/// `resource.pool_sheds`) — see docs/ROBUSTNESS.md.
+/// the block cache's sheds of clean pages (`resource.pool_sheds`) — see
+/// docs/ROBUSTNESS.md.
 
 namespace csj {
 
@@ -77,11 +77,6 @@ class MemoryBudget {
   uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
   uint64_t denials() const { return denials_.load(std::memory_order_relaxed); }
   MemoryBudget* parent() const { return parent_; }
-
-  /// True when a bounded budget is above `fraction` of its limit (or any
-  /// ancestor is). Degradation hooks (window shrink, buffer-pool shed) use
-  /// this to act *before* a reservation is denied.
-  bool UnderPressure(double fraction = 0.85) const;
 
   /// Headroom in bytes; UINT64_MAX when unlimited (at every level).
   uint64_t Available() const;

@@ -59,14 +59,6 @@ TEST(MemoryBudgetTest, ChildCarvesFromParent) {
   EXPECT_EQ(parent.used(), 400u);
 }
 
-TEST(MemoryBudgetTest, UnderPressureConsultsAncestors) {
-  MemoryBudget parent(100);
-  MemoryBudget child(0, &parent);  // child itself unlimited
-  EXPECT_FALSE(child.UnderPressure());
-  EXPECT_TRUE(parent.TryReserve(90));
-  EXPECT_TRUE(child.UnderPressure());  // parent above 85%
-}
-
 TEST(MemoryBudgetTest, ConcurrentReserveNeverOvercommits) {
   MemoryBudget budget(10000);
   std::atomic<uint64_t> granted{0};

@@ -13,7 +13,6 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "data/point_io.h"
-#include "index/paged_tree.h"
 #include "index/rstar_tree.h"
 #include "index/tree_io.h"
 #include "util/failpoint.h"
@@ -447,32 +446,20 @@ TEST_F(FaultInjectionTest, SaveTreeFaultKeepsPreviousIndex) {
   std::remove(path.c_str());
 }
 
-TEST_F(FaultInjectionTest, PagedImageAndPointFaultsKeepPreviousFiles) {
-  const auto tree = BuildTree(500);
+TEST_F(FaultInjectionTest, SavePointsFaultKeepsPreviousFile) {
   const auto points = GenerateUniform<2>(300, 5);
-  const std::string paged_path = testing::TempDir() + "/csj_fault_paged.csjp";
   const std::string points_path = testing::TempDir() + "/csj_fault_pts.txt";
-  ASSERT_TRUE(WritePagedTree(tree, paged_path).ok());
   ASSERT_TRUE(SavePoints(points_path, points).ok());
-  const std::string previous_paged = ReadWholeFile(paged_path);
   {
-    const auto other = BuildTree(2000);
     failpoint::ScopedFailpoint fp("output_file.append",
                                   failpoint::Spec::Always());
-    EXPECT_EQ(WritePagedTree(other, paged_path).code(), StatusCode::kIoError);
     EXPECT_EQ(SavePoints(points_path, GenerateUniform<2>(400, 6)).code(),
               StatusCode::kIoError);
   }
-  EXPECT_EQ(ReadWholeFile(paged_path), previous_paged);
-  EXPECT_FALSE(FileExists(TempPathFor(paged_path)));
   EXPECT_FALSE(FileExists(TempPathFor(points_path)));
-  auto paged = PagedTree<2>::Open(paged_path);
-  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
-  EXPECT_EQ(paged->size(), tree.size());
   auto loaded = LoadPoints<2>(points_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, points);
-  std::remove(paged_path.c_str());
   std::remove(points_path.c_str());
 }
 

@@ -12,6 +12,7 @@
 #include "index/bulk_load.h"
 #include "index/paged_tree.h"
 #include "index/rstar_tree.h"
+#include "index/tree_io.h"
 #include "metric/edit_distance.h"
 #include "metric/generic_mtree.h"
 #include "metric/metric_join.h"
@@ -127,13 +128,14 @@ TEST_P(PagedFuzzTest, RandomGeometriesJoinLosslessly) {
       for (const auto& e : entries) tree.Insert(e.id, e.point);
     }
 
+    // A random read unit from 256 to 8192 bytes over the saved index.
     PagedTreeOptions paged_options;
     paged_options.block_size = 1u << (8 + rng.UniformInt(uint64_t{6}));
     paged_options.cache_blocks = 1 + rng.UniformInt(uint64_t{64});
     const std::string path =
         testing::TempDir() +
-        StrFormat("/paged_fuzz_%d_%d.csjp", GetParam(), trial);
-    ASSERT_TRUE(WritePagedTree(tree, path, paged_options).ok());
+        StrFormat("/paged_fuzz_%d_%d.csjt", GetParam(), trial);
+    ASSERT_TRUE(SaveTree(tree, path).ok());
     auto paged = PagedTree<2>::Open(path, paged_options);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
 

@@ -10,10 +10,14 @@
 #include "core/ego.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
+#include "data/dataset.h"
+#include "data/generators.h"
+#include "index/bulk_load.h"
 #include "index/mtree.h"
 #include "index/rstar_tree.h"
 #include "metric/metric_join.h"
 #include "util/exec_context.h"
+#include "util/format.h"
 #include "util/random.h"
 
 /// \file
@@ -333,29 +337,72 @@ TEST(GovernanceTest, GovernedStopLeavesNoPartialFile) {
   if (f != nullptr) std::fclose(f);
 }
 
-// ----------------------------------------------- degradation before death --
+// ------------------------------------------ a budget never changes bytes --
 
-TEST(GovernanceTest, WindowShedsUnderPressureBeforeFailing) {
-  // With a budget generous enough for scratch but tight on group windows,
-  // CSJ(g) should degrade (shed window groups) and still complete losslessly
-  // or stop cleanly — never crash. A completed run must stay within budget.
-  const auto entries = UniformEntries(400);
-  auto tree = BuildTree(entries);
-  MemoryBudget budget(256 * 1024);
-  ExecContext exec;
-  exec.SetMemoryBudget(&budget);
-  JoinOptions options;
-  options.epsilon = 0.1;
-  options.window_size = 64;
-  options.exec = &exec;
-  MemorySink sink(3);
-  const JoinStats stats = CompactSimilarityJoin(tree, options, &sink);
-  if (stats.status.ok()) {
-    EXPECT_LE(budget.peak(), budget.limit());
-  } else {
-    EXPECT_EQ(stats.status.code(), StatusCode::kResourceExhausted);
+std::string ReadWholeFile(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char chunk[1 << 16];
+  size_t got;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.append(chunk, got);
   }
-  EXPECT_EQ(budget.used(), 0u);
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(GovernanceTest, BudgetPressureNeverChangesWindowBytes) {
+  // A budget stops a run; it never reshapes one. CSJ(10) with 90% of a
+  // 64 MiB budget held elsewhere — as other workers' task buffers or, in
+  // csj_serve, the block caches and other queries hold it — must write the
+  // unbudgeted run's bytes or stop with kResourceExhausted.
+  const auto points = GenerateGaussianClusters<2>(20000, 8, 0.02, 5);
+  RStarTree<2> tree;
+  PackStr(&tree, ToEntries(points));
+  const std::string path =
+      ::testing::TempDir() + "/governance_window_bytes.txt";
+  const auto run = [&](double eps, ExecContext* exec, Status* status) {
+    JoinOptions options;
+    options.epsilon = eps;
+    options.window_size = 10;
+    options.exec = exec;
+    auto sink = MakeSink(OutputSpec::File(path, points.size()));
+    EXPECT_TRUE(sink.ok());
+    *status = CompactSimilarityJoin(tree, options, sink->get()).status;
+    std::string bytes;
+    if (status->ok()) {
+      EXPECT_TRUE((*sink)->Finish().ok());
+      bytes = ReadWholeFile(path);
+    }
+    std::remove(path.c_str());
+    return bytes;
+  };
+
+  constexpr uint64_t kLimit = uint64_t{64} << 20;
+  for (const double eps : {0.002, 0.005, 0.01}) {
+    SCOPED_TRACE(StrFormat("eps=%g", eps));
+    Status alone;
+    const std::string reference = run(eps, nullptr, &alone);
+    ASSERT_TRUE(alone.ok()) << alone.ToString();
+
+    MemoryBudget budget(kLimit);
+    ScopedCharge held;
+    ASSERT_TRUE(held.Acquire(&budget, kLimit / 10 * 9));
+    ExecContext exec;
+    exec.SetMemoryBudget(&budget);
+    Status pressed;
+    const std::string bytes = run(eps, &exec, &pressed);
+    if (pressed.ok()) {
+      EXPECT_TRUE(bytes == reference)
+          << bytes.size() << " bytes under pressure, " << reference.size()
+          << " alone";
+    } else {
+      EXPECT_EQ(pressed.code(), StatusCode::kResourceExhausted)
+          << pressed.ToString();
+    }
+    EXPECT_EQ(budget.used(), held.bytes());
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "index/bulk_load.h"
 #include "index/paged_tree.h"
 #include "index/rstar_tree.h"
+#include "index/tree_io.h"
 #include "util/exec_context.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -389,8 +390,8 @@ TEST(KernelsTest, LeafTileCacheIsOutputInvariant) {
   // A 2-block pool evicts almost every leaf between visits, so a cache miss
   // reads its leaf from disk, and a hit must not need it.
   const std::string path = ::testing::TempDir() + "/kernels_cache_" +
-                           std::to_string(::getpid()) + ".csjp";
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+                           std::to_string(::getpid()) + ".csjt";
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   PagedTreeOptions paged_options;
   paged_options.cache_blocks = 2;
   auto paged = PagedTree<2>::Open(path, paged_options);

@@ -1,11 +1,15 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/brute.h"
@@ -18,6 +22,8 @@
 #include "index/bulk_load.h"
 #include "index/paged_tree.h"
 #include "index/rstar_tree.h"
+#include "index/tree_io.h"
+#include "storage/binary_format.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
 
@@ -63,8 +69,8 @@ TEST(PagedTreeTest, RoundTripContent) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(3000, 7);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_roundtrip.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_roundtrip.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
 
   auto paged = PagedTree<2>::Open(path);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
@@ -83,59 +89,72 @@ TEST(PagedTreeTest, StructureMirrorsSource) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(2000, 9);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_structure.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_structure.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   auto paged = PagedTree<2>::Open(path);
   ASSERT_TRUE(paged.ok());
 
-  // Compare recursively: MBRs, leaf flags, fanouts.
+  // Compare recursively: MBRs, leaf flags, entries, and children in order
+  // (the file keeps each node's child order).
   std::function<void(NodeId, NodeId)> compare = [&](NodeId mem, NodeId disk) {
     EXPECT_EQ(tree.IsLeaf(mem), paged->IsLeaf(disk));
     EXPECT_EQ(tree.NodeBox(mem), paged->Shape(disk));
     if (tree.IsLeaf(mem)) {
-      EXPECT_EQ(tree.Entries(mem).size(), paged->Entries(disk).size());
+      const auto mem_entries = tree.Entries(mem);
+      EXPECT_EQ(std::vector<Entry<2>>(mem_entries.begin(), mem_entries.end()),
+                paged->Entries(disk));
       return;
     }
     const auto mem_children = tree.Children(mem);
     const auto disk_children = paged->Children(disk);
     ASSERT_EQ(mem_children.size(), disk_children.size());
-    // Writer visits children in reverse push order; match by MBR equality.
     for (size_t i = 0; i < mem_children.size(); ++i) {
-      bool matched = false;
-      for (size_t j = 0; j < disk_children.size(); ++j) {
-        if (tree.NodeBox(mem_children[i]) == paged->Shape(disk_children[j])) {
-          compare(mem_children[i], disk_children[j]);
-          matched = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(matched) << "child MBR not found on disk";
+      compare(mem_children[i], disk_children[i]);
     }
   };
   compare(tree.Root(), paged->Root());
 }
 
 TEST(PagedTreeTest, JoinsOffDiskMatchInMemory) {
+  // A join off the saved file, through a 2-block cache, writes the in-memory
+  // tree's bytes — the property that makes a served join byte-identical to
+  // `csj_tool join --index` over the same file.
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(4000, 11);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_join.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
-  auto paged = PagedTree<2>::Open(path);
+  const std::string path = TempPath("paged_join.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
+  PagedTreeOptions tiny;
+  tiny.cache_blocks = 2;
+  auto paged = PagedTree<2>::Open(path, tiny);
   ASSERT_TRUE(paged.ok());
 
+  const auto text_of = [&](const auto& index, JoinAlgorithm algo,
+                           const JoinOptions& options) {
+    const OutputSpec spec =
+        OutputSpec::File(TempPath("paged_join_out.txt"), entries.size());
+    auto sink = MakeSink(spec);
+    EXPECT_TRUE(sink.ok());
+    EXPECT_TRUE(RunSelfJoin(algo, index, options, sink->get()).status.ok());
+    EXPECT_TRUE((*sink)->Finish().ok());
+    const std::string bytes = ReadFile(spec.path);
+    std::remove(spec.path.c_str());
+    return bytes;
+  };
   for (double eps : {0.01, 0.05}) {
     JoinOptions options;
     options.epsilon = eps;
     const auto reference = BruteForceSelfJoin(entries, eps);
     for (auto algo :
          {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
+      SCOPED_TRACE(StrFormat("%s eps=%g", JoinAlgorithmName(algo), eps));
+      const std::string in_memory = text_of(tree, algo, options);
+      EXPECT_FALSE(in_memory.empty());
+      EXPECT_EQ(text_of(*paged, algo, options), in_memory);
       MemorySink sink(IdWidthFor(entries.size()));
       RunSelfJoin(algo, *paged, options, &sink);
       const auto report = CompareLinkSets(ExpandSelfJoin(sink), reference);
-      EXPECT_TRUE(report.lossless())
-          << JoinAlgorithmName(algo) << " eps=" << eps << ": "
-          << report.ToString();
+      EXPECT_TRUE(report.lossless()) << report.ToString();
     }
   }
 }
@@ -144,8 +163,8 @@ TEST(PagedTreeTest, TinyCacheStillCorrectJustSlower) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(2500, 13);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_tiny_cache.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_tiny_cache.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
 
   PagedTreeOptions small_cache;
   small_cache.cache_blocks = 2;
@@ -175,8 +194,8 @@ TEST(PagedTreeTest, IoStatsCountAndReset) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(500, 17);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_stats.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_stats.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   auto paged = PagedTree<2>::Open(path);
   ASSERT_TRUE(paged.ok());
   EXPECT_EQ(paged->io_stats().block_requests, 0u);
@@ -197,8 +216,8 @@ TEST(PagedTreeTest, EarlyStoppedGroupReadsEachNodeOnce) {
   for (const auto& e : entries) {
     tree.Insert(e.id, Point<2>{{0.01 * e.point[0], 0.01 * e.point[1]}});
   }
-  const std::string path = TempPath("paged_early_stop.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_early_stop.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   auto paged = PagedTree<2>::Open(path);
   ASSERT_TRUE(paged.ok());
   ASSERT_FALSE(paged->IsLeaf(paged->Root()));
@@ -233,8 +252,8 @@ TEST(PagedTreeTest, LargeLeafPayloadSpanningBlocks) {
   RStarTree<2> tree(big_fanout);
   const auto entries = RandomEntries<2>(400, 19);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_bigleaf.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_bigleaf.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   auto paged = PagedTree<2>::Open(path);
   ASSERT_TRUE(paged.ok());
   std::set<PointId> found;
@@ -245,9 +264,9 @@ TEST(PagedTreeTest, LargeLeafPayloadSpanningBlocks) {
 }
 
 TEST(PagedTreeTest, OpenRejectsGarbage) {
-  const std::string path = TempPath("paged_garbage.csjp");
+  const std::string path = TempPath("paged_garbage.csjt");
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("junk", f);
+  std::fputs("this is not a tree file", f);
   std::fclose(f);
   auto paged = PagedTree<2>::Open(path);
   EXPECT_FALSE(paged.ok());
@@ -255,7 +274,7 @@ TEST(PagedTreeTest, OpenRejectsGarbage) {
 }
 
 TEST(PagedTreeTest, OpenMissingFile) {
-  auto paged = PagedTree<2>::Open("/no/such/file.csjp");
+  auto paged = PagedTree<2>::Open("/no/such/file.csjt");
   EXPECT_FALSE(paged.ok());
   EXPECT_EQ(paged.status().code(), StatusCode::kNotFound);
 }
@@ -264,11 +283,119 @@ TEST(PagedTreeTest, DimensionMismatchRejected) {
   RStarTree<3> tree;
   const auto entries = RandomEntries<3>(100, 23);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_dim.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_dim.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   auto paged = PagedTree<2>::Open(path);
   EXPECT_FALSE(paged.ok());
   EXPECT_EQ(paged.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PagedTreeTest, ChecksummedStructureFailureIsDataLoss) {
+  // A CSJTREE2 file whose checksum matches but whose root index is out of
+  // range: LoadTree keeps its historical InvalidArgument, while Open, which
+  // serves the file in place, reports the damage as DataLoss.
+  RStarTree<2> tree;
+  for (const auto& e : RandomEntries<2>(300, 27)) tree.Insert(e.id, e.point);
+  const std::string path = TempPath("paged_bad_root.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
+  std::string bytes = ReadFile(path);
+  // magic 8 | crc 4 | dim, max_fanout, min_fanout 4 each | entries 8 |
+  // node_count 4 | root_index 4.
+  constexpr size_t kNodeCountAt = 8 + 4 + 12 + 8;
+  std::memcpy(bytes.data() + kNodeCountAt + 4, bytes.data() + kNodeCountAt, 4);
+  const uint32_t crc = binfmt::Crc32(bytes.data() + 12, bytes.size() - 12);
+  std::memcpy(bytes.data() + 8, &crc, sizeof(crc));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+
+  RStarTree<2> loaded;
+  EXPECT_EQ(LoadTree(&loaded, path).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(PagedTree<2>::Open(path).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(PagedTreeTest, OpenRejectsTooSmallReadUnit) {
+  RStarTree<2> tree;
+  for (const auto& e : RandomEntries<2>(100, 25)) tree.Insert(e.id, e.point);
+  const std::string path = TempPath("paged_small_unit.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
+  PagedTreeOptions options;
+  options.block_size = 255;
+  EXPECT_EQ(PagedTree<2>::Open(path, options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.block_size = 256;
+  EXPECT_TRUE(PagedTree<2>::Open(path, options).ok());
+}
+
+/// Overwrites 4 bytes of `path` in place (same inode).
+void OverwriteU32(const std::string& path, uint64_t offset, uint32_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, sizeof(value), 1, f), 1u);
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+TEST(PagedTreeTest, InPlaceRewriteFailsTheQueryNotTheProcess) {
+  // An index rewritten in place under an open tree (`cp new.csjt
+  // served.csjt`) can hand the decoder a count that disagrees with the span
+  // Open recorded, or a child index past the node count. A governed join
+  // stops with kDataLoss; the process lives on.
+  RStarTree<2> tree;
+  const auto entries = RandomEntries<2>(2000, 53);
+  for (const auto& e : entries) tree.Insert(e.id, e.point);
+  const std::string path = TempPath("paged_in_place.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
+
+  // The payload offsets of the root (first in pre-order; an internal node,
+  // so every join reads its children) and of the first leaf (every
+  // self-join reads every leaf).
+  uint64_t root_payload = 0, leaf_payload = 0;
+  uint32_t leaf_count = 0;
+  {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(WalkTreeFile<2>(
+                    fd, [](const TreeFileInfo&) { return Status::OK(); },
+                    [&](const TreeFileNode<2>& node) {
+                      if (node.index == 0) root_payload = node.payload_offset;
+                      if (node.is_leaf && leaf_payload == 0) {
+                        leaf_payload = node.payload_offset;
+                        leaf_count = static_cast<uint32_t>(node.entries.size());
+                      }
+                      return Status::OK();
+                    })
+                    .ok());
+    ::close(fd);
+  }
+  ASSERT_FALSE(tree.IsLeaf(tree.Root()));
+  ASSERT_GT(leaf_payload, 0u);
+
+  const std::pair<uint64_t, uint32_t> rewrites[] = {
+      {leaf_payload, leaf_count + 1},        // a count beyond the payload
+      {root_payload + 4, 0xFFFFFFF0u},       // the root's first child index
+  };
+  for (const auto& [offset, value] : rewrites) {
+    SCOPED_TRACE(StrFormat("offset %llu",
+                           static_cast<unsigned long long>(offset)));
+    ASSERT_TRUE(SaveTree(tree, path).ok());
+    PagedTreeOptions tiny;
+    tiny.cache_blocks = 2;
+    auto paged = PagedTree<2>::Open(path, tiny);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    OverwriteU32(path, offset, value);
+
+    ExecContext exec;
+    JoinOptions options;
+    options.epsilon = 0.04;
+    options.exec = &exec;
+    MemorySink sink(IdWidthFor(entries.size()));
+    const JoinStats stats = CompactSimilarityJoin(*paged, options, &sink);
+    EXPECT_EQ(stats.status.code(), StatusCode::kDataLoss)
+        << stats.status.ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(PagedTreeTest, ConcurrentReadersShareOneTree) {
@@ -278,8 +405,8 @@ TEST(PagedTreeTest, ConcurrentReadersShareOneTree) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(4000, 31);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_concurrent.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_concurrent.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   PagedTreeOptions tiny;
   tiny.cache_blocks = 3;
   auto paged = PagedTree<2>::Open(path, tiny);
@@ -312,8 +439,8 @@ TEST(PagedTreeTest, ParallelJoinOverPagedTreeIsLossless) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(3000, 37);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_parallel_join.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_parallel_join.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   PagedTreeOptions small;
   small.cache_blocks = 8;  // force concurrent miss/evict traffic
   auto paged = PagedTree<2>::Open(path, small);
@@ -355,8 +482,8 @@ TEST(PagedTreeTest, GovernedReadFaultTripsContextInsteadOfAborting) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(2000, 41);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_fault.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_fault.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   PagedTreeOptions tiny;
   tiny.cache_blocks = 2;  // evictions force re-reads that can fault
   auto paged = PagedTree<2>::Open(path, tiny);
@@ -383,8 +510,8 @@ TEST(PagedTreeTest, ConcurrentReadersSurviveInjectedFaults) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(3000, 43);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_concurrent_fault.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_concurrent_fault.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   PagedTreeOptions tiny;
   tiny.cache_blocks = 2;
   auto paged = PagedTree<2>::Open(path, tiny);
@@ -422,8 +549,8 @@ TEST(PagedTreeTest, BudgetedCacheStaysWithinLimit) {
   RStarTree<2> tree;
   const auto entries = RandomEntries<2>(3000, 47);
   for (const auto& e : entries) tree.Insert(e.id, e.point);
-  const std::string path = TempPath("paged_budget.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_budget.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
 
   MemoryBudget budget(64 * 1024);  // ~15 4K blocks with overhead
   {
@@ -446,8 +573,8 @@ TEST(PagedTreeTest, BudgetedCacheStaysWithinLimit) {
 TEST(PagedTreeTest, PackedTreeWorksToo) {
   RStarTree<3> tree;
   PackStr(&tree, RandomEntries<3>(5000, 29));
-  const std::string path = TempPath("paged_packed.csjp");
-  ASSERT_TRUE(WritePagedTree(tree, path).ok());
+  const std::string path = TempPath("paged_packed.csjt");
+  ASSERT_TRUE(SaveTree(tree, path).ok());
   auto paged = PagedTree<3>::Open(path);
   ASSERT_TRUE(paged.ok());
   EXPECT_EQ(paged->size(), 5000u);

@@ -198,7 +198,7 @@ TEST(PlannerTest, AttachPlanStampsStats) {
 }
 
 /// One-shot == served `auto`: a saved tree loaded by csj_serve's registry
-/// (converted to a paged image) and by LoadTree (as csj_tool does) yields
+/// (served in place) and by LoadTree (as csj_tool does) yields
 /// the same sketch, so both resolve the same knobs at every eps of the
 /// 1/8-octave ladder 2^-12 .. 2^-1. Run on perfbench's MG and PNW stand-ins.
 TEST(PlannerTest, RegistryAndLoadTreePlanAutoAlike) {

@@ -38,6 +38,7 @@
 #include "core/sink.h"
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "data/point_io.h"
 #include "geom/point.h"
 #include "index/bulk_load.h"
 #include "index/rstar_tree.h"
@@ -69,9 +70,8 @@ std::vector<Entry<2>> FixtureEntries(size_t n, uint64_t seed) {
   return entries;
 }
 
-/// One shared fixture: a bulk-loaded index saved as CSJTREE2 (exercising
-/// the registry's convert-to-paged path) plus the in-memory tree for
-/// reference runs.
+/// One shared fixture: a bulk-loaded index saved as CSJTREE2 (which the
+/// registry serves in place) plus the in-memory tree for reference runs.
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -233,9 +233,9 @@ class ServeTest : public ::testing::Test {
     return bytes;
   }
 
-  /// Conversion temp files (`*.paged.tmp.<pid>.*`) this process left in
-  /// `dir` — a failed load must never leave any. Other test processes
-  /// running in parallel may be converting in the same directory.
+  /// Temporary indexes of point files (`*.paged.tmp.<pid>.*`) this process
+  /// left in `dir` — a load must never leave any. Other test processes
+  /// running in parallel may be loading point files in the same directory.
   static std::vector<std::string> TempDroppings(const std::string& dir) {
     const std::string mine = StrFormat(".paged.tmp.%d.", getpid());
     std::vector<std::string> found;
@@ -1092,34 +1092,81 @@ TEST_F(ServeTest, RegistryRejectsCorruptTruncatedAndMissingSources) {
     std::fclose(out);
   };
   std::string corrupt_bytes = bytes;
-  for (size_t i = corrupt_bytes.size() / 2; i < corrupt_bytes.size() / 2 + 32;
-       ++i) {
-    corrupt_bytes[i] = static_cast<char>(~corrupt_bytes[i]);
-  }
+  corrupt_bytes[corrupt_bytes.size() / 2] ^= 0x10;
   const std::string corrupt = TempPath("serve_corrupt.csjt");
   const std::string truncated = TempPath("serve_truncated.csjt");
+  const std::string three_d = TempPath("serve_3d.csjt");
+  const std::string not_a_tree = TempPath("serve_not_a_tree.txt");
   write_file(corrupt, corrupt_bytes);
   write_file(truncated, bytes.substr(0, bytes.size() * 3 / 5));
+  {
+    RStarTree<3> tree;
+    for (PointId i = 0; i < 200; ++i) {
+      tree.Insert(i, Point<3>{{0.001 * i, 0.5, 0.25}});
+    }
+    ASSERT_TRUE(SaveTree(tree, three_d).ok());
+  }
+  write_file(not_a_tree, "0.5 0.5\nthis is not a tree\n");
+  const Status parser_error = LoadPoints<2>(not_a_tree).status();
+  ASSERT_FALSE(parser_error.ok());
 
   const int64_t live_before = LiveEpochCount();
   DatasetRegistry registry;
-  EXPECT_FALSE(registry.Load({.name = "bad", .path = corrupt}).ok());
-  EXPECT_FALSE(registry.Load({.name = "bad2", .path = truncated}).ok());
-  EXPECT_EQ(registry.Load({.name = "bad3", .path = TempPath("nope.csjt")})
-                .code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_EQ(registry.Find("bad"), nullptr);
-  // No epoch came alive and no conversion temp survived a failed load.
-  EXPECT_EQ(LiveEpochCount(), live_before);
-  EXPECT_TRUE(TempDroppings(testing::TempDir()).empty());
+  const struct {
+    std::string path;
+    StatusCode code;
+  } cases[] = {
+      {corrupt, StatusCode::kDataLoss},
+      {truncated, StatusCode::kDataLoss},
+      {TempPath("nope.csjt"), StatusCode::kNotFound},
+      {three_d, StatusCode::kInvalidArgument},
+      {not_a_tree, parser_error.code()},
+  };
+  for (const auto& [path, code] : cases) {
+    SCOPED_TRACE(path);
+    const Status status = registry.Load({.name = "bad", .path = path});
+    EXPECT_EQ(status.code(), code) << status.ToString();
+    EXPECT_EQ(registry.size(), 0u);
+    EXPECT_EQ(registry.Find("bad"), nullptr);
+    // No epoch came alive and no temporary index survived a failed load.
+    EXPECT_EQ(LiveEpochCount(), live_before);
+    EXPECT_TRUE(TempDroppings(testing::TempDir()).empty());
+  }
+  EXPECT_EQ(registry.Load({.name = "bad", .path = not_a_tree}).message(),
+            parser_error.message());
 
   // The same registry still accepts a good load afterwards.
   EXPECT_TRUE(registry.Load({.name = "good", .path = *index_path_}).ok());
   EXPECT_EQ(registry.size(), 1u);
-  ::unlink(corrupt.c_str());
-  ::unlink(truncated.c_str());
+  for (const std::string& path : {corrupt, truncated, three_d, not_a_tree}) {
+    ::unlink(path.c_str());
+  }
 }
+
+#ifndef CSJ_NO_FAILPOINTS
+TEST_F(ServeTest, IndexLoadOpensNoOutputFile) {
+  // An index is served in place: with every output-file open failing, the
+  // .csjt still loads, while a point file — which needs a temporary index —
+  // cannot.
+  const std::string points_path =
+      TempPath(StrFormat("serve_pts_%d.txt", getpid()));
+  std::vector<Point<2>> points;
+  for (const auto& e : *entries_) points.push_back(e.point);
+  ASSERT_TRUE(SavePoints(points_path, points).ok());
+
+  DatasetRegistry registry;
+  {
+    failpoint::ScopedFailpoint fp("output_file.open",
+                                  failpoint::Spec::Always());
+    EXPECT_TRUE(registry.Load({.name = "idx", .path = *index_path_}).ok());
+    EXPECT_EQ(registry.Load({.name = "pts", .path = points_path}).code(),
+              StatusCode::kIoError);
+  }
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_TRUE(TempDroppings(testing::TempDir()).empty());
+  ::unlink(points_path.c_str());
+}
+#endif  // CSJ_NO_FAILPOINTS
 
 TEST_F(ServeTest, RegistryBudgetExhaustionFailsLoadCleanly) {
   // A budget smaller than ONE page charge: the validation probe cannot even

@@ -5,16 +5,16 @@
 ///   csj_serve serve --datasets pts=index.csjt --socket /tmp/csj.sock
 ///                   [--workers 4] [--max-pending 16] [--mem-budget BYTES]
 ///                   [--default-deadline-ms 0] [--max-deadline-ms 0]
-///                   [--cache-blocks 1024] [--block-size 4096]
+///                   [--cache-blocks 1024]
 ///                   [--request-timeout-ms 10000] [--idle-timeout-ms 10000]
 ///                   [--max-requests-per-conn 256]
 ///   csj_serve serve --datasets a=a.csjt,b=b.csjt --port 7707
 ///
-/// Datasets load at startup — any mix of CSJPAGE1 paged images, CSJTREE1/2
-/// indexes and point text files (the latter two are converted to a paged
-/// image on the fly) — and are then shared read-only by every concurrent
-/// query. At runtime the load/reload/unload admin ops swap datasets as
-/// validated, refcounted epochs without a restart (docs/SERVING.md).
+/// Datasets load at startup — CSJTREE1/2 indexes (what `csj_tool build`
+/// writes, served in place) and point text files (packed into a temporary
+/// index) — and are then shared read-only by every concurrent query. At
+/// runtime the load/reload/unload admin ops swap datasets as validated,
+/// refcounted epochs without a restart (docs/SERVING.md).
 /// SIGTERM/SIGINT drain: in-flight queries finish, then the daemon exits 0.
 ///
 ///   csj_serve query --socket /tmp/csj.sock --dataset pts --eps 0.05
@@ -106,7 +106,6 @@ int CmdServe(Flags& flags) {
   const long default_deadline = flags.GetInt("default-deadline-ms", 0);
   const long max_deadline = flags.GetInt("max-deadline-ms", 0);
   const long cache_blocks = flags.GetInt("cache-blocks", 1024);
-  const long block_size = flags.GetInt("block-size", 4096);
   const long request_timeout = flags.GetInt("request-timeout-ms", 10000);
   const long idle_timeout = flags.GetInt("idle-timeout-ms", 10000);
   const long max_requests_per_conn = flags.GetInt("max-requests-per-conn", 256);
@@ -127,7 +126,6 @@ int CmdServe(Flags& flags) {
     spec.name = item.substr(0, eq);
     spec.path = item.substr(eq + 1);
     spec.cache_blocks = static_cast<size_t>(cache_blocks);
-    spec.block_size = static_cast<uint32_t>(block_size);
     DieOnError(registry.Load(spec));
     const std::shared_ptr<const serve::Dataset> dataset =
         registry.Find(spec.name);
@@ -149,7 +147,6 @@ int CmdServe(Flags& flags) {
   options.request_timeout_ms = static_cast<int>(request_timeout);
   options.idle_timeout_ms = static_cast<int>(idle_timeout);
   options.max_requests_per_conn = static_cast<int>(max_requests_per_conn);
-  options.admin_block_size = static_cast<uint32_t>(block_size);
   options.admin_cache_blocks = static_cast<size_t>(cache_blocks);
 
   serve::Server server(&registry, options);

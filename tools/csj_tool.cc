@@ -354,32 +354,20 @@ int CmdExpand(Flags& flags) {
   flags.CheckAllUsed();
 
   auto cursor = OpenCursorOrDie(result_path);
-  uint64_t links_seen = 0;
-  uint64_t groups_seen = 0;
-  std::vector<Link> links;
-  DieOnError(ForEachImpliedLink(cursor.get(), [&](PointId a, PointId b) {
-    links.push_back(MakeLink(a, b));
-  }));
-  std::sort(links.begin(), links.end());
-  links.erase(std::unique(links.begin(), links.end()), links.end());
-  links_seen = cursor->links_read();
-  groups_seen = cursor->groups_read();
+  auto links = ExpandSelfJoin(cursor.get());
+  DieOnError(links.status());
 
-  OutputFile file;
-  DieOnError(file.Open(out, OutputFile::Options{.atomic = true}));
-  std::string block;
-  for (const auto& [a, b] : links) {
-    // Errors are sticky; stop at the first one and let Close() report it.
-    if (!AppendToBlock(&file, &block, StrFormat("%u %u\n", a, b)).ok()) {
-      break;
-    }
-  }
-  (void)AppendInChunks(&file, block.data(), block.size());
-  DieOnError(file.Close());
+  // A text sink with id_width 1 writes each link as "a b\n", unpadded.
+  OutputSpec spec;
+  spec.path = out;
+  auto sink = MakeSink(spec);
+  DieOnError(sink.status());
+  for (const auto& [a, b] : *links) (*sink)->Link(a, b);
+  DieOnError((*sink)->Finish());
   std::printf("expanded %s links + %s groups into %s distinct links (%s)\n",
-              WithThousands(links_seen).c_str(),
-              WithThousands(groups_seen).c_str(),
-              WithThousands(links.size()).c_str(), out.c_str());
+              WithThousands(cursor->links_read()).c_str(),
+              WithThousands(cursor->groups_read()).c_str(),
+              WithThousands(links->size()).c_str(), out.c_str());
   return 0;
 }
 
@@ -533,14 +521,8 @@ int CmdSuggestEps(Flags& flags) {
 int CmdStats(Flags& flags) {
   const std::string index_path = flags.Require("index");
   flags.CheckAllUsed();
-  auto info = PeekTreeFile(index_path);
-  DieOnError(info.status());
-  RStarOptions options;
-  options.max_fanout = info->max_fanout;
-  options.min_fanout = info->min_fanout;
-  RStarTree<2> tree(options);
-  DieOnError(LoadTree(&tree, index_path));
-  std::printf("%s\n", tree.Stats().ToString().c_str());
+  const auto tree = LoadTreeOrDie(index_path, "");
+  std::printf("%s\n", tree->Stats().ToString().c_str());
   return 0;
 }
 
