@@ -2,10 +2,10 @@
 #define CSJ_CORE_GROUP_H_
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -40,6 +40,13 @@
 /// the only code between a join driver and its sink: it times the writes,
 /// counts implied links only for records the sink accepted, drops groups of
 /// fewer than two members and charges pending groups to the memory budget.
+///
+/// Storage: at most g slots, each a bound, a member vector and a flat member
+/// table (open addressing, at most half full), allocated only as the window
+/// first needs them and reused, capacity kept, after their group is written;
+/// so a warm window allocates nothing per group. The live groups form a
+/// ring over the slots. The table gives exact O(1) membership without a
+/// node allocation per id; it is built on the group's first merge.
 
 namespace csj {
 
@@ -129,55 +136,6 @@ class BallShape {
   double radius_;
 };
 
-/// One output group under construction: its bound and its member ids, in
-/// insertion order and deduplicated.
-template <typename Shape>
-class Group {
- public:
-  using Item = typename Shape::Item;
-  using Bound = typename Shape::Bound;
-
-  /// New group founded by the link (id_a, id_b).
-  Group(PointId id_a, PointId id_b, Bound bound) : bound_(std::move(bound)) {
-    members_.push_back(id_a);
-    if (id_b != id_a) members_.push_back(id_b);
-  }
-
-  /// New group from a whole subtree (the early-stopping rule). `bound` must
-  /// cover all member points.
-  Group(std::vector<PointId> members, Bound bound)
-      : bound_(std::move(bound)), members_(std::move(members)) {}
-
-  /// Attempts to absorb the link (a, b); commits the bound and the members
-  /// only if the shape admits it. Returns true on success. The distances a
-  /// ball shape evaluates are counted in `stats`.
-  bool TryAddLink(const Shape& shape, PointId id_a, const Item& a,
-                  PointId id_b, const Item& b, JoinStats* stats) {
-    if (!shape.TryExtend(bound_, a, b, stats)) return false;
-    AddMember(id_a);
-    AddMember(id_b);
-    return true;
-  }
-
-  const Bound& bound() const { return bound_; }
-  const std::vector<PointId>& members() const { return members_; }
-  size_t size() const { return members_.size(); }
-
- private:
-  void AddMember(PointId id) {
-    // The dedup set is built lazily: most groups (especially big subtree
-    // groups) never receive a merged link, so they never pay for it.
-    if (member_set_.empty()) {
-      member_set_.insert(members_.begin(), members_.end());
-    }
-    if (member_set_.insert(id).second) members_.push_back(id);
-  }
-
-  Bound bound_;
-  std::vector<PointId> members_;
-  std::unordered_set<PointId> member_set_;
-};
-
 /// The member ids of an early-stopped subtree group, collected in the one
 /// walk of the subtree. The buffer's capacity is charged to the context's
 /// memory budget before each growth; a denial trips the context with
@@ -239,10 +197,9 @@ class GroupWindow {
   /// \param stats implied links and merge work. Not owned.
   /// \param write_timer if non-null, sink time is accumulated there.
   /// \param exec optional governance context (util/exec_context.h). When it
-  ///        carries a memory budget, each admitted group charges an estimate
-  ///        of its member storage, and a denied charge trips
-  ///        `kResourceExhausted`: a budget stops a run, never changes its
-  ///        bytes.
+  ///        carries a memory budget, the slots' storage is charged to it,
+  ///        and a denied charge trips `kResourceExhausted`: a budget stops a
+  ///        run, never changes its bytes.
   GroupWindow(Shape shape, JoinAlgorithm algorithm, int capacity,
               bool promote_on_merge, JoinSink* sink, JoinStats* stats,
               StopwatchAccumulator* write_timer,
@@ -272,25 +229,30 @@ class GroupWindow {
 
   /// createNewGroup(n): an early-stopped subtree (or subtree pair). Under
   /// CSJ it joins the window so later links may merge into it; otherwise it
-  /// is written.
+  /// is written. The members are kept as given, duplicates included.
   void SubtreeGroup(std::vector<PointId> members, Bound bound) {
     if (members.size() < 2) return;  // a singleton implies no links
     if (!merge_) {
       WriteGroup(members);
       return;
     }
-    Push(Group<Shape>(std::move(members), std::move(bound)));
+    Slot& slot = NewSlot(std::move(bound));
+    storage_bytes_ -= slot.members.capacity() * sizeof(PointId);
+    slot.members = std::move(members);
+    storage_bytes_ += slot.members.capacity() * sizeof(PointId);
+    Charge(slot);
   }
 
   /// Writes everything still buffered. Call exactly once, after the
   /// traversal.
   void Flush() {
     if (!merge_) return;
-    CSJ_METRIC_COUNT("window.flushed_groups", window_.size());
-    while (!window_.empty()) EvictOldest();
+    CSJ_METRIC_COUNT("window.flushed_groups", live_);
+    for (size_t p = head_; live_ > 0; --live_, p = Next(p)) Retire(slots_[p]);
+    head_ = 0;
   }
 
-  size_t live_groups() const { return window_.size(); }
+  size_t live_groups() const { return live_; }
   const Shape& shape() const { return shape_; }
 
   /// Points the window at another sink; call only while it is empty (after
@@ -298,66 +260,182 @@ class GroupWindow {
   void set_sink(JoinSink* sink) { sink_ = sink; }
 
  private:
-  /// A pending group and its budget reservation (released with the slot).
+  /// The cell value of an empty member-table cell. The id equal to it is
+  /// recorded by Slot::holds_empty_id instead.
+  static constexpr PointId kEmptyCell = ~PointId{0};
+  /// The smallest member table, in cells.
+  static constexpr size_t kMinTableCells = 16;
+
+  /// One group of the window: its bound and its member ids, in insertion
+  /// order. `table` is an open-addressing (linear probing) set of the ids,
+  /// a power of two in size and at most half full; it stays empty until the
+  /// group takes its first merge, so a group that never takes one (most big
+  /// subtree groups) never pays for it. A written slot is cleared and
+  /// reused, and keeps the capacity of both vectors.
   struct Slot {
-    Group<Shape> group;
-    ScopedCharge charge;
+    Bound bound{};
+    std::vector<PointId> members;
+    std::vector<PointId> table;
+    uint32_t shift = 0;  ///< 32 - log2(table.size())
+    bool holds_empty_id = false;
   };
+
+  size_t Next(size_t p) const { return p + 1 == slots_.size() ? 0 : p + 1; }
+  size_t Prev(size_t p) const { return (p == 0 ? slots_.size() : p) - 1; }
 
   /// mergeIntoPrevGroup (Figure 3): try the g most recent mergeable groups,
   /// newest first (frozen groups are skipped without counting an attempt);
   /// on failure found a new group containing just this link, or write a
-  /// plain link if the shape cannot host it.
-  void MergeLink(PointId id_a, const Item& a, PointId id_b, const Item& b) {
-    for (size_t i = window_.size(); i-- > 0;) {
-      if (!Shape::Mergeable(window_[i].group.bound())) continue;
+  /// plain link if the shape cannot host it. Kept out of line: inlined into
+  /// Link, it slows the SSJ and N-CSJ paths that never call it. The loop
+  /// keeps only the extension checks; the rest is out of line too, so the
+  /// checks stay inlined in it.
+  [[gnu::noinline]] void MergeLink(PointId id_a, const Item& a, PointId id_b,
+                                   const Item& b) {
+    // The ring runs oldest to newest from head_ and wraps only when full;
+    // p starts one past the newest slot.
+    size_t p = head_ + live_;
+    if (p > slots_.size()) p -= slots_.size();
+    for (size_t left = live_; left > 0; --left) {
+      p = Prev(p);
+      Slot& slot = slots_[p];
+      if (!Shape::Mergeable(slot.bound)) continue;
       ++stats_->merge_attempts;
-      if (window_[i].group.TryAddLink(shape_, id_a, a, id_b, b, stats_)) {
-        ++stats_->merges;
-        if (promote_on_merge_ && i + 1 != window_.size()) {
-          Slot slot = std::move(window_[i]);
-          window_.erase(window_.begin() + static_cast<long>(i));
-          window_.push_back(std::move(slot));
-        }
+      if (shape_.TryExtend(slot.bound, a, b, stats_)) {
+        Absorb(p, live_ - left, id_a, id_b);
         return;
       }
     }
+    FoundGroup(id_a, a, id_b, b);
+  }
+
+  /// Adds a merged link's ids to the slot at `p`, which has `newer` slots
+  /// after it; under promote_on_merge, rotates it to the newest position
+  /// (the others keep their order).
+  [[gnu::noinline]] void Absorb(size_t p, size_t newer, PointId id_a,
+                                PointId id_b) {
+    ++stats_->merges;
+    Slot& slot = slots_[p];
+    if (slot.table.empty()) Index(slot, slot.members.size() + 2);
+    AddMember(slot, id_a);
+    AddMember(slot, id_b);
+    Charge(slot);
+    if (!promote_on_merge_) return;
+    for (; newer > 0; --newer) {
+      const size_t q = Next(p);
+      std::swap(slots_[p], slots_[q]);
+      p = q;
+    }
+  }
+
+  /// createNewGroup for a link no window group admits.
+  [[gnu::noinline]] void FoundGroup(PointId id_a, const Item& a, PointId id_b,
+                                    const Item& b) {
     std::optional<Bound> bound = shape_.Found(a, b, stats_);
     if (!bound) {
       WriteLink(id_a, id_b);
       return;
     }
-    Push(Group<Shape>(id_a, id_b, std::move(*bound)));
+    Slot& slot = NewSlot(std::move(*bound));
+    Append(slot, id_a);
+    if (id_b != id_a) Append(slot, id_b);
+    Charge(slot);
   }
 
-  void Push(Group<Shape> group) {
+  /// The slot of a new newest group with bound `bound` and no members. A
+  /// full window first writes its oldest group and reuses that slot.
+  Slot& NewSlot(Bound bound) {
+    size_t p;
+    if (live_ == capacity_) {
+      CSJ_METRIC_COUNT("window.evictions", 1);
+      p = head_;
+      Retire(slots_[p]);
+      head_ = Next(head_);
+    } else {
+      if (live_ == slots_.size()) {
+        slots_.emplace_back();
+        storage_bytes_ += sizeof(Slot);
+      }
+      p = live_++;
+    }
+    CSJ_METRIC_HIST("window.occupancy", live_);
+    slots_[p].bound = std::move(bound);
+    return slots_[p];
+  }
+
+  /// Writes a slot's group and clears the slot for reuse. The table's cells
+  /// are refilled only when the next group it holds takes a merge, and then
+  /// sized to that group, so clearing costs nothing per group.
+  void Retire(Slot& slot) {
+    WriteGroup(slot.members);
+    slot.members.clear();
+    slot.table.clear();
+  }
+
+  /// Appends `id` to the members, tracking the storage it holds.
+  void Append(Slot& slot, PointId id) {
+    const size_t before = slot.members.capacity();
+    slot.members.push_back(id);
+    storage_bytes_ += (slot.members.capacity() - before) * sizeof(PointId);
+  }
+
+  /// Builds the slot's member table, sized for `expected` members, from its
+  /// current members. Only the first of equal ids enters the table.
+  void Index(Slot& slot, size_t expected) {
+    const size_t before = slot.table.capacity();
+    const size_t cells = std::max(kMinTableCells, std::bit_ceil(2 * expected));
+    slot.table.assign(cells, kEmptyCell);
+    storage_bytes_ += (slot.table.capacity() - before) * sizeof(PointId);
+    slot.shift = 32 - static_cast<uint32_t>(std::countr_zero(cells));
+    slot.holds_empty_id = false;
+    for (PointId id : slot.members) Insert(slot, id);
+  }
+
+  /// Adds `id` to the slot's table; true if it was not there yet.
+  static bool Insert(Slot& slot, PointId id) {
+    if (id == kEmptyCell) {
+      if (slot.holds_empty_id) return false;
+      slot.holds_empty_id = true;
+      return true;
+    }
+    const size_t mask = slot.table.size() - 1;
+    // Fibonacci hashing: the product's top bits pick the home cell.
+    size_t cell = static_cast<uint32_t>(id * 2654435769u) >> slot.shift;
+    while (slot.table[cell] != kEmptyCell) {
+      if (slot.table[cell] == id) return false;
+      cell = (cell + 1) & mask;
+    }
+    slot.table[cell] = id;
+    return true;
+  }
+
+  /// Appends `id` to an indexed slot unless it is a member already; keeps
+  /// the table at most half full.
+  void AddMember(Slot& slot, PointId id) {
+    if (!Insert(slot, id)) return;
+    Append(slot, id);
+    if (2 * slot.members.size() > slot.table.size()) {
+      Index(slot, slot.members.size());
+    }
+  }
+
+  /// Raises the window's high-water charge to the storage its slots hold.
+  /// A denial trips the context with kResourceExhausted; shedding groups
+  /// instead would make the output depend on how full the budget is.
+  void Charge(const Slot& slot) {
+    if (storage_bytes_ <= charged_) return;
+    charged_ = storage_bytes_;
     MemoryBudget* budget = exec_ != nullptr ? exec_->memory_budget() : nullptr;
-    ScopedCharge charge;
-    // Estimated heap footprint: member ids plus container overhead (links
-    // merged later grow the group uncharged; big subtree groups, the
-    // dominant cost, are charged here). A denial stops the run: shedding
-    // groups would make the output depend on how full the budget is.
-    if (budget != nullptr &&
-        !charge.Acquire(budget, group.size() * sizeof(PointId) +
-                                    kGroupOverheadBytes)) {
-      exec_->Trip(Status::ResourceExhausted(StrFormat(
-          "memory budget exhausted admitting a %zu-member group to the "
-          "CSJ(g) window (used %llu of %llu bytes)",
-          group.size(), static_cast<unsigned long long>(budget->used()),
-          static_cast<unsigned long long>(budget->limit()))));
+    if (budget == nullptr) return;
+    if (charge_.budget() != nullptr ? charge_.Resize(storage_bytes_)
+                                    : charge_.Acquire(budget, storage_bytes_)) {
       return;
     }
-    window_.emplace_back(std::move(group), std::move(charge));
-    while (window_.size() > capacity_) {
-      CSJ_METRIC_COUNT("window.evictions", 1);
-      EvictOldest();
-    }
-    CSJ_METRIC_HIST("window.occupancy", window_.size());
-  }
-
-  void EvictOldest() {
-    WriteGroup(window_.front().group.members());
-    window_.pop_front();
+    exec_->Trip(Status::ResourceExhausted(StrFormat(
+        "memory budget exhausted admitting a %zu-member group to the "
+        "CSJ(g) window (used %llu of %llu bytes)",
+        slot.members.size(), static_cast<unsigned long long>(budget->used()),
+        static_cast<unsigned long long>(budget->limit()))));
   }
 
   void WriteLink(PointId a, PointId b) {
@@ -374,8 +452,6 @@ class GroupWindow {
     if (sink_->error().ok()) stats_->AddImpliedGroup(members.size());
   }
 
-  static constexpr uint64_t kGroupOverheadBytes = 96;
-
   Shape shape_;
   bool merge_;
   size_t capacity_;
@@ -384,7 +460,14 @@ class GroupWindow {
   JoinStats* stats_;
   StopwatchAccumulator* write_timer_;
   const ExecContext* exec_;
-  std::deque<Slot> window_;
+  /// At most g slots, allocated as the window first needs them. The live
+  /// groups are a ring, oldest first from head_; it wraps only when full.
+  std::vector<Slot> slots_;
+  size_t head_ = 0;
+  size_t live_ = 0;
+  uint64_t storage_bytes_ = 0;  ///< slots, member vectors and tables
+  uint64_t charged_ = 0;        ///< high-water mark of storage_bytes_
+  ScopedCharge charge_;
 };
 
 /// Copies a sink's output counters into a run's stats, and deducts the

@@ -311,6 +311,36 @@ TEST(GovernanceTest, MetricNaiveCompactJoinChargesSubtreeGroups) {
   EXPECT_EQ(budget.used(), 0u);
 }
 
+TEST(GovernanceTest, MergedGrowthOfAWindowGroupIsCharged) {
+  // All 500 points lie within eps/2 of each other, and no subtree stops
+  // early, so CSJ(8) merges nearly every link into one group. The budget
+  // admits that group's founding charge but not its growth: the window must
+  // charge what merges add and stop the run.
+  Rng rng(43);
+  MTree<2> tree;
+  for (PointId i = 0; i < 500; ++i) {
+    tree.Insert(i, Point<2>{{0.01 * rng.UniformDouble(),
+                             0.01 * rng.UniformDouble()}});
+  }
+  MemoryBudget budget(1024);
+  ExecContext exec;
+  exec.SetMemoryBudget(&budget);
+  JoinOptions options;
+  options.epsilon = 0.05;
+  options.window_size = 8;
+  options.early_stop = false;
+  options.exec = &exec;
+  MemorySink sink(3);
+  const JoinStats stats = MetricCompactJoin(tree, options, &sink);
+  EXPECT_EQ(stats.status.code(), StatusCode::kResourceExhausted)
+      << stats.status.ToString();
+  EXPECT_NE(stats.status.message().find("CSJ(g) window"), std::string::npos)
+      << stats.status.ToString();
+  EXPECT_GT(stats.merges, 0u);
+  EXPECT_GT(budget.peak(), 0u);  // the founding charge was admitted
+  EXPECT_EQ(budget.used(), 0u);
+}
+
 // ------------------------------------------------------- no partial files --
 
 TEST(GovernanceTest, GovernedStopLeavesNoPartialFile) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "core/group.h"
@@ -10,66 +15,21 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "index/rstar_tree.h"
+#include "util/format.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
 namespace csj {
 namespace {
 
-using BoxGroup = Group<BoxShape<2>>;
 using LinkList = std::vector<std::pair<PointId, PointId>>;
+using IdList = std::vector<PointId>;
 
 Box<2> LinkBox(const Point2& a, const Point2& b) {
   Box<2> box;
   box.Extend(a);
   box.Extend(b);
   return box;
-}
-
-TEST(GroupTest, FromLinkHasBothMembers) {
-  const Point2 a{{0.0, 0.0}}, b{{0.01, 0.0}};
-  BoxGroup group(1, 2, *BoxShape<2>(0.1).Found(a, b, nullptr));
-  EXPECT_EQ(group.size(), 2u);
-  EXPECT_EQ(group.bound(), LinkBox(a, b));
-  EXPECT_LE(group.bound().Diagonal(), 0.011);
-}
-
-TEST(GroupTest, TryAddLinkCommitsWhenWithinEps) {
-  BoxGroup group(1, 2, LinkBox(Point2{{0.0, 0.0}}, Point2{{0.02, 0.0}}));
-  const BoxShape<2> shape(0.1);
-  EXPECT_TRUE(group.TryAddLink(shape, 2, Point2{{0.02, 0.0}}, 3,
-                               Point2{{0.04, 0.0}}, nullptr));
-  EXPECT_EQ(group.size(), 3u);  // id 2 deduplicated
-  EXPECT_EQ(group.members(), (std::vector<PointId>{1, 2, 3}));
-}
-
-TEST(GroupTest, TryAddLinkRollsBackOnFailure) {
-  BoxGroup group(1, 2, LinkBox(Point2{{0.0, 0.0}}, Point2{{0.02, 0.0}}));
-  const Box<2> before = group.bound();
-  // Extending to (0.2, 0) would blow the diagonal past eps.
-  EXPECT_FALSE(group.TryAddLink(BoxShape<2>(0.05), 2, Point2{{0.02, 0.0}}, 9,
-                                Point2{{0.2, 0.0}}, nullptr));
-  EXPECT_EQ(group.size(), 2u);
-  EXPECT_EQ(group.bound(), before);  // MBR extension undone
-}
-
-TEST(GroupTest, FromSubtreeKeepsBox) {
-  Box<2> box(Point2{{0.0, 0.0}}, Point2{{0.03, 0.04}});
-  BoxGroup group({5, 6, 7}, box);
-  EXPECT_EQ(group.size(), 3u);
-  EXPECT_EQ(group.bound(), box);
-}
-
-TEST(GroupTest, DedupAcrossManyMerges) {
-  BoxGroup group(0, 1, LinkBox(Point2{{0.0, 0.0}}, Point2{{0.001, 0.0}}));
-  const BoxShape<2> shape(0.1);
-  for (int round = 0; round < 5; ++round) {
-    for (PointId id = 0; id < 8; ++id) {
-      group.TryAddLink(shape, 0, Point2{{0.0, 0.0}}, id,
-                       Point2{{0.001 * id, 0.0}}, nullptr);
-    }
-  }
-  EXPECT_EQ(group.size(), 8u);
 }
 
 /// A window over 2-D boxes writing to a MemorySink.
@@ -95,6 +55,71 @@ class GroupWindowTest : public testing::Test {
   JoinStats& stats_;
   GroupWindow<BoxShape<2>>& window_;
 };
+
+// A group's members stay in insertion order and deduplicated, and a failed
+// extension commits nothing; seen through the window that holds the group.
+
+TEST(GroupTest, FromLinkHasBothMembers) {
+  const Point2 a{{0.0, 0.0}}, b{{0.01, 0.0}};
+  EXPECT_EQ(*BoxShape<2>(0.1).Found(a, b, nullptr), LinkBox(a, b));
+  BoxWindow w(3);
+  w.window.Link(1, a, 2, b);
+  EXPECT_EQ(w.window.live_groups(), 1u);
+  w.window.Flush();
+  EXPECT_EQ(w.sink.groups(), (std::vector<IdList>{{1, 2}}));
+}
+
+TEST(GroupTest, TryAddLinkCommitsWhenWithinEps) {
+  BoxWindow w(3);
+  w.window.Link(1, Point2{{0.0, 0.0}}, 2, Point2{{0.02, 0.0}});
+  w.window.Link(2, Point2{{0.02, 0.0}}, 3, Point2{{0.04, 0.0}});
+  EXPECT_EQ(w.stats.merges, 1u);
+  w.window.Flush();
+  // id 2 deduplicated
+  EXPECT_EQ(w.sink.groups(), (std::vector<IdList>{{1, 2, 3}}));
+}
+
+TEST(GroupTest, TryAddLinkRollsBackOnFailure) {
+  BoxWindow w(3, /*promote=*/false, JoinAlgorithm::kCSJ, /*epsilon=*/0.05);
+  w.window.Link(1, Point2{{0.0, 0.0}}, 2, Point2{{0.02, 0.0}});
+  // Extending to (0.2, 0) would blow the diagonal past eps: a new group.
+  w.window.Link(2, Point2{{0.02, 0.0}}, 9, Point2{{0.2, 0.0}});
+  EXPECT_EQ(w.stats.merges, 0u);
+  EXPECT_EQ(w.window.live_groups(), 2u);
+  // Fits the first group only if its box was left at [0, 0.02].
+  w.window.Link(1, Point2{{0.0, 0.0}}, 4, Point2{{0.03, 0.0}});
+  EXPECT_EQ(w.stats.merges, 1u);
+  EXPECT_EQ(w.stats.merge_attempts, 3u);
+  w.window.Flush();
+  EXPECT_EQ(w.sink.groups(), (std::vector<IdList>{{1, 2, 4}, {2, 9}}));
+}
+
+TEST(GroupTest, FromSubtreeKeepsBox) {
+  BoxWindow w(3, /*promote=*/false, JoinAlgorithm::kCSJ, /*epsilon=*/0.05);
+  w.window.SubtreeGroup({5, 6, 7},
+                        Box<2>(Point2{{0.0, 0.0}}, Point2{{0.03, 0.03}}));
+  EXPECT_EQ(w.window.live_groups(), 1u);
+  // Inside the box: merges. Past it, the diagonal exceeds eps.
+  w.window.Link(5, Point2{{0.0, 0.0}}, 8, Point2{{0.03, 0.03}});
+  w.window.Link(5, Point2{{0.0, 0.0}}, 9, Point2{{0.03, 0.045}});
+  EXPECT_EQ(w.stats.merges, 1u);
+  w.window.Flush();
+  EXPECT_EQ(w.sink.groups(), (std::vector<IdList>{{5, 6, 7, 8}, {5, 9}}));
+}
+
+TEST(GroupTest, DedupAcrossManyMerges) {
+  BoxWindow w(3);
+  w.window.Link(0, Point2{{0.0, 0.0}}, 1, Point2{{0.001, 0.0}});
+  for (int round = 0; round < 5; ++round) {
+    for (PointId id = 0; id < 8; ++id) {
+      w.window.Link(0, Point2{{0.0, 0.0}}, id, Point2{{0.001 * id, 0.0}});
+    }
+  }
+  EXPECT_EQ(w.stats.merges, 40u);
+  w.window.Flush();
+  EXPECT_EQ(w.sink.groups(),
+            (std::vector<IdList>{{0, 1, 2, 3, 4, 5, 6, 7}}));
+}
 
 TEST_F(GroupWindowTest, EvictsOldestBeyondCapacity) {
   // Four far-apart links -> four groups; capacity 3 evicts the first.
@@ -325,6 +350,265 @@ TEST(GroupInvariantTest, WindowGroupsAlwaysWithinEps) {
       Box<2> box;
       for (PointId id : group) box.Extend(points[id]);
       ASSERT_LE(box.Diagonal(), eps + 1e-12);
+    }
+  }
+}
+
+/// The window as it was first written, as a reference model: a deque of
+/// groups, each a member vector plus a std::set built on its first merge.
+template <typename Shape>
+class ReferenceWindow {
+ public:
+  using Item = typename Shape::Item;
+  using Bound = typename Shape::Bound;
+
+  ReferenceWindow(Shape shape, size_t capacity, bool promote, JoinSink* sink,
+                  JoinStats* stats)
+      : shape_(std::move(shape)),
+        capacity_(capacity),
+        promote_(promote),
+        sink_(sink),
+        stats_(stats) {}
+
+  void Link(PointId id_a, const Item& a, PointId id_b, const Item& b) {
+    for (size_t i = groups_.size(); i-- > 0;) {
+      if (!Shape::Mergeable(groups_[i].bound)) continue;
+      ++stats_->merge_attempts;
+      if (!shape_.TryExtend(groups_[i].bound, a, b, stats_)) continue;
+      ++stats_->merges;
+      Add(groups_[i], id_a);
+      Add(groups_[i], id_b);
+      if (promote_) {
+        RefGroup group = std::move(groups_[i]);
+        groups_.erase(groups_.begin() + static_cast<long>(i));
+        groups_.push_back(std::move(group));
+      }
+      return;
+    }
+    std::optional<Bound> bound = shape_.Found(a, b, stats_);
+    if (!bound) {
+      sink_->Link(id_a, id_b);
+      stats_->AddImpliedLink();
+      return;
+    }
+    RefGroup group{*bound, {id_a}, {}};
+    if (id_b != id_a) group.members.push_back(id_b);
+    Push(std::move(group));
+  }
+
+  void SubtreeGroup(std::vector<PointId> members, Bound bound) {
+    if (members.size() >= 2) Push(RefGroup{bound, std::move(members), {}});
+  }
+
+  void Flush() {
+    while (!groups_.empty()) Evict();
+  }
+
+ private:
+  struct RefGroup {
+    Bound bound;
+    std::vector<PointId> members;
+    std::set<PointId> set;
+  };
+
+  static void Add(RefGroup& group, PointId id) {
+    if (group.set.empty()) {
+      group.set.insert(group.members.begin(), group.members.end());
+    }
+    if (group.set.insert(id).second) group.members.push_back(id);
+  }
+
+  void Push(RefGroup group) {
+    groups_.push_back(std::move(group));
+    if (groups_.size() > capacity_) Evict();
+  }
+
+  void Evict() {
+    const std::vector<PointId>& members = groups_.front().members;
+    if (members.size() >= 2) {  // a self-link founds a singleton
+      sink_->Group(members);
+      stats_->AddImpliedGroup(members.size());
+    }
+    groups_.pop_front();
+  }
+
+  Shape shape_;
+  size_t capacity_;
+  bool promote_;
+  JoinSink* sink_;
+  JoinStats* stats_;
+  std::deque<RefGroup> groups_;
+};
+
+/// Planar points under L2, as a metric for ball-shaped groups.
+struct PlaneMetric {
+  double operator()(const Point2& a, const Point2& b) const {
+    return std::sqrt(SquaredDistance(a, b));
+  }
+};
+
+/// One input of a window: a link (two ids) or a subtree group.
+struct WindowOp {
+  bool subtree = false;
+  std::vector<PointId> ids;
+};
+
+/// A seeded stream of window inputs over `points` (id -> point, every id
+/// inside a few clusters of radius about eps). It opens with a point that
+/// joins two live groups and then merges into the older one, and mixes
+/// repeated links, self-links, small subtree groups (some with a repeated
+/// id, as a dual join of two id spaces gives) and one 10,000-member
+/// subtree group that then takes merges. Ids 0 and 0xFFFFFFFF are in play.
+std::vector<WindowOp> MakeWindowStream(std::map<PointId, Point2>* points,
+                                       double eps, uint64_t seed) {
+  Rng rng(seed);
+  points->clear();
+  std::vector<WindowOp> ops;
+  // p joins A = {p, q}, then B = {p, s}, then merges into A with t.
+  const PointId p = 0, q = 0xFFFFFFFF, s = 7, t = 8;
+  (*points)[p] = Point2{{0.0, 0.0}};
+  (*points)[q] = Point2{{-0.5 * eps, 0.0}};
+  (*points)[s] = Point2{{0.8 * eps, 0.0}};
+  (*points)[t] = Point2{{-0.45 * eps, 0.1 * eps}};
+  ops.push_back({false, {p, q}});
+  ops.push_back({false, {p, s}});
+  ops.push_back({false, {p, t}});
+
+  std::vector<std::vector<PointId>> clusters(6);
+  PointId next = 100;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    const Point2 centre{{10.0 * eps * static_cast<double>(c), 0.0}};
+    for (int i = 0; i < 40; ++i) {
+      // Ids 0, 0xFFFFFFFF and 0xFFFFFFFE share the first cluster.
+      constexpr PointId kEdgeIds[] = {0, 0xFFFFFFFF, 0xFFFFFFFE};
+      const PointId id = c == 0 && i < 3 ? kEdgeIds[i] : next++;
+      if (!points->contains(id)) {
+        (*points)[id] = Point2{{centre[0] + rng.UniformDouble(-0.4, 0.4) * eps,
+                                rng.UniformDouble(-0.4, 0.4) * eps}};
+      }
+      clusters[c].push_back(id);
+    }
+  }
+  // The big subtree group: 10,000 ids packed well inside eps.
+  std::vector<PointId> big;
+  for (PointId i = 0; i < 10000; ++i) {
+    const PointId id = 1000000 + i;
+    (*points)[id] = Point2{{-20.0 * eps + 1e-6 * eps * i, 0.0}};
+    big.push_back(id);
+  }
+
+  const auto pick = [&](const std::vector<PointId>& ids) {
+    return ids[rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1)];
+  };
+  for (int i = 0; i < 4000; ++i) {
+    if (i == 2000) ops.push_back({true, big});
+    if (i > 2000 && i < 2300) {
+      ops.push_back({false, {pick(big), pick(big)}});
+      continue;
+    }
+    const double roll = rng.UniformDouble();
+    const std::vector<PointId>& cluster = clusters[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(clusters.size()) - 1))];
+    if (roll < 0.05) {
+      const WindowOp last = ops.back();
+      ops.push_back(last);  // a repeated input
+    } else if (roll < 0.10) {
+      const PointId id = pick(cluster);
+      ops.push_back({false, {id, id}});  // a self-link
+    } else if (roll < 0.15) {
+      WindowOp group{true, {}};
+      const int64_t n = rng.UniformInt(1, 12);
+      for (int64_t k = 0; k < n; ++k) group.ids.push_back(pick(cluster));
+      ops.push_back(std::move(group));
+    } else {
+      ops.push_back({false, {pick(cluster), pick(cluster)}});
+    }
+  }
+  return ops;
+}
+
+/// Feeds `ops` to the window and to the reference model, and checks that
+/// they write the same records at the same points of the stream, with the
+/// same merge work and implied links.
+template <typename Shape, typename BoundOf>
+void ExpectWindowMatchesReference(const Shape& shape, int g, bool promote,
+                                  const std::map<PointId, Point2>& points,
+                                  const std::vector<WindowOp>& ops,
+                                  BoundOf bound_of) {
+  SCOPED_TRACE(StrFormat("g=%d promote=%d", g, promote ? 1 : 0));
+  MemorySink sink(10), ref_sink(10);
+  JoinStats stats, ref_stats;
+  GroupWindow<Shape> window(shape, JoinAlgorithm::kCSJ, g, promote, &sink,
+                            &stats, /*write_timer=*/nullptr);
+  ReferenceWindow<Shape> ref(shape, static_cast<size_t>(g), promote,
+                             &ref_sink, &ref_stats);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const WindowOp& op = ops[i];
+    if (op.subtree) {
+      window.SubtreeGroup(op.ids, bound_of(op.ids));
+      ref.SubtreeGroup(op.ids, bound_of(op.ids));
+    } else {
+      const Point2& a = points.at(op.ids[0]);
+      const Point2& b = points.at(op.ids[1]);
+      window.Link(op.ids[0], a, op.ids[1], b);
+      ref.Link(op.ids[0], a, op.ids[1], b);
+    }
+    ASSERT_EQ(sink.groups().size(), ref_sink.groups().size()) << "op " << i;
+    ASSERT_EQ(sink.links().size(), ref_sink.links().size()) << "op " << i;
+  }
+  window.Flush();
+  ref.Flush();
+  EXPECT_EQ(sink.links(), ref_sink.links());
+  EXPECT_EQ(sink.groups(), ref_sink.groups());
+  EXPECT_EQ(stats.merges, ref_stats.merges);
+  EXPECT_EQ(stats.merge_attempts, ref_stats.merge_attempts);
+  EXPECT_EQ(stats.distance_computations, ref_stats.distance_computations);
+  EXPECT_EQ(stats.ImpliedLinkUpperBound(), ref_stats.ImpliedLinkUpperBound());
+  EXPECT_GT(stats.merges, 0u);
+}
+
+TEST(GroupWindowReferenceTest, BoxWindowMatchesTheReferenceModel) {
+  const double eps = 0.1;
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    std::map<PointId, Point2> points;
+    const std::vector<WindowOp> ops = MakeWindowStream(&points, eps, seed);
+    const auto bound_of = [&](const std::vector<PointId>& ids) {
+      Box<2> box;
+      for (PointId id : ids) box.Extend(points.at(id));
+      return box;
+    };
+    for (const int g : {1, 2, 10, 100}) {
+      for (const bool promote : {false, true}) {
+        ExpectWindowMatchesReference(BoxShape<2>(eps), g, promote, points,
+                                     ops, bound_of);
+      }
+    }
+  }
+}
+
+TEST(GroupWindowReferenceTest, BallWindowMatchesTheReferenceModel) {
+  const double eps = 0.1;
+  const PlaneMetric metric;
+  const BallShape<Point2, PlaneMetric> shape(metric, eps);
+  for (const uint64_t seed : {4u, 5u, 6u}) {
+    std::map<PointId, Point2> points;
+    const std::vector<WindowOp> ops = MakeWindowStream(&points, eps, seed);
+    // Centred on the first member; one node unless the group is small and
+    // odd-sized, which freezes it.
+    const auto bound_of = [&](const std::vector<PointId>& ids) {
+      const Point2& centre = points.at(ids[0]);
+      double radius = 0.0;
+      for (PointId id : ids) {
+        radius = std::max(radius, metric(centre, points.at(id)));
+      }
+      return shape.Subtree(centre, radius,
+                           /*one_node=*/ids.size() > 6 || ids.size() % 2 == 0);
+    };
+    for (const int g : {1, 2, 10, 100}) {
+      for (const bool promote : {false, true}) {
+        ExpectWindowMatchesReference(shape, g, promote, points, ops,
+                                     bound_of);
+      }
     }
   }
 }
