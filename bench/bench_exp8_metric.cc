@@ -73,6 +73,9 @@ void Main(const BenchArgs& args) {
       const JoinStats ssj = MetricStandardJoin(tree, options, standard.get());
       auto compact = MakeSinkOrDie(OutputSpec::Counting(corpus.size()));
       const JoinStats csj = MetricCompactJoin(tree, options, compact.get());
+      BenchRecorder::Get().SetContext(StrFormat("copies=%d", copies));
+      BenchRecorder::Get().RecordStats(ssj);
+      BenchRecorder::Get().RecordStats(csj);
 
       const double savings =
           standard->bytes() == 0

@@ -89,9 +89,7 @@ Cell TimeKernel(KernelFn&& kernel, int calls, int runs) {
 
 void Record(const std::string& context, double eps, const Cell& cell) {
   BenchRecorder::Get().SetContext(context);
-  JoinStats stats;
-  stats.algorithm = JoinAlgorithm::kSSJ;
-  stats.epsilon = eps;
+  JoinStats stats(JoinAlgorithm::kSSJ, eps, /*window_size=*/0);
   stats.elapsed_seconds = cell.seconds_per_call;
   stats.distance_computations = cell.computed;
   stats.kernel_candidates = cell.candidates;

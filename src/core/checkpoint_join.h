@@ -2,7 +2,6 @@
 #define CSJ_CORE_CHECKPOINT_JOIN_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -22,18 +21,19 @@
 ///
 /// A checkpoint (storage/checkpoint.h) is the committed task prefix plus the
 /// sink position — a record boundary for text, a sealed-block boundary plus
-/// the open block's payload for CSJ2 — with cumulative JoinStats and curated
-/// metric counters. One is written every `checkpoint_interval` committed
-/// tasks: the loop stops handing out tasks at the boundary until the tasks
-/// in flight have committed, so the manifest covers exactly the prefix.
+/// the open block's payload for CSJ2, with the sink's counters — and the
+/// cumulative JoinWork and curated metric counters. One is written every
+/// `checkpoint_interval` committed tasks: the loop stops handing out tasks
+/// at the boundary until the tasks in flight have committed, so the
+/// manifest covers exactly the prefix.
 /// `--resume` truncates the output back to the committed boundary and
 /// continues, at any thread count; the task list depends only on (tree, eps),
 /// and the finished output is byte-identical to an uninterrupted run.
 ///
-/// Governance: a deadline (`options.deadline_ms`), the `ckpt.cancel` flag or
-/// a cancel in `options.exec` stops the loop at a task boundary: the tasks in
-/// flight finish and commit, and a final checkpoint is written at the new
-/// frontier.
+/// Governance: a deadline (`options.deadline_ms`) or a cancel in
+/// `options.exec` (csj_tool's SIGINT/SIGTERM flag) stops the loop at a task
+/// boundary: the tasks in flight finish and commit, and a final checkpoint
+/// is written at the new frontier.
 ///
 /// Outcome statuses: OK (complete; manifest deleted), kCancelled /
 /// kDeadlineExceeded (final checkpoint saved), kResourceExhausted (a budget
@@ -61,10 +61,6 @@ struct CheckpointJoinOptions {
   /// Continue from manifest_path instead of starting over. Fails cleanly if
   /// the manifest is missing, corrupt, or from a different configuration.
   bool resume = false;
-  /// External cancel flag (e.g. flipped by a SIGINT handler). Polled at
-  /// task boundaries; when set, a final checkpoint is written and the run
-  /// returns kCancelled. Not owned; may be null.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 namespace internal {
@@ -117,46 +113,6 @@ inline uint64_t TaskListHash(const std::vector<JoinTask>& tasks) {
   return h;
 }
 
-/// Composes the cumulative StatsState for a manifest: the resumed-from base
-/// plus everything this session has committed so far.
-inline checkpoint::StatsState ComposeStats(const checkpoint::StatsState& base,
-                                           const JoinStats& fresh,
-                                           double fresh_elapsed) {
-  checkpoint::StatsState s = base;
-  s.distance_computations += fresh.distance_computations;
-  s.kernel_candidates += fresh.kernel_candidates;
-  s.kernel_pruned += fresh.kernel_pruned;
-  s.kernel_hits += fresh.kernel_hits;
-  s.node_accesses += fresh.node_accesses;
-  s.page_requests += fresh.page_requests;
-  s.page_disk_reads += fresh.page_disk_reads;
-  s.early_stops += fresh.early_stops;
-  s.merge_attempts += fresh.merge_attempts;
-  s.merges += fresh.merges;
-  s.implied_links += fresh.ImpliedLinkUpperBound();
-  s.elapsed_seconds += fresh_elapsed;
-  s.write_seconds += fresh.write_seconds;
-  return s;
-}
-
-/// Folds a manifest's StatsState base into a finalized JoinStats (whose
-/// output counters already come from the restored sink and are cumulative).
-inline void ApplyStatsBase(JoinStats* stats, const checkpoint::StatsState& b) {
-  stats->distance_computations += b.distance_computations;
-  stats->kernel_candidates += b.kernel_candidates;
-  stats->kernel_pruned += b.kernel_pruned;
-  stats->kernel_hits += b.kernel_hits;
-  stats->node_accesses += b.node_accesses;
-  stats->page_requests += b.page_requests;
-  stats->page_disk_reads += b.page_disk_reads;
-  stats->early_stops += b.early_stops;
-  stats->merge_attempts += b.merge_attempts;
-  stats->merges += b.merges;
-  stats->AddImpliedLinks(b.implied_links);
-  stats->elapsed_seconds += b.elapsed_seconds;
-  stats->write_seconds += b.write_seconds;
-}
-
 /// Snapshot of the checkpoint-carried counters at session start; lets a
 /// checkpoint record `base + (now - session_start)` for each counter.
 struct MetricBaseline {
@@ -195,11 +151,7 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
                                const JoinOptions& options, OutputSpec spec,
                                const CheckpointJoinOptions& ckpt) {
   auto rejected = [&](Status status) {
-    JoinStats out;
-    out.algorithm = algorithm;
-    out.epsilon = options.epsilon;
-    out.window_size =
-        algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
+    JoinStats out(algorithm, options.epsilon, options.window_size);
     out.status = std::move(status);
     return out;
   };
@@ -275,27 +227,25 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
     m.total_tasks = tasks.size();
     m.task_list_hash = task_hash;
     m.next_task = frontier;
-    m.stats = internal::ComposeStats(base.stats, session,
-                                     timer.ElapsedSeconds());
+    m.stats = base.stats;
+    m.stats += session;
+    m.stats.elapsed_seconds += timer.ElapsedSeconds();
     m.sink = sink_state;
     m.metric_counters = metric_baseline.Compose();
     return checkpoint::Save(ckpt.manifest_path, m);
   };
 
-  ExecContext cancel_ctx;
-  cancel_ctx.SetParent(options.exec);
-  cancel_ctx.SetCancelFlag(ckpt.cancel);
-  JoinOptions loop_options = options;
-  loop_options.exec = &cancel_ctx;
   JoinStats stats = internal::RunTaskLoop(tree, tree, /*self_join=*/true,
-                                          tasks, algorithm, loop_options,
+                                          tasks, algorithm, options,
                                           sink.get(), ckpt.threads, &hook);
-  internal::ApplyStatsBase(&stats, base.stats);
+  // Adds the interrupted sessions' work. The output counters, read from the
+  // restored sink, are cumulative already.
+  stats += base.stats;
   if (stats.status.ok()) {
     stats.status = sink->Finish();
     if (stats.status.ok()) std::remove(ckpt.manifest_path.c_str());
-    // A healthy sink had lost nothing before Finish; its last append may.
-    stats.DeductImpliedLinks(sink->lost_implied_links());
+    // A failed last append loses records.
+    ReadOutputCounters(*sink, &stats);
   }
   return stats;
 }

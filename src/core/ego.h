@@ -245,10 +245,8 @@ JoinStats RunEgoJoin(const std::vector<Entry<D>>& set_a,
                      const EgoOptions& options, bool compact, JoinSink* sink) {
   CSJ_CHECK(options.epsilon > 0.0);
   CSJ_CHECK(sink != nullptr);
-  JoinStats stats;
-  stats.algorithm = compact ? JoinAlgorithm::kCSJ : JoinAlgorithm::kSSJ;
-  stats.epsilon = options.epsilon;
-  stats.window_size = compact ? options.window_size : 0;
+  JoinStats stats(compact ? JoinAlgorithm::kCSJ : JoinAlgorithm::kSSJ,
+                  options.epsilon, options.window_size);
 
   WallTimer timer;
   ExecContext run_ctx;

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/join_options.h"
-#include "core/join_stats.h"
+#include "core/join_work.h"
 #include "core/sink.h"
 #include "geom/box.h"
 #include "util/exec_context.h"
@@ -38,8 +38,8 @@
 /// admits it; otherwise it founds a new group. Under SSJ and N-CSJ it holds
 /// nothing and writes every record straight to the sink. Either way it is
 /// the only code between a join driver and its sink: it times the writes,
-/// counts implied links only for records the sink accepted, drops groups of
-/// fewer than two members and charges pending groups to the memory budget.
+/// drops groups of fewer than two members and charges pending groups to the
+/// memory budget. The sink counts what it accepts, implied links included.
 ///
 /// Storage: at most g slots, each a bound, a member vector and a flat member
 /// table (open addressing, at most half full), allocated only as the window
@@ -64,7 +64,7 @@ class BoxShape {
 
   /// Extends the MBR to cover the link if its diagonal stays within eps
   /// (squared comparison; no sqrt); leaves it untouched otherwise.
-  bool TryExtend(Bound& box, const Item& a, const Item& b, JoinStats*) const {
+  bool TryExtend(Bound& box, const Item& a, const Item& b, JoinWork*) const {
     Box<D> extended = box;
     extended.Extend(a);
     extended.Extend(b);
@@ -75,7 +75,7 @@ class BoxShape {
 
   /// The bound of a group founded by the link (a, b); an MBR can host any
   /// qualifying link.
-  std::optional<Bound> Found(const Item& a, const Item& b, JoinStats*) const {
+  std::optional<Bound> Found(const Item& a, const Item& b, JoinWork*) const {
     Box<D> box;
     box.Extend(a);
     box.Extend(b);
@@ -109,10 +109,10 @@ class BallShape {
   /// Admits the link if both endpoints lie within eps/2 of the centre.
   /// Costs one distance computation, or two when a is inside.
   bool TryExtend(const Bound& ball, const Item& a, const Item& b,
-                 JoinStats* stats) const {
-    ++stats->distance_computations;
+                 JoinWork* work) const {
+    ++work->distance_computations;
     if (metric_(ball.center, a) > radius_) return false;
-    ++stats->distance_computations;
+    ++work->distance_computations;
     return metric_(ball.center, b) <= radius_;
   }
 
@@ -120,8 +120,8 @@ class BallShape {
   /// (b is in (eps/2, eps] of a) the ball cannot host the pair, and the link
   /// stays a plain link. Costs one distance computation.
   std::optional<Bound> Found(const Item& a, const Item& b,
-                             JoinStats* stats) const {
-    ++stats->distance_computations;
+                             JoinWork* work) const {
+    ++work->distance_computations;
     if (metric_(a, b) > radius_) return std::nullopt;
     return Bound{a, true};
   }
@@ -194,14 +194,14 @@ class GroupWindow {
   /// \param promote_on_merge move a successfully extended group to the
   ///        most-recent slot (ablation; the default keeps creation order).
   /// \param sink receives the output. Not owned; may be set later.
-  /// \param stats implied links and merge work. Not owned.
+  /// \param work receives the merge work. Not owned.
   /// \param write_timer if non-null, sink time is accumulated there.
   /// \param exec optional governance context (util/exec_context.h). When it
   ///        carries a memory budget, the slots' storage is charged to it,
   ///        and a denied charge trips `kResourceExhausted`: a budget stops a
   ///        run, never changes its bytes.
   GroupWindow(Shape shape, JoinAlgorithm algorithm, int capacity,
-              bool promote_on_merge, JoinSink* sink, JoinStats* stats,
+              bool promote_on_merge, JoinSink* sink, JoinWork* work,
               StopwatchAccumulator* write_timer,
               const ExecContext* exec = nullptr)
       : shape_(std::move(shape)),
@@ -209,7 +209,7 @@ class GroupWindow {
         capacity_(static_cast<size_t>(capacity)),
         promote_on_merge_(promote_on_merge),
         sink_(sink),
-        stats_(stats),
+        work_(work),
         write_timer_(write_timer),
         exec_(exec) {
     CSJ_CHECK(capacity >= 1);
@@ -300,8 +300,8 @@ class GroupWindow {
       p = Prev(p);
       Slot& slot = slots_[p];
       if (!Shape::Mergeable(slot.bound)) continue;
-      ++stats_->merge_attempts;
-      if (shape_.TryExtend(slot.bound, a, b, stats_)) {
+      ++work_->merge_attempts;
+      if (shape_.TryExtend(slot.bound, a, b, work_)) {
         Absorb(p, live_ - left, id_a, id_b);
         return;
       }
@@ -314,7 +314,7 @@ class GroupWindow {
   /// (the others keep their order).
   [[gnu::noinline]] void Absorb(size_t p, size_t newer, PointId id_a,
                                 PointId id_b) {
-    ++stats_->merges;
+    ++work_->merges;
     Slot& slot = slots_[p];
     if (slot.table.empty()) Index(slot, slot.members.size() + 2);
     AddMember(slot, id_a);
@@ -331,7 +331,7 @@ class GroupWindow {
   /// createNewGroup for a link no window group admits.
   [[gnu::noinline]] void FoundGroup(PointId id_a, const Item& a, PointId id_b,
                                     const Item& b) {
-    std::optional<Bound> bound = shape_.Found(a, b, stats_);
+    std::optional<Bound> bound = shape_.Found(a, b, work_);
     if (!bound) {
       WriteLink(id_a, id_b);
       return;
@@ -441,15 +441,12 @@ class GroupWindow {
   void WriteLink(PointId a, PointId b) {
     ScopedStopwatch watch(write_timer_);
     sink_->Link(a, b);
-    // Implied links count only what the sink accepted.
-    if (sink_->error().ok()) stats_->AddImpliedLink();
   }
 
   void WriteGroup(std::span<const PointId> members) {
     if (members.size() < 2) return;  // a singleton implies no links
     ScopedStopwatch watch(write_timer_);
     sink_->Group(members);
-    if (sink_->error().ok()) stats_->AddImpliedGroup(members.size());
   }
 
   Shape shape_;
@@ -457,7 +454,7 @@ class GroupWindow {
   size_t capacity_;
   bool promote_on_merge_;
   JoinSink* sink_;
-  JoinStats* stats_;
+  JoinWork* work_;
   StopwatchAccumulator* write_timer_;
   const ExecContext* exec_;
   /// At most g slots, allocated as the window first needs them. The live
@@ -469,16 +466,6 @@ class GroupWindow {
   uint64_t charged_ = 0;        ///< high-water mark of storage_bytes_
   ScopedCharge charge_;
 };
-
-/// Copies a sink's output counters into a run's stats, and deducts the
-/// implied links of records the sink lost. Every join driver ends with it.
-inline void ReadOutputCounters(const JoinSink& sink, JoinStats* stats) {
-  stats->links = sink.num_links();
-  stats->groups = sink.num_groups();
-  stats->group_member_total = sink.group_member_total();
-  stats->output_bytes = sink.bytes();
-  stats->DeductImpliedLinks(sink.lost_implied_links());
-}
 
 }  // namespace csj
 

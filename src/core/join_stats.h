@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/join_options.h"
+#include "core/join_work.h"
 #include "util/format.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -15,9 +16,20 @@
 
 namespace csj {
 
-/// Everything a single join run reports. Output counters mirror the sink;
-/// work counters are maintained by the driver.
-struct JoinStats {
+class JoinSink;
+
+/// Everything a single join run reports: the run header, the outcome, the
+/// output counters the sink kept and the work (core/join_work.h) the driver
+/// did.
+struct JoinStats : JoinWork {
+  JoinStats() = default;
+  /// Stamps the run header. `window_size` is kept for CSJ(g) only; the other
+  /// algorithms report 0.
+  JoinStats(JoinAlgorithm algorithm, double epsilon, int window_size)
+      : algorithm(algorithm),
+        epsilon(epsilon),
+        window_size(algorithm == JoinAlgorithm::kCSJ ? window_size : 0) {}
+
   JoinAlgorithm algorithm = JoinAlgorithm::kSSJ;
   double epsilon = 0.0;
   int window_size = 0;
@@ -28,33 +40,13 @@ struct JoinStats {
   /// sink accepted before the failure.
   Status status;
 
-  // Output shape.
+  // Output shape, read from the sink by ReadOutputCounters.
   uint64_t links = 0;               ///< individually emitted links
   uint64_t groups = 0;              ///< emitted groups
   uint64_t group_member_total = 0;  ///< sum of group sizes
   /// Exact bytes of the output in the sink's accounting format (text or
   /// CSJ2; see JoinSink::bytes()).
   uint64_t output_bytes = 0;
-
-  // Work counters.
-  uint64_t distance_computations = 0;
-  /// Leaf-kernel accounting (geom/kernels.h): raw leaf pair space, pairs the
-  /// plane sweep discarded on the 1-D bound alone, and in-range pairs.
-  /// distance_computations == kernel_candidates - kernel_pruned + any
-  /// non-leaf distance work. Zero for drivers that bypass the kernel layer.
-  uint64_t kernel_candidates = 0;
-  uint64_t kernel_pruned = 0;
-  uint64_t kernel_hits = 0;
-  uint64_t node_accesses = 0;   ///< node visits (0 if no tracker installed)
-  uint64_t page_requests = 0;   ///< simulated page requests
-  uint64_t page_disk_reads = 0; ///< simulated LRU misses
-  uint64_t early_stops = 0;     ///< subtree groups from the stopping rule
-  uint64_t merge_attempts = 0;  ///< link-into-group trials (CSJ)
-  uint64_t merges = 0;          ///< successful merges (CSJ)
-
-  // Timing.
-  double elapsed_seconds = 0.0;  ///< total join wall time (includes writes)
-  double write_seconds = 0.0;    ///< sink time, if measure_write_time was set
 
   // Planner wiring (plan/planner.h). Zero/empty for unplanned runs. The
   // predictions are stamped by AttachPlan after the run; predicted_links
@@ -67,19 +59,12 @@ struct JoinStats {
   /// explainable plan document.
   std::string plan_json;
 
-  /// Number of links the output *implies*: each emitted group of k members
-  /// stands for k*(k-1)/2 links, plus the individual links. For a lossless
-  /// compact join this matches SSJ's link count minus duplicates (groups may
-  /// overlap, so implied counts can exceed the distinct-link count).
+  /// Number of links the output *implies* (JoinSink::implied_links): each
+  /// group of k members stands for k*(k-1)/2 links, plus the individual
+  /// links. For a lossless compact join this matches SSJ's link count minus
+  /// duplicates (groups may overlap, so implied counts can exceed the
+  /// distinct-link count).
   uint64_t ImpliedLinkUpperBound() const { return implied_links_; }
-  void AddImpliedGroup(uint64_t k) { implied_links_ += k * (k - 1) / 2; }
-  void AddImpliedLink() { ++implied_links_; }
-  /// Bulk restore for checkpoint/resume (storage/checkpoint.h): a resumed
-  /// run re-seeds the counter with the manifest's cumulative value.
-  void AddImpliedLinks(uint64_t n) { implied_links_ += n; }
-  /// Drops the links implied by records a sink accepted but then lost
-  /// (JoinSink::lost_implied_links).
-  void DeductImpliedLinks(uint64_t n) { implied_links_ -= n; }
 
   std::string ToString() const {
     std::string text = StrFormat(
@@ -111,18 +96,7 @@ struct JoinStats {
     v["groups"] = groups;
     v["group_member_total"] = group_member_total;
     v["output_bytes"] = output_bytes;
-    v["distance_computations"] = distance_computations;
-    v["kernel_candidates"] = kernel_candidates;
-    v["kernel_pruned"] = kernel_pruned;
-    v["kernel_hits"] = kernel_hits;
-    v["node_accesses"] = node_accesses;
-    v["page_requests"] = page_requests;
-    v["page_disk_reads"] = page_disk_reads;
-    v["early_stops"] = early_stops;
-    v["merge_attempts"] = merge_attempts;
-    v["merges"] = merges;
-    v["elapsed_seconds"] = elapsed_seconds;
-    v["write_seconds"] = write_seconds;
+    ForEachField([&](const char* name, auto field) { v[name] = this->*field; });
     v["implied_links"] = implied_links_;
     // Planned runs only, so unplanned stats documents are unchanged.
     if (predicted_links != 0 || predicted_groups != 0 || !plan_json.empty()) {
@@ -137,8 +111,15 @@ struct JoinStats {
   }
 
  private:
+  friend void ReadOutputCounters(const JoinSink& sink, JoinStats* stats);
+
   uint64_t implied_links_ = 0;
 };
+
+/// Copies a sink's output counters, implied links included, into a run's
+/// stats. Every driver ends with it, and a caller that finishes the sink
+/// calls it again, since a failed last append loses records.
+void ReadOutputCounters(const JoinSink& sink, JoinStats* stats);
 
 /// Mirrors a run's (or a task's) work counters into the process-wide join.*
 /// metrics: one bulk add per run, so the per-pair hot loops stay untouched.

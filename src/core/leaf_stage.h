@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/group.h"
-#include "core/join_stats.h"
+#include "core/join_work.h"
 #include "geom/kernels.h"
 #include "util/exec_context.h"
 #include "util/metrics.h"
@@ -47,14 +47,14 @@ class LeafStage {
   static constexpr size_t kCacheTiles = 128;
 
   /// \param window receives every qualifying link. Not owned.
-  /// \param stats receives the kernel work counters. Not owned.
+  /// \param work receives the kernel work counters. Not owned.
   /// \param ctx is charged for the tiles and tripped on a denial. Not owned.
   LeafStage(LeafKernel mode, double epsilon, GroupWindow<BoxShape<D>>* window,
-            JoinStats* stats, const ExecContext* ctx)
+            JoinWork* work, const ExecContext* ctx)
       : mode_(mode),
         eps2_(epsilon * epsilon),
         window_(window),
-        stats_(stats),
+        work_(work),
         ctx_(ctx) {
     index_.reserve(kCacheTiles);
   }
@@ -122,10 +122,10 @@ class LeafStage {
   }
 
   void AddWork(const KernelCounters& kc) {
-    stats_->distance_computations += kc.computed;
-    stats_->kernel_candidates += kc.candidates;
-    stats_->kernel_pruned += kc.pruned;
-    stats_->kernel_hits += kc.hits;
+    work_->distance_computations += kc.computed;
+    work_->kernel_candidates += kc.candidates;
+    work_->kernel_pruned += kc.pruned;
+    work_->kernel_hits += kc.hits;
   }
 
   /// Clears the cache if loading the visit's missing tiles would overflow it.
@@ -185,7 +185,7 @@ class LeafStage {
   LeafKernel mode_;
   double eps2_;
   GroupWindow<BoxShape<D>>* window_;
-  JoinStats* stats_;
+  JoinWork* work_;
   const ExecContext* ctx_;
   LeafJoinScratch<D> scratch_;  ///< the tile kernels' hit buffers
   /// unique_ptr slab: a tile keeps its address while the slab grows.

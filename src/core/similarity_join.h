@@ -109,8 +109,8 @@ class JoinDriver {
   /// from zero, and the CSJ(g) window starts empty and is flushed when the
   /// task ends, so the task's output depends on nothing but the task. One
   /// driver runs every task of a worker, so the leaf stage's tiles carry
-  /// over from task to task. Returns the task's work counters, implied
-  /// links, write time and status.
+  /// over from task to task. Returns the task's work counters, write time
+  /// and status.
   JoinStats RunTask(const JoinTask& task, JoinSink* sink) {
     CSJ_CHECK(sink != nullptr);
     sink_ = sink;
@@ -374,7 +374,7 @@ std::vector<JoinTask> BuildTaskList(const TreeA& tree_a, const TreeB& tree_b,
 /// A task's output held back until the frontier reaches the task: links and
 /// groups in emission order, charged to the run's memory budget. Its records
 /// stay out of the process-wide sink.* counters; the sink they are replayed
-/// into counts them.
+/// into counts them, implied links included.
 class TaskBuffer final : public JoinSink {
  public:
   TaskBuffer(int id_width, MemoryBudget* budget) : JoinSink(id_width) {
@@ -383,23 +383,18 @@ class TaskBuffer final : public JoinSink {
   }
 
   /// Re-emits every record into `sink`, in order, until the sink errs.
-  /// Returns the number of links the accepted records imply.
-  uint64_t ReplayInto(JoinSink* sink) const {
-    uint64_t implied = 0;
+  void ReplayInto(JoinSink* sink) const {
     size_t at = 0;
     for (const uint32_t size : sizes_) {
       if (!sink->error().ok()) break;
       if (size == kLink) {
         sink->Link(ids_[at], ids_[at + 1]);
         at += 2;
-        if (sink->error().ok()) ++implied;
       } else {
         sink->Group(std::span<const PointId>(ids_.data() + at, size));
         at += size;
-        if (sink->error().ok()) implied += uint64_t{size} * (size - 1) / 2;
       }
     }
-    return implied;
   }
 
  protected:
@@ -439,17 +434,6 @@ class TaskBuffer final : public JoinSink {
   uint64_t charged_ = 0;
 };
 
-/// Adds one task's work counters to a run's.
-inline void AddWork(JoinStats* total, const JoinStats& task) {
-  total->distance_computations += task.distance_computations;
-  total->kernel_candidates += task.kernel_candidates;
-  total->kernel_pruned += task.kernel_pruned;
-  total->kernel_hits += task.kernel_hits;
-  total->early_stops += task.early_stops;
-  total->merge_attempts += task.merge_attempts;
-  total->merges += task.merges;
-}
-
 /// Rejects thread counts the trees or the options cannot support.
 template <typename TreeA, typename TreeB>
 Status CheckThreads(int threads, const JoinOptions& options) {
@@ -483,8 +467,8 @@ struct TaskLoopHook {
 
 /// The one executor of tree joins: runs `tasks` in order into `sink` on
 /// `threads` workers (see the file comment). Returns this session's work
-/// counters, implied links and write time, the sink's output counters and
-/// the outcome; does not Finish() the sink.
+/// counters and write time, the sink's output counters and the outcome;
+/// does not Finish() the sink.
 ///
 /// Governance: the loop owns an ExecContext chaining `options.exec` with
 /// `options.deadline_ms`, polled before every task is handed out. Without a
@@ -502,13 +486,9 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
   using Driver = JoinDriver<TreeA, TreeB>;
   threads = std::max(threads, 1);
   WallTimer timer;
-  // This session's work counters (every task it ran), the implied links and
-  // write time of the output it committed.
-  JoinStats session;
-  session.algorithm = algorithm;
-  session.epsilon = options.epsilon;
-  session.window_size =
-      algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
+  // This session's work counters (every task it ran) and the write time of
+  // the output it committed.
+  JoinStats session(algorithm, options.epsilon, options.window_size);
   session.status = CheckThreads<TreeA, TreeB>(threads, options);
   if (!session.status.ok()) return session;
 
@@ -600,15 +580,13 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
       if (auto buffer = std::move(buffers[frontier])) {
         lock.unlock();
         WallTimer replay_timer;
-        uint64_t implied;
         {
           CSJ_METRIC_SCOPED_TIMER("parallel.replay_ns");
-          implied = buffer->ReplayInto(sink);
+          buffer->ReplayInto(sink);
         }
         const double replay_seconds = replay_timer.ElapsedSeconds();
         buffer.reset();
         lock.lock();
-        session.AddImpliedLinks(implied);
         if (options.measure_write_time) session.write_seconds += replay_seconds;
         if (!sink->error().ok()) {
           record_failure(sink->error());
@@ -660,14 +638,12 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
             buffer = std::make_unique<TaskBuffer>(sink->id_width(),
                                                   task_ctx.memory_budget());
           }
-          const JoinStats stats =
+          JoinStats stats =
               driver.RunTask(tasks[index], direct ? sink : buffer.get());
+          // A buffered task's writes are timed when the buffer is replayed.
+          if (!direct) stats.write_seconds = 0.0;
           lock.lock();
-          AddWork(&session, stats);
-          if (direct) {  // its output is in the sink, even on failure
-            session.AddImpliedLinks(stats.ImpliedLinkUpperBound());
-            session.write_seconds += stats.write_seconds;
-          }
+          session += stats;
           if (!stats.status.ok()) {
             record_failure(stats.status);
             return;

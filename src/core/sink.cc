@@ -1,5 +1,7 @@
 #include "core/sink.h"
 
+#include "core/join_stats.h"
+
 namespace csj {
 
 const char* OutputFormatName(OutputFormat format) {
@@ -179,10 +181,9 @@ void FileSink::SealBlock() {
     // before the failure; a torn CSJ2 block holds none.
     const char* payload = block_.data() + header_bytes_;
     const size_t landed = static_cast<size_t>(file_.bytes_written() - offset);
-    lost_implied_links_ +=
-        binary_ ? ImpliedByCsj2Records(payload, PayloadFill())
-                : ImpliedByTextLines(payload, PayloadFill()) -
-                      ImpliedByTextLines(payload, landed);
+    DropImpliedLinks(binary_ ? ImpliedByCsj2Records(payload, PayloadFill())
+                             : ImpliedByTextLines(payload, PayloadFill()) -
+                                   ImpliedByTextLines(payload, landed));
   }
   block_.resize(header_bytes_);
   record_count_ = 0;
@@ -267,6 +268,14 @@ Status FileSink::Checkpoint(checkpoint::SinkState* state) {
   state->partial_payload.assign(block_.data() + header_bytes_, PayloadFill());
   CSJ_DCHECK(!binary_ || state->model_fill == state->partial_payload.size());
   return Status::OK();
+}
+
+void ReadOutputCounters(const JoinSink& sink, JoinStats* stats) {
+  stats->links = sink.num_links();
+  stats->groups = sink.num_groups();
+  stats->group_member_total = sink.group_member_total();
+  stats->output_bytes = sink.bytes();
+  stats->implied_links_ = sink.implied_links();
 }
 
 namespace {

@@ -51,15 +51,19 @@ const char* OutputFormatName(OutputFormat format);
 /// Inverse of OutputFormatName. Returns false on unknown names.
 bool ParseOutputFormat(const std::string& name, OutputFormat* format);
 
-/// Receives the join output. Counting of links/groups/bytes happens here in
-/// the base class; subclasses only materialize.
+/// Receives the join output. Counting of links/groups/bytes and of the links
+/// the output implies happens here in the base class, the only place a
+/// join's output is counted; subclasses only materialize.
 ///
 /// Failure model: a sink that can no longer materialize output (e.g. a file
 /// sink whose disk filled up) records a *sticky* error. From that moment
 /// Link/Group become no-ops — nothing further is counted, so the counters
 /// always describe what the sink actually accepted — and drivers poll
 /// error() to abort the traversal early instead of emitting into a dead
-/// sink. The first error wins and is also returned by Finish().
+/// sink. The first error wins and is also returned by Finish(). The implied
+/// links count a record only if the sink is still healthy after writing
+/// it, and a file sink subtracts those of records it loses afterwards, so
+/// implied_links() describes what the output holds.
 class JoinSink {
  public:
   /// \param id_width zero-padding width; use IdWidthFor(n) for n points.
@@ -100,6 +104,7 @@ class JoinSink {
       CSJ_METRIC_COUNT("sink.bytes", delta);
     }
     DoLink(a, b);
+    if (error_.ok()) ++implied_links_;
   }
 
   /// Emits one group of mutually-qualifying points (k >= 2). No-op once the
@@ -119,6 +124,8 @@ class JoinSink {
       CSJ_METRIC_COUNT("sink.bytes", delta);
     }
     DoGroup(members);
+    const uint64_t k = members.size();
+    if (error_.ok()) implied_links_ += k * (k - 1) / 2;
   }
 
   /// Completes the output (flushes files). Must be called exactly once.
@@ -145,6 +152,7 @@ class JoinSink {
     num_links_ = state.num_links;
     num_groups_ = state.num_groups;
     group_member_total_ = state.group_member_total;
+    implied_links_ = state.implied_links;
     bytes_ = state.accounted_bytes;
     binary_model_.RestoreFill(state.model_fill);
   }
@@ -158,6 +166,9 @@ class JoinSink {
   uint64_t num_links() const { return num_links_; }
   uint64_t num_groups() const { return num_groups_; }
   uint64_t group_member_total() const { return group_member_total_; }
+  /// Links implied by the records the output holds: one per link, k(k-1)/2
+  /// per group of k.
+  uint64_t implied_links() const { return implied_links_; }
 
   /// Exact size in bytes the finished output file has in this sink's
   /// accounting format, for everything emitted so far — i.e. the size
@@ -178,11 +189,6 @@ class JoinSink {
   /// counting; see OutputSpec::cap_bytes).
   virtual bool truncated() const { return false; }
 
-  /// Links implied by records this sink accepted but lost when its file
-  /// failed mid-block (0 for sinks that write nothing). Drivers deduct them,
-  /// so JoinStats::ImpliedLinkUpperBound counts what the output holds.
-  virtual uint64_t lost_implied_links() const { return 0; }
-
  protected:
   virtual void DoLink(PointId a, PointId b) = 0;
   virtual void DoGroup(std::span<const PointId> members) = 0;
@@ -198,6 +204,9 @@ class JoinSink {
     if (error_.ok() && !status.ok()) error_ = status;
   }
 
+  /// Drops the links implied by records the sink counted but then lost.
+  void DropImpliedLinks(uint64_t lost) { implied_links_ -= lost; }
+
   /// Fills the base-class accounting fields of a SinkState (the inverse of
   /// RestoreAccounting). Subclass Checkpoint() overrides call this and add
   /// their storage position on top.
@@ -210,6 +219,7 @@ class JoinSink {
     state->num_links = num_links_;
     state->num_groups = num_groups_;
     state->group_member_total = group_member_total_;
+    state->implied_links = implied_links_;
     state->id_total = 0;
     state->partial_records = 0;
     state->partial_payload.clear();
@@ -223,6 +233,7 @@ class JoinSink {
   uint64_t num_links_ = 0;
   uint64_t num_groups_ = 0;
   uint64_t group_member_total_ = 0;
+  uint64_t implied_links_ = 0;
   uint64_t bytes_ = 0;
   bool record_metrics_ = true;
 };
@@ -376,7 +387,6 @@ class FileSink final : public JoinSink {
     return file_.bytes_written() + PayloadFill();
   }
   bool truncated() const override { return truncated_; }
-  uint64_t lost_implied_links() const override { return lost_implied_links_; }
   /// Status of the open performed by the constructor (also sets error()).
   const Status& open_status() const { return open_status_; }
 
@@ -391,7 +401,7 @@ class FileSink final : public JoinSink {
   bool Admit(size_t record_bytes);
   /// Appends the open block to the file (CSJ2: after patching its header)
   /// and starts an empty one. If the append fails, the block's records
-  /// that did not land whole are lost.
+  /// that did not land whole are lost, and so are the links they imply.
   void SealBlock();
   /// Appends `bytes` to the file; an error becomes the sticky error.
   void Write(const std::string& bytes);
@@ -408,7 +418,6 @@ class FileSink final : public JoinSink {
   ScopedCharge block_charge_;  ///< the open block, held against the budget
   std::string block_;  ///< header slot + payload of the block being filled
   uint32_t record_count_ = 0;
-  uint64_t lost_implied_links_ = 0;
   uint64_t id_total_ = 0;
   bool truncated_ = false;
   bool finished_ = false;

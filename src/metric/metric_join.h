@@ -47,6 +47,7 @@ class MetricJoinDriver {
         eps_(options.epsilon),
         compact_(algorithm != JoinAlgorithm::kSSJ),
         sink_(sink),
+        stats_(algorithm, options.epsilon, options.window_size),
         window_(Shape(tree.metric(), options.epsilon), algorithm,
                 std::max(options.window_size, 1), options.promote_on_merge,
                 sink, &stats_,
@@ -56,10 +57,6 @@ class MetricJoinDriver {
     CSJ_CHECK(sink != nullptr);
     run_ctx_.SetParent(options.exec);
     run_ctx_.SetDeadlineAfterMs(options.deadline_ms);
-    stats_.algorithm = algorithm;
-    stats_.epsilon = options.epsilon;
-    stats_.window_size =
-        algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
   }
 
   JoinStats Run() {

@@ -26,6 +26,8 @@ void AppendU16(std::string* out, uint16_t v) {
   out->push_back(static_cast<char>((v >> 8) & 0xFF));
 }
 
+}  // namespace
+
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -53,8 +55,6 @@ uint64_t ReadU64(const char* data) {
   }
   return v;
 }
-
-}  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
   static const std::array<uint32_t, 256> kTable = MakeCrcTable();

@@ -64,6 +64,13 @@ inline constexpr size_t kDefaultBlockPayloadBytes = 64 * 1024;
 /// Crc32("123456789") == 0xCBF43926.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
+/// Fixed-width little-endian integers. The readers take exactly 4 or 8
+/// bytes at `data`; callers check the bounds.
+void AppendU32(std::string* out, uint32_t v);
+void AppendU64(std::string* out, uint64_t v);
+uint32_t ReadU32(const char* data);
+uint64_t ReadU64(const char* data);
+
 /// LEB128 varint (low 7 bits first).
 size_t VarintBytes(uint64_t value);
 void AppendVarint(std::string* out, uint64_t value);

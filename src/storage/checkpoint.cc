@@ -1,7 +1,9 @@
 #include "storage/checkpoint.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include "storage/binary_format.h"
 #include "storage/output_file.h"
@@ -12,26 +14,6 @@
 namespace csj::checkpoint {
 
 namespace {
-
-void AppendFixed32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void AppendFixed64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double BitsToDouble(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
 
 /// Bounds-checked sequential reader over the payload. Every primitive sets
 /// a sticky error on underrun, so Parse() is a straight-line field list with
@@ -58,10 +40,7 @@ class Reader {
       status_ = Corrupt(field, "fixed32 truncated");
       return 0;
     }
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]);
-    }
+    const uint32_t v = binfmt::ReadU32(data_ + pos_);
     pos_ += 4;
     return v;
   }
@@ -72,10 +51,7 @@ class Reader {
       status_ = Corrupt(field, "fixed64 truncated");
       return 0;
     }
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]);
-    }
+    const uint64_t v = binfmt::ReadU64(data_ + pos_);
     pos_ += 8;
     return v;
   }
@@ -118,48 +94,49 @@ class Reader {
   Status status_;
 };
 
-void SerializeStats(std::string* out, const StatsState& s) {
-  binfmt::AppendVarint(out, s.distance_computations);
-  binfmt::AppendVarint(out, s.kernel_candidates);
-  binfmt::AppendVarint(out, s.kernel_pruned);
-  binfmt::AppendVarint(out, s.kernel_hits);
-  binfmt::AppendVarint(out, s.node_accesses);
-  binfmt::AppendVarint(out, s.page_requests);
-  binfmt::AppendVarint(out, s.page_disk_reads);
-  binfmt::AppendVarint(out, s.early_stops);
-  binfmt::AppendVarint(out, s.merge_attempts);
-  binfmt::AppendVarint(out, s.merges);
-  binfmt::AppendVarint(out, s.implied_links);
-  AppendFixed64(out, DoubleBits(s.elapsed_seconds));
-  AppendFixed64(out, DoubleBits(s.write_seconds));
+/// Calls f(name, field) for the JoinWork fields of type T, in list order.
+template <typename T, typename F>
+void ForEachFieldOf(F&& f) {
+  JoinWork::ForEachField([&](const char* name, auto field) {
+    if constexpr (std::is_same_v<decltype(field), T JoinWork::*>) {
+      f(name, field);
+    }
+  });
 }
 
-void ParseStats(Reader* r, StatsState* s) {
-  s->distance_computations = r->Varint("stats.distance_computations");
-  s->kernel_candidates = r->Varint("stats.kernel_candidates");
-  s->kernel_pruned = r->Varint("stats.kernel_pruned");
-  s->kernel_hits = r->Varint("stats.kernel_hits");
-  s->node_accesses = r->Varint("stats.node_accesses");
-  s->page_requests = r->Varint("stats.page_requests");
-  s->page_disk_reads = r->Varint("stats.page_disk_reads");
-  s->early_stops = r->Varint("stats.early_stops");
-  s->merge_attempts = r->Varint("stats.merge_attempts");
-  s->merges = r->Varint("stats.merges");
-  s->implied_links = r->Varint("stats.implied_links");
-  s->elapsed_seconds = BitsToDouble(r->Fixed64("stats.elapsed_seconds"));
-  s->write_seconds = BitsToDouble(r->Fixed64("stats.write_seconds"));
+/// The work section of the payload: the counters as varints, the sink's
+/// implied links, then the timings as fixed64 bit patterns.
+void SerializeWork(std::string* out, const JoinWork& work,
+                   uint64_t implied_links) {
+  ForEachFieldOf<uint64_t>([&](const char*, auto field) {
+    binfmt::AppendVarint(out, work.*field);
+  });
+  binfmt::AppendVarint(out, implied_links);
+  ForEachFieldOf<double>([&](const char*, auto field) {
+    binfmt::AppendU64(out, std::bit_cast<uint64_t>(work.*field));
+  });
+}
+
+void ParseWork(Reader* r, JoinWork* work, uint64_t* implied_links) {
+  ForEachFieldOf<uint64_t>([&](const char* name, auto field) {
+    work->*field = r->Varint(name);
+  });
+  *implied_links = r->Varint("implied_links");
+  ForEachFieldOf<double>([&](const char* name, auto field) {
+    work->*field = std::bit_cast<double>(r->Fixed64(name));
+  });
 }
 
 }  // namespace
 
 std::string Serialize(const Manifest& m) {
   std::string payload;
-  AppendFixed64(&payload, m.config_fingerprint);
+  binfmt::AppendU64(&payload, m.config_fingerprint);
   binfmt::AppendVarint(&payload, m.dims);
   binfmt::AppendVarint(&payload, m.total_tasks);
-  AppendFixed64(&payload, m.task_list_hash);
+  binfmt::AppendU64(&payload, m.task_list_hash);
   binfmt::AppendVarint(&payload, m.next_task);
-  SerializeStats(&payload, m.stats);
+  SerializeWork(&payload, m.stats, m.sink.implied_links);
 
   binfmt::AppendVarint(&payload, m.sink.format);
   binfmt::AppendVarint(&payload, m.sink.id_width);
@@ -184,9 +161,9 @@ std::string Serialize(const Manifest& m) {
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
   out.append(kMagic, sizeof(kMagic));
-  AppendFixed32(&out, kVersion);
-  AppendFixed64(&out, payload.size());
-  AppendFixed32(&out, binfmt::Crc32(payload.data(), payload.size()));
+  binfmt::AppendU32(&out, kVersion);
+  binfmt::AppendU64(&out, payload.size());
+  binfmt::AppendU32(&out, binfmt::Crc32(payload.data(), payload.size()));
   out += payload;
   return out;
 }
@@ -238,7 +215,7 @@ Status Parse(const std::string& bytes, Manifest* manifest) {
   m.total_tasks = r.Varint("total_tasks");
   m.task_list_hash = r.Fixed64("task_list_hash");
   m.next_task = r.Varint("next_task");
-  ParseStats(&r, &m.stats);
+  ParseWork(&r, &m.stats, &m.sink.implied_links);
 
   m.sink.format = static_cast<uint8_t>(r.Varint("sink.format"));
   m.sink.id_width = static_cast<uint32_t>(r.Varint("sink.id_width"));

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/join_work.h"
 #include "util/status.h"
 
 /// \file
@@ -17,11 +18,13 @@
 ///  * the committed task prefix — the index of the first task of the
 ///    deterministic task list whose output is not yet in the sink (every
 ///    task flushes its own CSJ(g) window, so no window state is pending);
-///  * cumulative JoinStats work counters and curated metric counters, so a
-///    resumed run reports exactly what an uninterrupted run would;
+///  * the cumulative JoinWork (core/join_work.h) and curated metric
+///    counters, so a resumed run reports exactly what an uninterrupted run
+///    would;
 ///  * the sink position — a durable byte offset at a committed CSJ2 block
 ///    boundary (binary) or record boundary (text), plus the payload of the
-///    still-open block, so resumed block sealing stays byte-identical.
+///    still-open block, so resumed block sealing stays byte-identical — with
+///    the sink's counters, implied links included.
 ///
 /// The manifest is written via OutputFile's atomic temp+rename commit with
 /// fsync (file and directory), so at every instant the manifest on disk is
@@ -38,9 +41,11 @@
 ///
 /// The payload is a fixed field sequence of varints (LEB128, shared with the
 /// CSJ2 format) and fixed64 bit patterns for doubles; see Serialize() for
-/// the order. docs/ROBUSTNESS.md ("Checkpoint & resume") is the normative
-/// description. Version 1 (which also carried a thread count and the
-/// pending window groups) is rejected by the version check.
+/// the order. The sink's implied links sit between the work counters and
+/// the timings, where version 2 has always stored them. docs/ROBUSTNESS.md
+/// ("Checkpoint & resume") is the normative description. Version 1 (which
+/// also carried a thread count and the pending window groups) is rejected
+/// by the version check.
 
 namespace csj::checkpoint {
 
@@ -48,26 +53,6 @@ inline constexpr char kMagic[4] = {'C', 'S', 'J', 'K'};
 inline constexpr uint32_t kVersion = 2;
 /// magic + version + payload_len + payload crc.
 inline constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
-
-/// Cumulative JoinStats state (work counters + implied links + timing).
-/// Output counters live in SinkState — the sink is their source of truth.
-struct StatsState {
-  uint64_t distance_computations = 0;
-  uint64_t kernel_candidates = 0;
-  uint64_t kernel_pruned = 0;
-  uint64_t kernel_hits = 0;
-  uint64_t node_accesses = 0;
-  uint64_t page_requests = 0;
-  uint64_t page_disk_reads = 0;
-  uint64_t early_stops = 0;
-  uint64_t merge_attempts = 0;
-  uint64_t merges = 0;
-  uint64_t implied_links = 0;
-  double elapsed_seconds = 0.0;
-  double write_seconds = 0.0;
-
-  friend bool operator==(const StatsState&, const StatsState&) = default;
-};
 
 /// Everything needed to rebuild a sink mid-stream.
 struct SinkState {
@@ -85,6 +70,8 @@ struct SinkState {
   uint64_t num_links = 0;
   uint64_t num_groups = 0;
   uint64_t group_member_total = 0;
+  /// Links implied by the records the sink holds (JoinSink::implied_links).
+  uint64_t implied_links = 0;
   /// Binary format: footer id_total so far.
   uint64_t id_total = 0;
   /// Binary format: records in the still-open block.
@@ -109,7 +96,9 @@ struct Manifest {
   uint64_t task_list_hash = 0;
   /// First task index not yet reflected in the sink position.
   uint64_t next_task = 0;
-  StatsState stats;
+  /// Cumulative work of every session so far. Output counters live in
+  /// SinkState — the sink is their source of truth.
+  JoinWork stats;
   SinkState sink;
   /// Curated cumulative metric counters (join.*, sink.*, ... — see
   /// core/checkpoint_join.h), merged into the registry on resume.

@@ -286,81 +286,4 @@ std::string MetricsSnapshot::ToJson(bool pretty) const {
   return json::Write(ToJsonValue(), pretty);
 }
 
-Result<MetricsSnapshot> MetricsSnapshot::FromJsonValue(
-    const json::Value& value) {
-  if (!value.is_object()) {
-    return Status::InvalidArgument("metrics snapshot: not a JSON object");
-  }
-  MetricsSnapshot snapshot;
-  if (const json::Value* counters = value.Find("counters")) {
-    if (!counters->is_object()) {
-      return Status::InvalidArgument("metrics snapshot: 'counters' not an object");
-    }
-    for (const auto& [name, v] : counters->AsObject()) {
-      if (!v.is_number()) {
-        return Status::InvalidArgument("metrics snapshot: counter '" + name +
-                                       "' not a number");
-      }
-      snapshot.counters.emplace_back(name, v.AsUint());
-    }
-  }
-  if (const json::Value* gauges = value.Find("gauges")) {
-    if (!gauges->is_object()) {
-      return Status::InvalidArgument("metrics snapshot: 'gauges' not an object");
-    }
-    for (const auto& [name, v] : gauges->AsObject()) {
-      if (!v.is_number()) {
-        return Status::InvalidArgument("metrics snapshot: gauge '" + name +
-                                       "' not a number");
-      }
-      snapshot.gauges.emplace_back(name, v.AsInt());
-    }
-  }
-  if (const json::Value* histograms = value.Find("histograms")) {
-    if (!histograms->is_object()) {
-      return Status::InvalidArgument(
-          "metrics snapshot: 'histograms' not an object");
-    }
-    for (const auto& [name, v] : histograms->AsObject()) {
-      if (!v.is_object()) {
-        return Status::InvalidArgument("metrics snapshot: histogram '" + name +
-                                       "' not an object");
-      }
-      HistogramSnapshot h;
-      h.name = name;
-      auto read = [&v](const char* key, uint64_t* out) {
-        const json::Value* field = v.Find(key);
-        if (field == nullptr || !field->is_number()) {
-          return Status::InvalidArgument(
-              StrFormat("metrics snapshot: histogram missing '%s'", key));
-        }
-        *out = field->AsUint();
-        return Status::OK();
-      };
-      CSJ_RETURN_IF_ERROR(read("count", &h.count));
-      CSJ_RETURN_IF_ERROR(read("sum", &h.sum));
-      CSJ_RETURN_IF_ERROR(read("min", &h.min));
-      CSJ_RETURN_IF_ERROR(read("max", &h.max));
-      if (const json::Value* buckets = v.Find("buckets");
-          buckets != nullptr && buckets->is_object()) {
-        for (const auto& [index_text, count] : buckets->AsObject()) {
-          const long index = std::atol(index_text.c_str());
-          if (index < 0 || index >= Histogram::kBuckets || !count.is_number()) {
-            return Status::InvalidArgument(
-                "metrics snapshot: bad histogram bucket '" + index_text + "'");
-          }
-          h.buckets[static_cast<size_t>(index)] = count.AsUint();
-        }
-      }
-      snapshot.histograms.push_back(std::move(h));
-    }
-  }
-  return snapshot;
-}
-
-Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& text) {
-  CSJ_ASSIGN_OR_RETURN(const json::Value doc, json::Parse(text));
-  return FromJsonValue(doc);
-}
-
 }  // namespace csj::metrics

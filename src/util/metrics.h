@@ -143,8 +143,7 @@ struct HistogramSnapshot {
 };
 
 /// Point-in-time copy of the whole registry, sorted by name within each
-/// kind. Serializes to text and JSON; FromJson is the exact inverse of
-/// ToJson (used by the round-trip tests and external consumers).
+/// kind. Serializes to text and JSON.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
@@ -155,8 +154,6 @@ struct MetricsSnapshot {
   /// JSON document (schema in docs/OBSERVABILITY.md).
   json::Value ToJsonValue() const;
   std::string ToJson(bool pretty = true) const;
-  static Result<MetricsSnapshot> FromJson(const std::string& text);
-  static Result<MetricsSnapshot> FromJsonValue(const json::Value& value);
 
   friend bool operator==(const MetricsSnapshot&,
                          const MetricsSnapshot&) = default;

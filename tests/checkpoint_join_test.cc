@@ -118,6 +118,16 @@ class CheckpointJoinTest : public testing::Test {
     return spec;
   }
 
+  /// Options whose context has its cancel flag raised, as csj_tool's
+  /// signal handler raises it. The context stays tripped, so a resume runs
+  /// with Options().
+  JoinOptions CancelledOptions() {
+    cancel_exec_.SetCancelFlag(&cancel_);
+    JoinOptions options = Options();
+    options.exec = &cancel_exec_;
+    return options;
+  }
+
   CheckpointJoinOptions Ckpt(const std::string& name, int threads = 1) {
     CheckpointJoinOptions ckpt;
     ckpt.manifest_path = testing::TempDir() + "/" + name;
@@ -177,6 +187,8 @@ class CheckpointJoinTest : public testing::Test {
   std::vector<Entry<2>> entries_;
   RStarTree<2> tree_;
   std::vector<std::string> cleanup_;
+  std::atomic<bool> cancel_{true};
+  ExecContext cancel_exec_;
 };
 
 TEST_F(CheckpointJoinTest, UninterruptedRunIsDeterministicAndLossless) {
@@ -271,20 +283,17 @@ TEST_F(CheckpointJoinTest, CountingSinkResumesToExactByteCount) {
 }
 
 TEST_F(CheckpointJoinTest, PresetCancelStopsBeforeAnyWork) {
-  std::atomic<bool> cancel{true};
   const auto spec = Spec(OutputFormat::kText, "ckj_cancel.txt");
   auto ckpt = Ckpt("ckj_cancel.ckpt");
-  ckpt.cancel = &cancel;
-  const JoinStats stats =
-      CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec, ckpt);
+  const JoinStats stats = CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ,
+                                               CancelledOptions(), spec, ckpt);
   ASSERT_EQ(stats.status.code(), StatusCode::kCancelled)
       << stats.status.ToString();
   EXPECT_EQ(stats.distance_computations, 0u);
   ASSERT_TRUE(FileExists(ckpt.manifest_path));
 
-  // Clearing the flag and resuming completes the whole join, byte-identical
-  // to a run that was never cancelled.
-  cancel.store(false);
+  // Resuming without the cancel completes the whole join, byte-identical to
+  // a run that was never cancelled.
   ckpt.resume = true;
   const JoinStats resumed =
       CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec, ckpt);
@@ -299,15 +308,12 @@ TEST_F(CheckpointJoinTest, PresetCancelStopsBeforeAnyWork) {
 
 TEST_F(CheckpointJoinTest, ResumeValidatesConfigurationAndManifest) {
   // Save a genuine mid-run manifest by cancelling immediately.
-  std::atomic<bool> cancel{true};
   const auto spec = Spec(OutputFormat::kText, "ckj_validate.txt");
   auto ckpt = Ckpt("ckj_validate.ckpt");
-  ckpt.cancel = &cancel;
-  ASSERT_EQ(CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec,
-                                 ckpt)
+  ASSERT_EQ(CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ,
+                                 CancelledOptions(), spec, ckpt)
                 .status.code(),
             StatusCode::kCancelled);
-  cancel.store(false);
   ckpt.resume = true;
 
   {
@@ -524,12 +530,10 @@ TEST_F(CheckpointJoinTest, ResumeAtAnotherThreadCountIsByteIdentical) {
 }
 
 TEST_F(CheckpointJoinTest, VersionOneManifestIsRejected) {
-  std::atomic<bool> cancel{true};
   const auto spec = Spec(OutputFormat::kText, "ckj_v1.txt");
   auto ckpt = Ckpt("ckj_v1.ckpt");
-  ckpt.cancel = &cancel;
-  ASSERT_EQ(CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec,
-                                 ckpt)
+  ASSERT_EQ(CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ,
+                                 CancelledOptions(), spec, ckpt)
                 .status.code(),
             StatusCode::kCancelled);
   // Rewrite the header's version field (bytes 4..7, little-endian) to 1.
@@ -541,7 +545,6 @@ TEST_F(CheckpointJoinTest, VersionOneManifestIsRejected) {
   fwrite(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
 
-  cancel.store(false);
   ckpt.resume = true;
   const JoinStats stats =
       CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec, ckpt);

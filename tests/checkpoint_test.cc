@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/format.h"
 #include "util/random.h"
 
 /// \file
@@ -38,7 +39,6 @@ Manifest SampleManifest() {
   m.stats.early_stops = 19;
   m.stats.merge_attempts = 5'165'485;
   m.stats.merges = 1'430'998;
-  m.stats.implied_links = 123'456'789;
   m.stats.elapsed_seconds = 1.5;
   m.stats.write_seconds = 0.0625;
   m.sink.format = 2;
@@ -49,6 +49,7 @@ Manifest SampleManifest() {
   m.sink.num_links = 17;
   m.sink.num_groups = 174'922;
   m.sink.group_member_total = 1'000'000;
+  m.sink.implied_links = 123'456'789;
   m.sink.id_total = 999'999;
   m.sink.partial_records = 7;
   m.sink.partial_payload = std::string("\x01\x02\x00\xff partial block", 19);
@@ -70,6 +71,29 @@ TEST(CheckpointManifest, SerializeParseRoundTrip) {
   Manifest back;
   ASSERT_TRUE(Parse(bytes, &back).ok());
   EXPECT_EQ(back, m);
+}
+
+TEST(CheckpointManifest, V2BytesArePinned) {
+  // The sample manifest as version 2 has always written it. A round trip
+  // alone would accept a reordered field list, which would misread every
+  // manifest an older build left behind.
+  const std::string golden =
+      "43534a4b020000009a00000000000000"
+      "be47593af0debc9a7856341202a904ef"
+      "befecacefaedfe2acfdbaf01c1a8a504"
+      "c096b102d6ab574d0b0313ada3bb02d6"
+      "ab57959aef3a000000000000f83f0000"
+      "00000000b03f0205b0ff4ff0b252d209"
+      "11cad60ac0843dbf843d0713010200ff"
+      "207061727469616c20626c6f636b0002"
+      "1a6a6f696e2e64697374616e63655f63"
+      "6f6d7075746174696f6e73cfdbaf010b"
+      "73696e6b2e67726f757073cad60a";
+  std::string hex;
+  for (const unsigned char byte : Serialize(SampleManifest())) {
+    hex += StrFormat("%02x", byte);
+  }
+  EXPECT_EQ(hex, golden);
 }
 
 TEST(CheckpointManifest, MinimalManifestRoundTrips) {

@@ -227,7 +227,7 @@ TEST_F(GroupWindowTest, ImpliedLinkAccounting) {
   window_.SubtreeGroup({1, 2, 3, 4}, box);  // implies C(4,2)=6 links
   window_.Link(10, Point2{{5.0, 0.0}}, 11, Point2{{5.001, 0.0}});
   window_.Flush();
-  EXPECT_EQ(stats_.ImpliedLinkUpperBound(), 6u + 1u);
+  EXPECT_EQ(sink_.implied_links(), 6u + 1u);
 }
 
 TEST(GroupWindowPassThroughTest, SsjAndNcsjWriteEveryRecord) {
@@ -246,7 +246,7 @@ TEST(GroupWindowPassThroughTest, SsjAndNcsjWriteEveryRecord) {
     ASSERT_EQ(w.sink.groups().size(), 1u);
     EXPECT_EQ(w.sink.groups()[0], (std::vector<PointId>{3, 4, 5}));
     EXPECT_EQ(w.stats.merge_attempts, 0u);
-    EXPECT_EQ(w.stats.ImpliedLinkUpperBound(), 2u + 3u);
+    EXPECT_EQ(w.sink.implied_links(), 2u + 3u);
   }
 }
 
@@ -291,7 +291,7 @@ TEST(BallWindowTest, LinkWiderThanHalfEpsStaysAPlainLink) {
   EXPECT_EQ(w.window.live_groups(), 0u);
   EXPECT_EQ(w.sink.links(), (LinkList{{0, 1}}));
   EXPECT_EQ(w.stats.distance_computations, 1u);
-  EXPECT_EQ(w.stats.ImpliedLinkUpperBound(), 1u);
+  EXPECT_EQ(w.sink.implied_links(), 1u);
 }
 
 TEST(BallWindowTest, FrozenSubtreeGroupsTakeNoMergeAttempts) {
@@ -388,7 +388,6 @@ class ReferenceWindow {
     std::optional<Bound> bound = shape_.Found(a, b, stats_);
     if (!bound) {
       sink_->Link(id_a, id_b);
-      stats_->AddImpliedLink();
       return;
     }
     RefGroup group{*bound, {id_a}, {}};
@@ -425,10 +424,8 @@ class ReferenceWindow {
 
   void Evict() {
     const std::vector<PointId>& members = groups_.front().members;
-    if (members.size() >= 2) {  // a self-link founds a singleton
-      sink_->Group(members);
-      stats_->AddImpliedGroup(members.size());
-    }
+    // A self-link founds a singleton, which is not written.
+    if (members.size() >= 2) sink_->Group(members);
     groups_.pop_front();
   }
 
@@ -563,7 +560,7 @@ void ExpectWindowMatchesReference(const Shape& shape, int g, bool promote,
   EXPECT_EQ(stats.merges, ref_stats.merges);
   EXPECT_EQ(stats.merge_attempts, ref_stats.merge_attempts);
   EXPECT_EQ(stats.distance_computations, ref_stats.distance_computations);
-  EXPECT_EQ(stats.ImpliedLinkUpperBound(), ref_stats.ImpliedLinkUpperBound());
+  EXPECT_EQ(sink.implied_links(), ref_sink.implied_links());
   EXPECT_GT(stats.merges, 0u);
 }
 

@@ -19,15 +19,6 @@ TEST(JoinStatsTest, AlgorithmNames) {
   EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kCSJ), "CSJ");
 }
 
-TEST(JoinStatsTest, ImpliedLinkAccumulation) {
-  JoinStats stats;
-  EXPECT_EQ(stats.ImpliedLinkUpperBound(), 0u);
-  stats.AddImpliedLink();
-  stats.AddImpliedGroup(4);  // C(4,2) = 6
-  stats.AddImpliedGroup(2);  // 1
-  EXPECT_EQ(stats.ImpliedLinkUpperBound(), 8u);
-}
-
 TEST(JoinStatsTest, ToStringContainsKeyFields) {
   JoinStats stats;
   stats.algorithm = JoinAlgorithm::kCSJ;

@@ -18,6 +18,7 @@
 #include "metric/edit_distance.h"
 #include "metric/generic_mtree.h"
 #include "metric/metric_join.h"
+#include "plan/execute.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -338,7 +339,9 @@ uint64_t ImpliedFromText(const std::string& text) {
 TEST(MetricJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
   // A sink that dies mid-join drops every later record; the implied-link
   // count must describe only the complete records the file holds. The metric
-  // driver and both EGO joins write through the same GroupWindow.
+  // driver and both EGO joins write through the same GroupWindow. EGO and
+  // CEGO run once more as csj_tool runs them, through plan::Execute, whose
+  // sink dies in Finish.
   Rng rng(43);
   MTree<2> tree;
   std::vector<Entry<2>> entries;
@@ -389,6 +392,32 @@ TEST(MetricJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
                 ImpliedFromText(ReadWholeFile(path)));
       std::remove(path.c_str());
     }
+  }
+
+  // Few enough points that the output fits one block, so its one append is
+  // the one Finish makes; half of it lands.
+  const std::vector<Entry<2>> few(entries.begin(), entries.begin() + 400);
+  for (const QueryAlgo algo : {QueryAlgo::kEgo, QueryAlgo::kCEgo}) {
+    SCOPED_TRACE(QueryAlgoName(algo));
+    QuerySpec spec;
+    spec.algo = algo;
+    spec.eps = options.epsilon;
+    OutputSpec out = OutputSpec::File(path, few.size());
+    out.checkpointable = true;  // the partial file survives the failure
+    ExecContext exec;
+    JoinStats stats;
+    {
+      failpoint::ScopedFailpoint fp("output_file.append",
+                                    failpoint::Spec::Once());
+      stats = plan::Execute(spec, few, out, &exec);
+    }
+    EXPECT_EQ(stats.status.code(), StatusCode::kIoError)
+        << stats.status.ToString();
+    ASSERT_LT(stats.output_bytes, binfmt::kDefaultBlockPayloadBytes);
+    const uint64_t held = ImpliedFromText(ReadWholeFile(path));
+    EXPECT_GT(held, 0u);
+    EXPECT_EQ(stats.ImpliedLinkUpperBound(), held);
+    std::remove(path.c_str());
   }
 }
 

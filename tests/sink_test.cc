@@ -47,6 +47,27 @@ TEST(CountingSinkTest, CountsLinksGroupsBytes) {
   EXPECT_TRUE(sink.Finish().ok());
 }
 
+TEST(CountingSinkTest, CountsImpliedLinks) {
+  // A link implies one link and a group of k members C(k,2); the count
+  // travels with the sink's checkpoint state.
+  CountingSink sink(4);
+  EXPECT_EQ(sink.implied_links(), 0u);
+  sink.Link(1, 2);
+  const std::vector<PointId> four = {1, 2, 3, 4};  // C(4,2) = 6
+  const std::vector<PointId> two = {5, 6};         // 1
+  sink.Group(four);
+  sink.Group(two);
+  EXPECT_EQ(sink.implied_links(), 8u);
+
+  checkpoint::SinkState state;
+  ASSERT_TRUE(sink.Checkpoint(&state).ok());
+  EXPECT_EQ(state.implied_links, 8u);
+  auto resumed = ResumeSink(OutputSpec::Counting(10000), state);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  (*resumed)->Link(7, 8);
+  EXPECT_EQ((*resumed)->implied_links(), 9u);
+}
+
 TEST(FileSinkTest, WritesPaperFormat) {
   const std::string path = testing::TempDir() + "/csj_sink_test.txt";
   FileSink sink(4, path);

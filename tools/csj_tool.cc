@@ -275,7 +275,6 @@ int CmdJoin(Flags& flags) {
                                    ? uint64_t{32}
                                    : static_cast<uint64_t>(checkpoint_interval);
     ckpt.resume = resume;
-    ckpt.cancel = &cli::g_termination_requested;
     stats = plan::Execute(spec, *tree, nullptr, nullptr, out_spec, &exec,
                           checkpointed ? &ckpt : nullptr);
   }
