@@ -193,9 +193,9 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
     sink = std::move(resumed).value();
     // Re-seed the process-wide metrics so a resumed run's registry reports
     // the same cumulative join.*/sink.*/... counts an uninterrupted run
-    // would. (The restored sink starts from zero — its constructor path
-    // does not replay sink.links/sink.bytes — so the manifest's counters
-    // are added wholesale.)
+    // would. The manifest's counters are added wholesale; the restored sink
+    // counts its restored records as published, so it adds to sink.* only
+    // what it accepts from here on.
     for (const auto& [name, value] : base.metric_counters) {
       if (value > 0) metrics::GetCounter(name)->Increment(value);
     }

@@ -57,9 +57,10 @@
 /// task whose output is not yet in the sink. A task that is at the frontier
 /// when it starts writes straight into the sink, so a serial run buffers
 /// nothing. Any other task records into a private TaskBuffer that is
-/// replayed into the sink when the frontier reaches it. No worker starts a
-/// task more than kLookaheadPerThread * threads past the frontier, which
-/// bounds the buffered output; buffered bytes are charged to the run's
+/// committed into the sink when the frontier reaches it: replayed record by
+/// record, or for a text-model counting sink, added as counts. No worker
+/// starts a task more than kLookaheadPerThread * threads past the frontier,
+/// which bounds the buffered output; buffered bytes are charged to the run's
 /// MemoryBudget. The manifest layer (core/checkpoint_join.h) adds
 /// checkpoints and resume around the same loop.
 
@@ -371,19 +372,27 @@ std::vector<JoinTask> BuildTaskList(const TreeA& tree_a, const TreeB& tree_b,
   return tasks;
 }
 
-/// A task's output held back until the frontier reaches the task: links and
-/// groups in emission order, charged to the run's memory budget. Its records
-/// stay out of the process-wide sink.* counters; the sink they are replayed
-/// into counts them, implied links included.
+/// A task's output held back until the frontier reaches the task, charged to
+/// the run's memory budget. It holds the records' ids in emission order and
+/// replays them through Link/Group at commit, unless the sink it buffers for
+/// takes counts (JoinSink::takes_counts): then it holds no ids, and the
+/// commit adds its own counters to the sink. It publishes no sink.*
+/// counters; the sink that takes its records does.
 class TaskBuffer final : public JoinSink {
  public:
-  TaskBuffer(int id_width, MemoryBudget* budget) : JoinSink(id_width) {
-    DisableRecordMetrics();
+  TaskBuffer(int id_width, bool keep_ids, MemoryBudget* budget)
+      : JoinSink(id_width), keep_ids_(keep_ids) {
+    DisablePublishing();
     charge_.Acquire(budget, 0);
   }
 
-  /// Re-emits every record into `sink`, in order, until the sink errs.
-  void ReplayInto(JoinSink* sink) const {
+  /// Commits the buffered records into `sink`, in order, until the sink
+  /// errs.
+  void CommitInto(JoinSink* sink) const {
+    if (!keep_ids_) {
+      sink->AddCounts(*this);
+      return;
+    }
     size_t at = 0;
     for (const uint32_t size : sizes_) {
       if (!sink->error().ok()) break;
@@ -399,12 +408,14 @@ class TaskBuffer final : public JoinSink {
 
  protected:
   void DoLink(PointId a, PointId b) override {
+    if (!keep_ids_) return;
     sizes_.push_back(kLink);
     ids_.push_back(a);
     ids_.push_back(b);
     Charge();
   }
   void DoGroup(std::span<const PointId> members) override {
+    if (!keep_ids_) return;
     sizes_.push_back(static_cast<uint32_t>(members.size()));
     ids_.insert(ids_.end(), members.begin(), members.end());
     Charge();
@@ -427,6 +438,7 @@ class TaskBuffer final : public JoinSink {
     }
   }
 
+  const bool keep_ids_;
   std::vector<PointId> ids_;
   /// Per record: kLink, or the group's member count.
   std::vector<uint32_t> sizes_;
@@ -561,6 +573,7 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
   }
   std::vector<std::unique_ptr<TaskBuffer>> buffers(total);
   std::vector<char> done(total, 0);
+  const bool keep_ids = !sink->takes_counts();
 
   auto record_failure = [&](Status status) {
     if (failure.ok()) {
@@ -574,20 +587,20 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
   // Commits finished tasks at the frontier, in task order. The caller just
   // finished the frontier task, so it is the only thread that may write the
   // sink until the frontier moves past the last task it commits; buffered
-  // output is therefore replayed with the lock released.
+  // output is therefore committed with the lock released.
   auto commit_ready = [&](std::unique_lock<std::mutex>& lock) {
     while (failure.ok() && frontier < next && done[frontier]) {
       if (auto buffer = std::move(buffers[frontier])) {
         lock.unlock();
-        WallTimer replay_timer;
+        WallTimer commit_timer;
         {
           CSJ_METRIC_SCOPED_TIMER("parallel.replay_ns");
-          buffer->ReplayInto(sink);
+          buffer->CommitInto(sink);
         }
-        const double replay_seconds = replay_timer.ElapsedSeconds();
+        const double commit_seconds = commit_timer.ElapsedSeconds();
         buffer.reset();
         lock.lock();
-        if (options.measure_write_time) session.write_seconds += replay_seconds;
+        if (options.measure_write_time) session.write_seconds += commit_seconds;
         if (!sink->error().ok()) {
           record_failure(sink->error());
           return;
@@ -635,12 +648,12 @@ JoinStats RunTaskLoop(const TreeA& tree_a, const TreeB& tree_b,
           lock.unlock();
           std::unique_ptr<TaskBuffer> buffer;
           if (!direct) {
-            buffer = std::make_unique<TaskBuffer>(sink->id_width(),
+            buffer = std::make_unique<TaskBuffer>(sink->id_width(), keep_ids,
                                                   task_ctx.memory_budget());
           }
           JoinStats stats =
               driver.RunTask(tasks[index], direct ? sink : buffer.get());
-          // A buffered task's writes are timed when the buffer is replayed.
+          // A buffered task's writes are timed when the buffer is committed.
           if (!direct) stats.write_seconds = 0.0;
           lock.lock();
           session += stats;

@@ -29,6 +29,35 @@ bool ParseOutputFormat(const std::string& name, OutputFormat* format) {
   return true;
 }
 
+void JoinSink::AddCounts(const JoinSink& tally) {
+  CSJ_CHECK(takes_counts()) << "AddCounts on a sink that needs the records";
+  CSJ_CHECK(tally.accounting_ == OutputFormat::kText &&
+            tally.id_width_ == id_width_);
+  if (!error_.ok()) return;
+  num_links_ += tally.num_links_;
+  num_groups_ += tally.num_groups_;
+  group_member_total_ += tally.group_member_total_;
+  implied_links_ += tally.implied_links_;
+  bytes_ += tally.bytes_;
+}
+
+void JoinSink::PublishCounters() {
+  if (!publish_) return;
+  // A counter appears once a sink has accepted a record of its kind.
+  if (num_links_ != published_links_) {
+    CSJ_METRIC_COUNT("sink.links", num_links_ - published_links_);
+  }
+  if (num_groups_ != published_groups_) {
+    CSJ_METRIC_COUNT("sink.groups", num_groups_ - published_groups_);
+  }
+  if (bytes_ != published_bytes_) {
+    CSJ_METRIC_COUNT("sink.bytes", bytes_ - published_bytes_);
+  }
+  published_links_ = num_links_;
+  published_groups_ = num_groups_;
+  published_bytes_ = bytes_;
+}
+
 namespace {
 
 /// Appends `id` zero-padded to `width` digits (a wider id in full), then
@@ -232,6 +261,7 @@ void FileSink::DoGroup(std::span<const PointId> members) {
 Status FileSink::Finish() {
   CSJ_CHECK(!finished_) << "FileSink::Finish called twice: " << path_;
   finished_ = true;
+  PublishCounters();
   if (error().ok() && PayloadFill() > 0) SealBlock();
   if (error().ok() && binary_) {
     std::string trailer;
@@ -254,6 +284,7 @@ Status FileSink::Finish() {
 Status FileSink::Checkpoint(checkpoint::SinkState* state) {
   CSJ_CHECK(checkpointable_)
       << "Checkpoint on a non-checkpointable file sink: " << path_;
+  PublishCounters();
   if (!error().ok()) return error();
   // After the sync every appended block is durable, so bytes_written() is a
   // block boundary; the open block rides in the manifest.

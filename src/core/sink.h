@@ -53,7 +53,10 @@ bool ParseOutputFormat(const std::string& name, OutputFormat* format);
 
 /// Receives the join output. Counting of links/groups/bytes and of the links
 /// the output implies happens here in the base class, the only place a
-/// join's output is counted; subclasses only materialize.
+/// join's output is counted; subclasses only materialize. The sink adds its
+/// counts to the process-wide sink.links, sink.groups and sink.bytes in
+/// bulk, at Checkpoint(), Finish() and destruction: each add is what it
+/// accepted since its last one.
 ///
 /// Failure model: a sink that can no longer materialize output (e.g. a file
 /// sink whose disk filled up) records a *sticky* error. From that moment
@@ -78,14 +81,17 @@ class JoinSink {
         accounting_(accounting),
         binary_model_(binary_block_target),
         bytes_(accounting == OutputFormat::kBinary ? binfmt::kFileHeaderBytes
-                                                   : 0) {
+                                                   : 0),
+        published_bytes_(bytes_) {
     CSJ_CHECK(id_width >= 1);
     CSJ_CHECK(accounting == OutputFormat::kText ||
               accounting == OutputFormat::kBinary)
         << "accounting model must be a materializable format";
   }
   explicit JoinSink(int id_width) : JoinSink(id_width, OutputFormat::kText) {}
-  virtual ~JoinSink() = default;
+  /// Publishes what the sink accepted since its last publish, also when it
+  /// was never finished (a failed or abandoned join).
+  virtual ~JoinSink() { PublishCounters(); }
 
   JoinSink(const JoinSink&) = delete;
   JoinSink& operator=(const JoinSink&) = delete;
@@ -94,15 +100,9 @@ class JoinSink {
   void Link(PointId a, PointId b) {
     if (!error_.ok()) return;
     ++num_links_;
-    const uint64_t delta =
-        accounting_ == OutputFormat::kBinary
-            ? binary_model_.AddRecord(binfmt::EncodedLinkBytes(a, b))
-            : 2 * static_cast<uint64_t>(id_width_ + 1);
-    bytes_ += delta;
-    if (record_metrics_) {
-      CSJ_METRIC_COUNT("sink.links", 1);
-      CSJ_METRIC_COUNT("sink.bytes", delta);
-    }
+    bytes_ += accounting_ == OutputFormat::kBinary
+                  ? binary_model_.AddRecord(binfmt::EncodedLinkBytes(a, b))
+                  : 2 * static_cast<uint64_t>(id_width_ + 1);
     DoLink(a, b);
     if (error_.ok()) ++implied_links_;
   }
@@ -114,22 +114,31 @@ class JoinSink {
     if (!error_.ok()) return;
     ++num_groups_;
     group_member_total_ += members.size();
-    const uint64_t delta =
-        accounting_ == OutputFormat::kBinary
-            ? binary_model_.AddRecord(binfmt::EncodedGroupBytes(members))
-            : members.size() * static_cast<uint64_t>(id_width_ + 1);
-    bytes_ += delta;
-    if (record_metrics_) {
-      CSJ_METRIC_COUNT("sink.groups", 1);
-      CSJ_METRIC_COUNT("sink.bytes", delta);
-    }
+    bytes_ += accounting_ == OutputFormat::kBinary
+                  ? binary_model_.AddRecord(binfmt::EncodedGroupBytes(members))
+                  : members.size() * static_cast<uint64_t>(id_width_ + 1);
     DoGroup(members);
     const uint64_t k = members.size();
     if (error_.ok()) implied_links_ += k * (k - 1) / 2;
   }
 
+  /// Takes records counted for this sink elsewhere, as if each had been
+  /// emitted here: the task loop's id-less buffers (core/similarity_join.h)
+  /// commit this way. Only for a sink that takes_counts(); `tally` counts at
+  /// this sink's id width in the text model. No-op once the sink is in
+  /// error.
+  void AddCounts(const JoinSink& tally);
+
+  /// True for a sink whose counters follow from another sink's counters
+  /// alone, without the records' ids: a CountingSink in the text model. The
+  /// task loop buffers only counts for it.
+  virtual bool takes_counts() const { return false; }
+
   /// Completes the output (flushes files). Must be called exactly once.
-  virtual Status Finish() { return error_; }
+  virtual Status Finish() {
+    PublishCounters();
+    return error_;
+  }
 
   /// Checkpoint support: makes everything emitted so far durable and fills
   /// `state` with the sink's exact mid-stream position (committed byte
@@ -138,6 +147,7 @@ class JoinSink {
   /// File sinks must be built from a checkpointable OutputSpec for this to
   /// define a resumable position.
   virtual Status Checkpoint(checkpoint::SinkState* state) {
+    PublishCounters();
     if (!error_.ok()) return error_;
     ExportAccounting(state);
     return Status::OK();
@@ -145,7 +155,8 @@ class JoinSink {
 
   /// Checkpoint support: restores the base-class accounting recorded in a
   /// manifest. Only valid on a sink that has not emitted anything yet;
-  /// subclass resume constructors call this.
+  /// subclass resume constructors call this. The restored counts count as
+  /// published: a resume re-seeds the registry from the manifest.
   void RestoreAccounting(const checkpoint::SinkState& state) {
     CSJ_CHECK(num_links_ == 0 && num_groups_ == 0)
         << "RestoreAccounting on a sink that already emitted output";
@@ -155,6 +166,9 @@ class JoinSink {
     implied_links_ = state.implied_links;
     bytes_ = state.accounted_bytes;
     binary_model_.RestoreFill(state.model_fill);
+    published_links_ = num_links_;
+    published_groups_ = num_groups_;
+    published_bytes_ = bytes_;
   }
 
   /// Sticky error state; OK while the sink is accepting output.
@@ -193,11 +207,14 @@ class JoinSink {
   virtual void DoLink(PointId a, PointId b) = 0;
   virtual void DoGroup(std::span<const PointId> members) = 0;
 
-  /// For a sink whose records are re-emitted into another sink later (the
-  /// task loop's task buffers): its records stay out of the
-  /// process-wide sink.* counters, so each record is counted once, by the
-  /// sink that finally accepts it.
-  void DisableRecordMetrics() { record_metrics_ = false; }
+  /// Adds what the sink accepted since its last publish to the process-wide
+  /// sink.* counters.
+  void PublishCounters();
+
+  /// For a sink whose records are committed into another sink later (the
+  /// task loop's task buffers): it publishes nothing, so each record is
+  /// counted once, by the sink that finally accepts it.
+  void DisablePublishing() { publish_ = false; }
 
   /// Records the sink's first error; later calls keep the original.
   void SetError(const Status& status) {
@@ -235,7 +252,11 @@ class JoinSink {
   uint64_t group_member_total_ = 0;
   uint64_t implied_links_ = 0;
   uint64_t bytes_ = 0;
-  bool record_metrics_ = true;
+  /// The counts the last publish reached.
+  uint64_t published_links_ = 0;
+  uint64_t published_groups_ = 0;
+  uint64_t published_bytes_ = 0;
+  bool publish_ = true;
 };
 
 /// Convenience: zero-pad width for ids in [0, n).
@@ -252,6 +273,10 @@ class CountingSink final : public JoinSink {
       : JoinSink(id_width, model) {}
   explicit CountingSink(int id_width)
       : CountingSink(id_width, OutputFormat::kText) {}
+
+  bool takes_counts() const override {
+    return accounting() == OutputFormat::kText;
+  }
 
  protected:
   void DoLink(PointId, PointId) override {}

@@ -123,7 +123,15 @@ TEST(FileHeaderTest, RoundTripsAndValidates) {
 /// against what a MemorySink captured from the same emission sequence.
 class BinaryRoundTrip : public ::testing::Test {
  protected:
-  std::string path_ = testing::TempDir() + "/csj_binfmt_roundtrip.bin";
+  /// A path of this test's own: ctest runs each test as its own process,
+  /// concurrently with the others.
+  static std::string TestPath(const std::string& suffix) {
+    return testing::TempDir() + "/csj_binfmt_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           suffix;
+  }
+
+  std::string path_ = TestPath(".bin");
 
   void TearDown() override { std::remove(path_.c_str()); }
 };
@@ -216,7 +224,7 @@ TEST_F(BinaryRoundTrip, TruncationAtEveryOffsetIsDetected) {
   ASSERT_TRUE(sink.Finish().ok());
   const std::string whole = ReadWholeFile(path_);
 
-  const std::string cut_path = testing::TempDir() + "/csj_binfmt_cut.bin";
+  const std::string cut_path = TestPath("_cut.bin");
   for (size_t cut = 0; cut < whole.size(); cut += 7) {
     WriteWholeFile(cut_path, whole.substr(0, cut));
     auto cursor = OpenResultCursor(cut_path, OutputFormat::kBinary);

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +22,9 @@
 #include "index/mtree.h"
 #include "index/node_access.h"
 #include "index/rstar_tree.h"
+#include "storage/binary_format.h"
 #include "storage/checkpoint.h"
+#include "util/exec_context.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 
@@ -152,16 +156,18 @@ class CheckpointJoinTest : public testing::Test {
   /// join completes. Returns the final (cumulative) stats and requires at
   /// least one real interruption, so the equivalence assertions downstream
   /// genuinely cover the resume path. Resumes run at `resume_threads` when
-  /// it is positive.
+  /// it is positive. `before_session`, if set, runs before every session.
   JoinStats RunCrashLoop(JoinAlgorithm algorithm, const OutputSpec& spec,
                          CheckpointJoinOptions ckpt, uint64_t deadline_ms,
                          int* interruptions_out = nullptr,
-                         int resume_threads = 0) {
+                         int resume_threads = 0,
+                         const std::function<void()>& before_session = {}) {
     JoinOptions options = Options();
     options.deadline_ms = deadline_ms;
     int interruptions = 0;
     ckpt.resume = false;
     for (int attempt = 0; attempt < 500; ++attempt) {
+      if (before_session) before_session();
       const JoinStats stats =
           CheckpointedSelfJoin(tree_, algorithm, options, spec, ckpt);
       if (stats.status.ok()) {
@@ -577,20 +583,188 @@ TEST_F(CheckpointJoinTest, WriteSecondsCoverTheSinkAtTwoThreads) {
 #endif
 }
 
+TEST_F(CheckpointJoinTest, CountingRunBuffersNoIds) {
+  // A text-model counting sink needs no ids, so a task the loop buffers for
+  // it keeps only counts. The budget below holds every worker's leaf stage but not
+  // the ids of one lookahead window of SSJ tasks, and the runs still finish
+  // with the serial run's counters.
+  const OutputSpec spec = OutputSpec::Counting(entries_.size());
+  MemoryBudget serial_budget;  // unlimited; records the leaf stage's peak
+  ExecContext serial_exec;
+  serial_exec.SetMemoryBudget(&serial_budget);
+  JoinOptions serial_options = Options();
+  serial_options.exec = &serial_exec;
+  CountingSink serial(spec.id_width);
+  const JoinStats reference =
+      StandardSimilarityJoin(tree_, serial_options, &serial);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  ASSERT_GT(reference.links, 0u);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    // Every worker's leaf stage caches at most what the serial one did, and
+    // SSJ has no window. Id buffers (12 bytes a link) need more than the
+    // 64 KiB on top: with them every run stops with kResourceExhausted.
+    const uint64_t limit =
+        static_cast<uint64_t>(threads) * serial_budget.peak() + (64 << 10);
+    for (const bool checkpointed : {false, true}) {
+      SCOPED_TRACE(checkpointed ? "checkpointed" : "plain");
+      MemoryBudget budget(limit);
+      ExecContext exec;
+      exec.SetMemoryBudget(&budget);
+      JoinOptions options = Options();
+      options.exec = &exec;
+      JoinStats stats;
+      if (checkpointed) {
+        stats = CheckpointedSelfJoin(tree_, JoinAlgorithm::kSSJ, options, spec,
+                                     Ckpt("ckj_count_budget.ckpt", threads));
+      } else {
+        CountingSink sink(spec.id_width);
+        stats = internal::RunJoin(tree_, tree_, /*self_join=*/true,
+                                  JoinAlgorithm::kSSJ, options, &sink, threads);
+      }
+      ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+      ExpectSameCounters(stats, reference);
+    }
+  }
+
+  // In the CSJ2 model a record's size depends on its ids, so a buffered task
+  // keeps them, and bytes() stays exact to the byte at every thread count,
+  // fresh and resumed.
+  const OutputSpec csj2 =
+      OutputSpec::Counting(entries_.size(), OutputFormat::kBinary);
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSSJ, JoinAlgorithm::kCSJ}) {
+    SCOPED_TRACE(JoinAlgorithmName(algorithm));
+    CountingSink csj2_serial(csj2.id_width, OutputFormat::kBinary);
+    const JoinStats csj2_reference =
+        RunSelfJoin(algorithm, tree_, Options(), &csj2_serial);
+    ASSERT_TRUE(csj2_reference.status.ok());
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      CountingSink sink(csj2.id_width, OutputFormat::kBinary);
+      ASSERT_TRUE(internal::RunJoin(tree_, tree_, /*self_join=*/true,
+                                    algorithm, Options(), &sink, threads)
+                      .status.ok());
+      EXPECT_EQ(sink.bytes(), csj2_serial.bytes());
+      EXPECT_EQ(RunFull(algorithm, csj2, Ckpt("ckj_count_csj2.ckpt", threads))
+                    .output_bytes,
+                csj2_serial.bytes());
+      int interruptions = 0;
+      const JoinStats resumed =
+          RunCrashLoop(algorithm, csj2, Ckpt("ckj_count_csj2.ckpt", threads),
+                       /*deadline_ms=*/5, &interruptions);
+      EXPECT_GT(interruptions, 0) << "deadline never fired; nothing tested";
+      ExpectSameCounters(resumed, csj2_reference);
+    }
+  }
+}
+
 #ifndef CSJ_NO_METRICS
 
+/// What a sink adds to sink.bytes for its records: its bytes(), less, in the
+/// CSJ2 model, the file header and what Finish appends to a nonempty output
+/// (the last block's header, the EOF marker and the footer).
+uint64_t PublishedBytes(uint64_t bytes, OutputFormat model) {
+  if (model != OutputFormat::kBinary) return bytes;
+  return bytes - binfmt::kFileHeaderBytes - 2 * binfmt::kBlockHeaderBytes -
+         binfmt::kFooterBytes;
+}
+
 TEST_F(CheckpointJoinTest, SinkCountersCountEachRecordOnce) {
-  for (const int threads : {1, 2, 4}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+  struct Shape {
+    OutputFormat format;
+    OutputFormat model;  ///< the byte model: count_model for kNone
+  };
+  for (const Shape shape : {Shape{OutputFormat::kNone, OutputFormat::kText},
+                            Shape{OutputFormat::kNone, OutputFormat::kBinary},
+                            Shape{OutputFormat::kText, OutputFormat::kText},
+                            Shape{OutputFormat::kBinary,
+                                  OutputFormat::kBinary}}) {
+    const std::string name = std::string("ckj_sink_metrics_") +
+                             OutputFormatName(shape.format) + "_" +
+                             OutputFormatName(shape.model);
+    SCOPED_TRACE(name);
+    auto spec = Spec(shape.format, name + ".out");
+    spec.count_model = shape.model;
+    // N-CSJ writes links and groups here; CSJ(g) writes only groups on this
+    // clustered data, every one of them through the merge window.
+    for (const JoinAlgorithm algorithm :
+         {JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
+      SCOPED_TRACE(JoinAlgorithmName(algorithm));
+      const std::string ckpt = name + "_" + JoinAlgorithmName(algorithm);
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        {
+          const uint64_t links = CounterValue("sink.links");
+          const uint64_t groups = CounterValue("sink.groups");
+          const uint64_t bytes = CounterValue("sink.bytes");
+          const JoinStats stats =
+              RunFull(algorithm, spec, Ckpt(ckpt + ".ckpt", threads));
+          if (algorithm == JoinAlgorithm::kNCSJ) {
+            ASSERT_GT(stats.links, 0u);
+          }
+          ASSERT_GT(stats.groups, 0u);
+          EXPECT_EQ(CounterValue("sink.links") - links, stats.links);
+          EXPECT_EQ(CounterValue("sink.groups") - groups, stats.groups);
+          EXPECT_EQ(CounterValue("sink.bytes") - bytes,
+                    PublishedBytes(stats.output_bytes, shape.model));
+        }
+        {
+          // Killed and resumed, each session in an empty registry as in a
+          // new process: the resumed process's registry holds the whole
+          // join, from the manifest plus what the last session's sink
+          // accepted.
+          int interruptions = 0;
+          const JoinStats stats = RunCrashLoop(
+              algorithm, spec, Ckpt(ckpt + "_crash.ckpt", threads),
+              /*deadline_ms=*/5, &interruptions, /*resume_threads=*/0,
+              [] { metrics::ResetAll(); });
+          EXPECT_GT(interruptions, 0)
+              << "deadline never fired; nothing tested";
+          EXPECT_EQ(CounterValue("sink.links"), stats.links);
+          EXPECT_EQ(CounterValue("sink.groups"), stats.groups);
+          EXPECT_EQ(CounterValue("sink.bytes"),
+                    PublishedBytes(stats.output_bytes, shape.model));
+        }
+      }
+    }
+  }
+
+  // A sink destroyed without Finish, after a failed join, still adds
+  // exactly what it accepted.
+  MemoryBudget unlimited;
+  ExecContext measure;
+  measure.SetMemoryBudget(&unlimited);
+  JoinOptions options = Options();
+  options.exec = &measure;
+  CountingSink probe(IdWidthFor(entries_.size()));
+  ASSERT_TRUE(NaiveCompactJoin(tree_, options, &probe).status.ok());
+  for (const OutputFormat format :
+       {OutputFormat::kNone, OutputFormat::kText, OutputFormat::kBinary}) {
+    SCOPED_TRACE(OutputFormatName(format));
+    const auto spec = Spec(format, std::string("ckj_sink_metrics_failed.") +
+                                       OutputFormatName(format));
+    const OutputFormat model =
+        format == OutputFormat::kNone ? spec.count_model : format;
+    auto sink = MakeSink(spec);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
     const uint64_t links = CounterValue("sink.links");
     const uint64_t groups = CounterValue("sink.groups");
     const uint64_t bytes = CounterValue("sink.bytes");
-    const auto spec = Spec(OutputFormat::kText, "ckj_sink_metrics.txt");
-    const JoinStats stats =
-        RunFull(JoinAlgorithm::kCSJ, spec, Ckpt("ckj_sink_metrics.ckpt", threads));
+    // Half the leaf stage's budget fails the join part way through.
+    MemoryBudget budget(unlimited.peak() / 2);
+    ExecContext exec;
+    exec.SetMemoryBudget(&budget);
+    options.exec = &exec;
+    const JoinStats stats = NaiveCompactJoin(tree_, options, sink->get());
+    ASSERT_EQ(stats.status.code(), StatusCode::kResourceExhausted)
+        << stats.status.ToString();
+    ASSERT_GT(stats.links, 0u);
+    sink->reset();
     EXPECT_EQ(CounterValue("sink.links") - links, stats.links);
     EXPECT_EQ(CounterValue("sink.groups") - groups, stats.groups);
-    EXPECT_EQ(CounterValue("sink.bytes") - bytes, stats.output_bytes);
+    EXPECT_EQ(CounterValue("sink.bytes") - bytes,
+              PublishedBytes(stats.output_bytes, model));
   }
 }
 
